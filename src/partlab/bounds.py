@@ -13,6 +13,15 @@ Two value families, kept strictly apart:
 
 Directions are from the point of view of the exact count: an "upper"
 bound claims exact <= value, a "lower" bound claims exact >= value.
+
+A `table --bounds` run asks for every bound at every n of one table, so
+the table-wide facts the bounds need are computed once per table, not
+once per n: prefix sums, record flags and the nondecreasing prefix live
+on CountTable; H_0..H_N come from harmonic_numbers(N) and the product
+ceilings for 0..N from product_upper_column, each cached for the last
+table.  Each bound is evaluated once per n, and its verdict compares
+against that value.  Thresholds are integers throughout: set elements are
+integers, so M(n/a) = M(n // a).
 """
 
 from __future__ import annotations
@@ -20,13 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
-from .counting import CountTable
+from .counting import CountTable, finite_coprime_parts, has_all_multiplicities
 from .setspec import IntegerSetSpec, min_positive
 
 DEFAULT_DIGITS = 50
@@ -114,13 +125,13 @@ def _hp(expr: Callable[[], mpmath.mpf], digits: int) -> HighPrecisionReal:
 def product_upper_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> int:
     """prod over parts a of M(n/a), truncated where the factor becomes 1.
 
-    A factor is 1 exactly when only multiplicity 0 fits, i.e. when
-    a * min_positive(M) > n, so the product runs over a <= n // min_positive(M).
+    Elements are integers, so M(n/a) = M(n // a).  A factor is 1 exactly
+    when only multiplicity 0 fits, i.e. when a * min_positive(M) > n, so
+    the product runs over a <= n // min_positive(M).
     """
-    mp_min = min_positive(mults)
     out = 1
-    for a in parts.elements_upto(n // mp_min if n >= mp_min else 0):
-        out *= mults.count_leq(Fraction(n, a))
+    for a in parts.elements_upto(n // min_positive(mults)):
+        out *= mults.count_leq(n // a)
     return out
 
 
@@ -156,17 +167,38 @@ def check_existence_lower_bound(
 def monotone_lower_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> Fraction:
     """(1/(n+1)) prod over parts a of |{mu in M : mu * a <= sqrt(n)}|.
 
-    Exact: mu * a <= sqrt(n) iff mu * a <= isqrt(n) for integers.
-    Meaningful as a lower bound only when p(.; S, M) is nondecreasing.
+    Exact: mu * a <= sqrt(n) iff mu * a <= isqrt(n) for integers, so the
+    product is product_upper_bound(isqrt(n)).  Meaningful as a lower bound
+    only when p(.; S, M) is nondecreasing.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    root = math.isqrt(n)
-    mp_min = min_positive(mults)
-    prod = 1
-    for a in parts.elements_upto(root // mp_min if root >= mp_min else 0):
-        prod *= mults.count_leq(Fraction(root, a))
-    return Fraction(prod, n + 1)
+    return Fraction(product_upper_bound(math.isqrt(n), parts, mults), n + 1)
+
+
+@lru_cache(maxsize=1)
+def product_upper_column(
+    upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec
+) -> tuple[int, ...]:
+    """product_upper_bound(n, parts, mults) for n = 0..upto, in one pass.
+
+    The factor M(n // a) of part a grows only at n = m * a with m a positive
+    multiplicity, from k to k + 1 when m is the k-th smallest one; every
+    other factor is unchanged from n - 1.  So each n costs one exact
+    multiply and divide by the factors that grow there.  Cached for the
+    last (upto, parts, mults) asked, which is the table being reported.
+    """
+    num = [1] * (upto + 1)
+    den = [1] * (upto + 1)
+    for a in parts.elements_upto(upto // min_positive(mults)):
+        positive = [m for m in mults.elements_upto(upto // a) if m > 0]
+        for k, m in enumerate(positive, start=1):
+            num[m * a] *= k + 1
+            den[m * a] *= k
+    column = [1]
+    for n in range(1, upto + 1):
+        column.append(column[-1] * num[n] // den[n])
+    return tuple(column)
 
 
 def schur_asymptotic(n: int, cset: FiniteCoprimeSet) -> Fraction:
@@ -218,6 +250,14 @@ def harmonic_number(n: int) -> Fraction:
     return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
 
 
+@lru_cache(maxsize=1)
+def harmonic_numbers(upto: int) -> tuple[Fraction, ...]:
+    """(H_0, ..., H_upto) as exact rationals, by one running sum; cached
+    for the last upto asked."""
+    terms = (Fraction(1, j) for j in range(1, upto + 1))
+    return tuple(accumulate(terms, initial=Fraction(0)))
+
+
 # ---------------------------------------------------------------------------
 # Transcendental bounds: plain evaluation + interval builders
 
@@ -267,14 +307,18 @@ def debruijn_count_upper_iv(n: int):
 
 
 def harmonic_chain_bound(
-    n: int, parts: IntegerSetSpec, digits: int = DEFAULT_DIGITS
+    n: int,
+    parts: IntegerSetSpec,
+    digits: int = DEFAULT_DIGITS,
+    h: Fraction | None = None,
 ) -> HighPrecisionReal:
     """n^A(n) * e^(H_n) with A(n) the part-counting function; upper bound for
-    p(n; parts, all multiplicities)."""
+    p(n; parts, all multiplicities).  h is H_n when the caller has it."""
     if n < 1:
         raise ValueError("n must be positive")
     a_n = parts.count_leq(n)
-    h = harmonic_number(n)
+    if h is None:
+        h = harmonic_number(n)
     return _hp(
         lambda: mpmath.mpf(n) ** a_n
         * mpmath.exp(mpmath.mpf(h.numerator) / h.denominator),
@@ -348,14 +392,6 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
 
 
-def _finite_coprime(parts: IntegerSetSpec) -> FiniteCoprimeSet | None:
-    from .setspec import Finite
-
-    if isinstance(parts, Finite) and math.gcd(*parts.elements) == 1:
-        return FiniteCoprimeSet(parts.elements)
-    return None
-
-
 def _is_all_parts(parts: IntegerSetSpec) -> bool:
     from .setspec import AllFrom
 
@@ -372,34 +408,31 @@ class _Bound(NamedTuple):
     direction: str
     applies: Callable  # (n, parts, mults, table) -> bool
     value: Callable    # (n, parts, mults, table, digits) -> value
-    holds: Callable | None  # rigorous verdict; None for asymptotic entries
+    # (n, table, digits, exact, value) -> rigorous verdict, given the value
+    # just computed; None for asymptotic entries
+    holds: Callable | None
 
 
 def _mk_registry() -> dict[str, _Bound]:
-    from .counting import has_all_multiplicities
-
-    def nat(mults):
-        return has_all_multiplicities(mults)
-
+    nat = has_all_multiplicities
     reg: dict[str, _Bound] = {}
 
     reg["product_upper"] = _Bound(
         "upper",
         lambda n, p, m, t: True,
-        lambda n, p, m, t, d: product_upper_bound(n, p, m),
-        lambda n, p, m, t, d, exact: exact <= product_upper_bound(n, p, m),
+        lambda n, p, m, t, d: product_upper_column(t.upto, p, m)[n],
+        lambda n, t, d, exact, v: exact <= v,
     )
     reg["monotone_lower"] = _Bound(
         "lower",
-        lambda n, p, m, t: n >= 1
-        and all(b >= a for a, b in zip(t.values[: n + 1], t.values[1 : n + 1])),
+        lambda n, p, m, t: 1 <= n < t.nondecreasing_prefix,
         lambda n, p, m, t, d: monotone_lower_bound(n, p, m),
-        lambda n, p, m, t, d, exact: exact >= monotone_lower_bound(n, p, m),
+        lambda n, t, d, exact, v: exact >= v,
     )
     reg["schur"] = _Bound(
         "asymptotic",
-        lambda n, p, m, t: nat(m) and _finite_coprime(p) is not None,
-        lambda n, p, m, t, d: schur_asymptotic(n, _finite_coprime(p)),
+        lambda n, p, m, t: finite_coprime_parts(p, m) is not None,
+        lambda n, p, m, t, d: schur_asymptotic(n, finite_coprime_parts(p, m)),
         None,
     )
     reg["hrr"] = _Bound(
@@ -414,17 +447,19 @@ def _mk_registry() -> dict[str, _Bound]:
         lambda n, p, m, t, d: _hp(
             lambda: mpmath.exp(debruijn_upper_bound(n // 2, d).value), d
         ),
-        lambda n, p, m, t, d, exact: certified_leq(
+        lambda n, t, d, exact, v: certified_leq(
             exact, lambda: debruijn_count_upper_iv(n // 2), d
         ),
     )
     reg["harmonic_chain"] = _Bound(
         "upper",
         lambda n, p, m, t: n >= 1 and nat(m),
-        lambda n, p, m, t, d: harmonic_chain_bound(n, p, d),
-        lambda n, p, m, t, d, exact: certified_leq(
-            Fraction(exact, n ** p.count_leq(n)),
-            lambda: exp_harmonic_iv(harmonic_number(n)),
+        lambda n, p, m, t, d: harmonic_chain_bound(
+            n, p, d, harmonic_numbers(t.upto)[n]
+        ),
+        lambda n, t, d, exact, v: certified_leq(
+            Fraction(exact, n ** t.parts.count_leq(n)),
+            lambda: exp_harmonic_iv(harmonic_numbers(t.upto)[n]),
             d,
         ),
     )
@@ -432,7 +467,7 @@ def _mk_registry() -> dict[str, _Bound]:
         "lower",
         lambda n, p, m, t: n >= 1 and nat(m) and _is_all_parts(p),
         lambda n, p, m, t, d: classical_sqrt_lower(n, d),
-        lambda n, p, m, t, d, exact: certified_geq(
+        lambda n, t, d, exact, v: certified_geq(
             exact, lambda: classical_sqrt_lower_iv(n), d
         ),
     )
@@ -440,31 +475,28 @@ def _mk_registry() -> dict[str, _Bound]:
         "lower",
         lambda n, p, m, t: n >= 1 and nat(m) and _is_all_parts(p),
         lambda n, p, m, t, d: classical_refined_comparison(n, d),
-        lambda n, p, m, t, d, exact: certified_geq(
+        lambda n, t, d, exact, v: certified_geq(
             exact, lambda: classical_refined_iv(n), d
         ),
     )
     reg["padberg"] = _Bound(
         "lower",  # compares the cumulative count, not p(n) itself
-        lambda n, p, m, t: nat(m) and _finite_coprime(p) is not None,
-        lambda n, p, m, t, d: padberg_lower(n, _finite_coprime(p)),
-        lambda n, p, m, t, d, exact: sum(t.values[: n + 1])
-        >= padberg_lower(n, _finite_coprime(p)),
+        lambda n, p, m, t: finite_coprime_parts(p, m) is not None,
+        lambda n, p, m, t, d: padberg_lower(n, finite_coprime_parts(p, m)),
+        lambda n, t, d, exact, v: t.prefix_sums[n] >= v,
     )
     reg["eq10"] = _Bound(
         "lower",
-        lambda n, p, m, t: nat(m)
-        and _finite_coprime(p) is not None
-        and t.values[n] == max(t.values[: n + 1]),
-        lambda n, p, m, t, d: schur_style_point_lower(n, _finite_coprime(p)),
-        lambda n, p, m, t, d, exact: exact
-        >= schur_style_point_lower(n, _finite_coprime(p)),
+        lambda n, p, m, t: finite_coprime_parts(p, m) is not None
+        and t.record_flags[n],
+        lambda n, p, m, t, d: schur_style_point_lower(n, finite_coprime_parts(p, m)),
+        lambda n, t, d, exact, v: exact >= v,
     )
     reg["refined"] = _Bound(
         "lower",
         lambda n, p, m, t: n >= 1 and nat(m) and _can_refine(n, p),
         lambda n, p, m, t, d: refined_lower_bound(n, p),
-        lambda n, p, m, t, d, exact: exact >= refined_lower_bound(n, p),
+        lambda n, t, d, exact, v: exact >= v,
     )
     reg["slow_growth"] = _Bound(
         "asymptotic",
@@ -510,6 +542,6 @@ def bound_report(
         value = b.value(n, table.parts, table.mults, table, digits)
         sat = None
         if b.holds is not None:
-            sat = b.holds(n, table.parts, table.mults, table, digits, exact)
+            sat = b.holds(n, table, digits, exact, value)
         entries.append(BoundEntry(bid, b.direction, True, value, sat))
     return BoundReport(n, exact, tuple(entries))

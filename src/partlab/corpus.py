@@ -15,7 +15,6 @@ from .setspec import (
     AllFrom,
     ArithmeticProgression,
     DoublyExponential,
-    Finite,
     IntegerSetSpec,
     Powers,
     SparseConstructed,
@@ -86,18 +85,3 @@ CORPUS: tuple[CorpusPair, ...] = (
 )
 
 CORPUS_BY_LABEL = {pair.label: pair for pair in CORPUS}
-
-
-def finite_coprime_labels() -> tuple[str, ...]:
-    """Labels of corpus pairs whose part set is finite with gcd 1 and whose
-    multiplicities are unrestricted."""
-    import math
-
-    out = []
-    for pair in CORPUS:
-        if isinstance(pair.parts, Finite) and math.gcd(*pair.parts.elements) == 1:
-            from .counting import has_all_multiplicities
-
-            if has_all_multiplicities(pair.mults):
-                out.append(pair.label)
-    return tuple(out)

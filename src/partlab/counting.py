@@ -13,7 +13,10 @@ pure-Python fallback selected at import time (see KERNEL_BACKEND).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .arith import FiniteCoprimeSet
 from .setspec import (
@@ -37,7 +40,11 @@ BRUTE_FORCE_LIMIT = 40
 
 @dataclass(frozen=True)
 class CountTable:
-    """Exact values p(0..N; parts, mults); values[0] = 1 (empty partition)."""
+    """Exact values p(0..N; parts, mults); values[0] = 1 (empty partition).
+
+    The table-wide facts below are computed once, on first use, so that
+    per-n questions about a prefix of the table cost O(1).
+    """
 
     parts: IntegerSetSpec
     mults: IntegerSetSpec
@@ -47,18 +54,36 @@ class CountTable:
     def upto(self) -> int:
         return len(self.values) - 1
 
+    @cached_property
+    def prefix_sums(self) -> tuple[int, ...]:
+        """prefix_sums[n] = p(0) + ... + p(n)."""
+        return tuple(accumulate(self.values))
+
+    @cached_property
+    def record_flags(self) -> tuple[bool, ...]:
+        """record_flags[n]: p(n) equals the maximum of p over [0, n]."""
+        best = 0
+        flags = []
+        for v in self.values:
+            flags.append(v >= best)
+            best = max(best, v)
+        return tuple(flags)
+
+    @cached_property
+    def nondecreasing_prefix(self) -> int:
+        """Length of the longest nondecreasing prefix of values."""
+        values = self.values
+        for n in range(1, len(values)):
+            if values[n] < values[n - 1]:
+                return n
+        return len(values)
+
     def record_indices(self) -> list[int]:
         """Indices n where p(n) equals the maximum of p over [0, n]."""
-        best = 0
-        out = []
-        for n, v in enumerate(self.values):
-            if v >= best:
-                best = v
-                out.append(n)
-        return out
+        return [n for n, record in enumerate(self.record_flags) if record]
 
     def is_nondecreasing(self) -> bool:
-        return all(b >= a for a, b in zip(self.values, self.values[1:]))
+        return self.nondecreasing_prefix == len(self.values)
 
 
 def _check_pair(parts: IntegerSetSpec, mults: IntegerSetSpec) -> None:
@@ -71,6 +96,19 @@ def _check_pair(parts: IntegerSetSpec, mults: IntegerSetSpec) -> None:
 def has_all_multiplicities(mults: IntegerSetSpec) -> bool:
     """True for the full multiplicity set {0, 1, 2, ...}."""
     return isinstance(mults, WithZero) and mults.inner == AllFrom(1)
+
+
+def finite_coprime_parts(
+    parts: IntegerSetSpec, mults: IntegerSetSpec
+) -> FiniteCoprimeSet | None:
+    """The part set as a FiniteCoprimeSet when it is finite with gcd 1 and
+    multiplicities are unrestricted (the setting of the polynomial-growth
+    bounds); None otherwise."""
+    if not isinstance(parts, Finite) or not has_all_multiplicities(mults):
+        return None
+    if math.gcd(*parts.elements) != 1:
+        return None
+    return FiniteCoprimeSet(parts.elements)
 
 
 def count_table(

@@ -18,8 +18,9 @@ Spec mini-language (ASCII, no whitespace):
     zero|SPEC      {0} union SPEC                    (multiplicity sets)
     sparse:@FILE   anchors from FILE, one integer per line, ascending
 
-Counting thresholds are exact rationals: M(n/a) is evaluated through the
-integer predicate mu * a <= n, never through floating point.
+Counting thresholds are integers: elements are integers, so a rational
+threshold such as M(n/a) is exactly M(n // a), and no floating point is
+involved.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count as _count
 from typing import Iterator
 
@@ -48,9 +48,6 @@ class InvalidSetError(SetSpecError):
     """Structurally valid text describing a semantically invalid set."""
 
 
-Threshold = int | Fraction
-
-
 class IntegerSetSpec:
     """Common interface of all set variants.
 
@@ -61,8 +58,8 @@ class IntegerSetSpec:
         """Yield the elements in strictly increasing order (possibly forever)."""
         raise NotImplementedError
 
-    def count_leq(self, x: Threshold) -> int:
-        """|{s in set : s <= x}|, exact for rational x."""
+    def count_leq(self, x: int) -> int:
+        """|{s in set : s <= x}|; a rational x counts as floor(x)."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -149,7 +146,7 @@ class ArithmeticProgression(IntegerSetSpec):
     def count_leq(self, x):
         if x < self.first:
             return 0
-        return math.floor(Fraction(x - self.first, self.step)) + 1
+        return (x - self.first) // self.step + 1
 
     def spec_string(self):
         return f"ap:{self.first},{self.step}"
@@ -269,15 +266,7 @@ NAT_MULTS = WithZero(AllFrom(1))
 
 
 # ---------------------------------------------------------------------------
-# Operations (free-function form of the methods above)
-
-def count_leq(spec: IntegerSetSpec, x: Threshold) -> int:
-    return spec.count_leq(x)
-
-
-def elements_upto(spec: IntegerSetSpec, bound: int) -> list[int]:
-    return spec.elements_upto(bound)
-
+# Operations
 
 def min_positive(spec: IntegerSetSpec) -> int:
     return spec.min_positive()
@@ -299,9 +288,12 @@ def validate_kind(spec: IntegerSetSpec, kind: str) -> IntegerSetSpec:
 # ---------------------------------------------------------------------------
 # Parser
 
+_ASCII_DIGITS = frozenset("0123456789")
+
+
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     end = pos
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and text[end] in _ASCII_DIGITS:
         end += 1
     if end == pos:
         raise SpecSyntaxError("expected an integer", pos)

@@ -29,7 +29,7 @@ from mpmath import mp
 from . import bounds
 from .arith import FiniteCoprimeSet, eventually_strictly_increasing, frobenius_threshold
 from .corpus import BUILTIN_EPSILON_TABLE, CORPUS, CorpusPair
-from .counting import count_table, has_all_multiplicities
+from .counting import count_table, finite_coprime_parts, has_all_multiplicities
 from .setspec import (
     ALL_PARTS,
     NAT_MULTS,
@@ -96,14 +96,6 @@ def _inputs(pair: CorpusPair, n: int) -> dict:
         "mults": _spec_str(pair.mults),
         "n": n,
     }
-
-
-def _finite_coprime_pair(pair: CorpusPair) -> FiniteCoprimeSet | None:
-    if not isinstance(pair.parts, Finite) or not has_all_multiplicities(pair.mults):
-        return None
-    if math.gcd(*pair.parts.elements) != 1:
-        return None
-    return FiniteCoprimeSet(pair.parts.elements)
 
 
 def _nstr(x, places: int = 8) -> str:
@@ -294,9 +286,9 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     multiplicities, n <= 200; comparisons divide out the exact n^A(n)."""
     res = SuiteResult("harmonic-chain")
     enclosures = {}
-    h = Fraction(0)
+    harmonic = bounds.harmonic_numbers(CHAIN_LIMIT)
     for n in range(1, CHAIN_LIMIT + 1):
-        h += Fraction(1, n)
+        h = harmonic[n]
         enclosures[n] = (
             bounds.interval_endpoints(lambda h=h: bounds.exp_harmonic_iv(h), digits),
             h,
@@ -333,7 +325,7 @@ def suite_cumulative_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     (n+1)^k/(k! prod a) up to n = 500, with equality throughout for {1}."""
     res = SuiteResult("padberg")
     for pair in CORPUS:
-        cset = _finite_coprime_pair(pair)
+        cset = finite_coprime_parts(pair.parts, pair.mults)
         if cset is None:
             continue
         table = count_table(PADBERG_LIMIT, pair.parts)
@@ -367,7 +359,7 @@ def suite_record_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     res = SuiteResult("eq10")
     last_bad = -1
     for pair in CORPUS:
-        cset = _finite_coprime_pair(pair)
+        cset = finite_coprime_parts(pair.parts, pair.mults)
         if cset is None:
             continue
         table = count_table(EQ10_LIMIT, pair.parts)

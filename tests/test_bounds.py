@@ -8,11 +8,12 @@ import mpmath
 import pytest
 from mpmath import iv
 
-from partlab.arith import FiniteCoprimeSet
+from partlab.arith import FiniteCoprimeSet, gcd_of_set
 from partlab.bounds import (
     BOUND_IDS,
     BOUND_REGISTRY,
     DEFAULT_DIGITS,
+    BoundEntry,
     ExistenceWitness,
     HighPrecisionReal,
     bound_report,
@@ -20,17 +21,23 @@ from partlab.bounds import (
     certified_leq,
     check_existence_lower_bound,
     classical_refined_comparison,
+    classical_refined_iv,
     classical_sqrt_lower,
+    classical_sqrt_lower_iv,
+    debruijn_count_upper_iv,
     debruijn_leading_term,
     debruijn_upper_bound,
+    exp_harmonic_iv,
     harmonic_chain_bound,
     harmonic_number,
+    harmonic_numbers,
     hrr_leading_term,
     interval_endpoints,
     j_of_n,
     monotone_lower_bound,
     padberg_lower,
     product_upper_bound,
+    product_upper_column,
     refined_lower_bound,
     schur_asymptotic,
     schur_style_point_lower,
@@ -44,7 +51,9 @@ from partlab.setspec import (
     DoublyExponential,
     Finite,
     Powers,
+    SparseConstructed,
     WithZero,
+    parse_set_spec,
 )
 
 DEXP_PARTS = DoublyExponential(2)
@@ -172,6 +181,15 @@ class TestHarmonic:
         assert harmonic_number(4) == Fraction(25, 12)
         assert harmonic_number(0) == 0
 
+    def test_harmonic_numbers_running_sum(self):
+        assert harmonic_numbers(40) == tuple(harmonic_number(n) for n in range(41))
+        assert harmonic_numbers(0) == (0,)
+
+    def test_chain_value_with_given_harmonic_number(self):
+        assert harmonic_chain_bound(9, Powers(2), h=harmonic_number(9)) == (
+            harmonic_chain_bound(9, Powers(2))
+        )
+
     def test_chain_value(self):
         hp = harmonic_chain_bound(4, ALL_PARTS)
         assert abs(hp.value - 2055.9859) < 1e-3
@@ -297,3 +315,138 @@ class TestBoundReport:
         table = count_table(10, Finite((2, 3)))
         rep = bound_report(table, 10, ["monotone_lower"])
         assert rep.entries[0].applicable is False  # p dips at odd n
+
+
+def _fraction_product(n, parts, mults):
+    """The product ceiling with rational thresholds M(n/a), as first written."""
+    mp_min = mults.min_positive()
+    out = 1
+    for a in parts.elements_upto(n // mp_min if n >= mp_min else 0):
+        out *= mults.count_leq(Fraction(n, a))
+    return out
+
+
+def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
+    """The BoundEntry for one bound at one n, from per-n formulas that use
+    nothing table-wide: the rational-threshold product, harmonic_number(n),
+    and sum, max and a nondecreasing scan over values[: n + 1]."""
+    parts, mults = table.parts, table.mults
+    values = table.values[: n + 1]
+    exact = values[n]
+    nat = mults == NAT_MULTS
+    cset = None
+    if nat and isinstance(parts, Finite) and math.gcd(*parts.elements) == 1:
+        cset = FiniteCoprimeSet(parts.elements)
+    classical = n >= 1 and nat and parts == ALL_PARTS
+
+    if bid == "product_upper":
+        value = _fraction_product(n, parts, mults)
+        return BoundEntry(bid, "upper", True, value, exact <= value)
+    if bid == "monotone_lower":
+        if n < 1 or any(b < a for a, b in zip(values, values[1:])):
+            return BoundEntry(bid, "lower", False)
+        value = Fraction(_fraction_product(math.isqrt(n), parts, mults), n + 1)
+        return BoundEntry(bid, "lower", True, value, exact >= value)
+    if bid == "schur":
+        if cset is None:
+            return BoundEntry(bid, "asymptotic", False)
+        return BoundEntry(bid, "asymptotic", True, schur_asymptotic(n, cset))
+    if bid == "hrr":
+        if not classical:
+            return BoundEntry(bid, "asymptotic", False)
+        return BoundEntry(bid, "asymptotic", True, hrr_leading_term(n, digits))
+    if bid == "debruijn_upper":
+        if not (n >= 2 and n % 2 == 0 and nat and parts == Powers(2)):
+            return BoundEntry(bid, "upper", False)
+        with mpmath.workdps(digits):
+            value = HighPrecisionReal(
+                mpmath.exp(debruijn_upper_bound(n // 2, digits).value), digits
+            )
+        ok = certified_leq(exact, lambda: debruijn_count_upper_iv(n // 2), digits)
+        return BoundEntry(bid, "upper", True, value, ok)
+    if bid == "harmonic_chain":
+        if not (n >= 1 and nat):
+            return BoundEntry(bid, "upper", False)
+        h = harmonic_number(n)
+        ok = certified_leq(
+            Fraction(exact, n ** parts.count_leq(n)), lambda: exp_harmonic_iv(h), digits
+        )
+        return BoundEntry(bid, "upper", True, harmonic_chain_bound(n, parts, digits), ok)
+    if bid in ("sqrt_lower", "classical_refined"):
+        if not classical:
+            return BoundEntry(bid, "lower", False)
+        if bid == "sqrt_lower":
+            value, builder = classical_sqrt_lower(n, digits), classical_sqrt_lower_iv
+        else:
+            value = classical_refined_comparison(n, digits)
+            builder = classical_refined_iv
+        ok = certified_geq(exact, lambda: builder(n), digits)
+        return BoundEntry(bid, "lower", True, value, ok)
+    if bid == "padberg":
+        if cset is None:
+            return BoundEntry(bid, "lower", False)
+        value = padberg_lower(n, cset)
+        return BoundEntry(bid, "lower", True, value, sum(values) >= value)
+    if bid == "eq10":
+        if cset is None or exact != max(values):
+            return BoundEntry(bid, "lower", False)
+        value = schur_style_point_lower(n, cset)
+        return BoundEntry(bid, "lower", True, value, exact >= value)
+    if bid == "refined":
+        try:
+            refinable = (
+                n >= 1 and nat and gcd_of_set(parts) == 1 and j_of_n(n, parts) >= 1
+            )
+        except ValueError:  # finite part set exhausted
+            refinable = False
+        if not refinable:
+            return BoundEntry(bid, "lower", False)
+        value = refined_lower_bound(n, parts)
+        return BoundEntry(bid, "lower", True, value, exact >= value)
+    assert bid == "slow_growth"
+    if n < 16:
+        return BoundEntry(bid, "asymptotic", False)
+    return BoundEntry(bid, "asymptotic", True, slow_growth_closed_form(n, digits))
+
+
+ORACLE_PAIRS = [
+    ("all", "nat"),
+    ("finite:2,3", "nat"),
+    ("finite:1", "nat"),
+    ("pow:2", "nat"),
+    ("dexp:2", "zero|dexp:2"),
+    ("ap:2,3", "zero|ap:1,2"),
+    ("all", "zero|finite:1"),
+]
+ORACLE_LIMIT = 120
+
+
+class TestTableScaleReport:
+    """bound_report reads table-wide facts computed once per table; every
+    entry must equal the one the per-n formulas give."""
+
+    @pytest.mark.parametrize(
+        "parts,mults",
+        [(parse_set_spec(p, "parts"), parse_set_spec(m, "mults")) for p, m in ORACLE_PAIRS]
+        + [(SparseConstructed((2, 3, 7, 20, 45)), NAT_MULTS)],
+        ids=[f"{p}/{m}" for p, m in ORACLE_PAIRS] + ["sparse/nat"],
+    )
+    def test_report_matches_per_n_oracle(self, parts, mults):
+        table = count_table(ORACLE_LIMIT, parts, mults)
+        for n in range(ORACLE_LIMIT + 1):
+            report = bound_report(table, n, BOUND_IDS)
+            assert report.exact == table.values[n]
+            expected = tuple(_oracle_entry(bid, table, n) for bid in BOUND_IDS)
+            assert report.entries == expected, n
+
+    def test_product_column_matches_per_n_products(self):
+        for parts, mults in [
+            (ALL_PARTS, NAT_MULTS),
+            (Finite((3, 5)), WithZero(Finite((2, 7)))),
+            (Powers(3), WithZero(ArithmeticProgression(2, 3))),
+        ]:
+            column = product_upper_column(200, parts, mults)
+            assert column == tuple(
+                _fraction_product(n, parts, mults) for n in range(201)
+            )
+            assert column == tuple(product_upper_bound(n, parts, mults) for n in range(201))

@@ -4,11 +4,22 @@ Everything runs in-process through main(argv) so coverage tools see it and
 the suite stays fast.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from partlab.bounds import BOUND_IDS
 from partlab.cli import main
+
+# SHA-256 of `table --parts P --upto 60 --bounds <every id> --format csv`,
+# recorded from the per-n bound evaluation that computed every table-wide
+# fact (prefix sums, records, H_n, products) afresh at each n.
+ALL_BOUNDS_CSV_SHA256 = {
+    "all": "28e81e34d7e323ba80f9e3e3294ee658210a824a32e82bd9b8139b2e5c152511",
+    "finite:2,3": "4568c0d35dbbe28a3f482104fcc27e8232d6e696edb576672911bc6088c4dd03",
+    "pow:2": "0dca194829c22ce685c26f2856131b640ec9d923e4d2b10f4cf5e9d1f5ba7dfc",
+}
 
 
 def run(capsys, *argv):
@@ -39,6 +50,13 @@ class TestExitCodes:
             capsys, "count", "--parts", "all", "--mults", "finite:1,2", "--n", "5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["finite:\u00b2", "finite:\u0663,4"])
+    def test_non_ascii_digit_is_one(self, capsys, spec):
+        code, out, err = run(capsys, "count", "--parts", spec, "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert "expected an integer" in err
 
     def test_unknown_bound_id_is_one(self, capsys):
         code, _, err = run(
@@ -138,6 +156,16 @@ class TestTable:
         rows = payload["rows"]
         assert [r["count"] for r in rows] == ["1", "1", "2", "3"]
         assert rows[3]["bounds"]["product_upper"]["satisfied"] is True
+
+    @pytest.mark.parametrize("parts", sorted(ALL_BOUNDS_CSV_SHA256))
+    def test_all_bound_columns_snapshot(self, capsys, parts):
+        code, out, _ = run(
+            capsys,
+            "table", "--parts", parts, "--upto", "60",
+            "--bounds", ",".join(BOUND_IDS), "--format", "csv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_BOUNDS_CSV_SHA256[parts]
 
     def test_human_dash_for_inapplicable(self, capsys):
         _, out, _ = run(

@@ -10,6 +10,7 @@ from partlab.counting import (
     count_partitions,
     count_table,
     cumulative_count,
+    finite_coprime_parts,
     pentagonal_table,
 )
 from partlab import _dpcore_py
@@ -136,6 +137,26 @@ class TestStructuralLaws:
     def test_is_nondecreasing(self):
         assert count_table(300, ALL_PARTS).is_nondecreasing()
         assert not count_table(10, Finite((2, 3))).is_nondecreasing()
+
+    @pytest.mark.parametrize("parts,mults", PAIRS)
+    def test_table_facts_match_prefix_scans(self, parts, mults):
+        t = count_table(60, parts, mults)
+        v = t.values
+        for n in range(61):
+            assert t.prefix_sums[n] == sum(v[: n + 1]), n
+            assert t.record_flags[n] == (v[n] == max(v[: n + 1])), n
+            prefix_ok = all(a <= b for a, b in zip(v[: n + 1], v[1 : n + 1]))
+            assert (n < t.nondecreasing_prefix) == prefix_ok, n
+
+
+class TestFiniteCoprimeParts:
+    def test_finite_coprime_with_all_multiplicities(self):
+        assert finite_coprime_parts(Finite((3, 2)), NAT_MULTS) == FiniteCoprimeSet((2, 3))
+
+    def test_other_settings_give_none(self):
+        assert finite_coprime_parts(Finite((2, 4)), NAT_MULTS) is None
+        assert finite_coprime_parts(ALL_PARTS, NAT_MULTS) is None
+        assert finite_coprime_parts(Finite((2, 3)), Finite((0, 1))) is None
 
 
 class TestValidation:

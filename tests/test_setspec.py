@@ -165,6 +165,13 @@ class TestParser:
         with pytest.raises(SpecSyntaxError):
             parse_set_spec("ap:3", "parts")
 
+    @pytest.mark.parametrize("text", ["finite:\u00b2", "finite:\u0663,4"])
+    def test_non_ascii_digits_rejected(self, text):
+        # superscript two and Arabic-Indic three pass str.isdigit
+        with pytest.raises(SpecSyntaxError) as info:
+            parse_set_spec(text, "parts")
+        assert info.value.position == 7
+
     @pytest.mark.parametrize(
         "text,kind",
         [
