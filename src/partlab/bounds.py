@@ -5,14 +5,21 @@ Two value families, kept strictly apart:
 
 * polynomial / factorial bounds evaluate as exact rationals (Fraction),
   so inequality checks are plain integer arithmetic;
-* transcendental bounds evaluate in mpmath, and rigorous verdicts go
-  through interval arithmetic: a bound's enclosure is widened outward, so
-  "satisfied" can only be claimed when it would survive any amount of
-  extra precision.  When an enclosure is too wide to decide, precision is
-  escalated.
+* transcendental bounds are written once each, as a formula over an
+  mpmath context (debruijn_log_term, sqrt_lower_term, ...).  Evaluated
+  under mp, the formula gives the displayed HighPrecisionReal; evaluated
+  under iv, it gives an outward-rounded enclosure, and a verdict is
+  claimed only when the exact side clears the whole enclosure, so it
+  would survive any amount of extra precision.  When an enclosure is too
+  wide to decide, precision is escalated.
 
 Directions are from the point of view of the exact count: an "upper"
-bound claims exact <= value, a "lower" bound claims exact >= value.
+bound claims exact <= value, a "lower" bound claims exact >= value.  Every
+registry verdict follows from that direction alone (_verdict): exact
+values are compared directly, transcendental ones through their
+enclosure, asymptotic reference values get none.  The exact side is p(n)
+unless a bound names another quantity (the cumulative count for padberg,
+p(n) / n^A(n) for harmonic_chain).
 
 A `table --bounds` run asks for every bound at every n of one table, so
 the table-wide facts the bounds need are computed once per table, not
@@ -37,8 +44,8 @@ import mpmath
 from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
-from .counting import CountTable, finite_coprime_parts, has_all_multiplicities
-from .setspec import IntegerSetSpec, min_positive
+from .counting import CountTable, count_table, finite_coprime_parts, has_all_multiplicities
+from .setspec import ALL_PARTS, IntegerSetSpec, Powers
 
 DEFAULT_DIGITS = 50
 _MAX_DIGITS = 3200
@@ -126,11 +133,11 @@ def product_upper_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) ->
     """prod over parts a of M(n/a), truncated where the factor becomes 1.
 
     Elements are integers, so M(n/a) = M(n // a).  A factor is 1 exactly
-    when only multiplicity 0 fits, i.e. when a * min_positive(M) > n, so
-    the product runs over a <= n // min_positive(M).
+    when only multiplicity 0 fits, i.e. when a * M.min_positive() > n, so
+    the product runs over a <= n // M.min_positive().
     """
     out = 1
-    for a in parts.elements_upto(n // min_positive(mults)):
+    for a in parts.elements_upto(n // mults.min_positive()):
         out *= mults.count_leq(n // a)
     return out
 
@@ -151,8 +158,6 @@ def check_existence_lower_bound(
     <= n^2 is hit at least the average number of times.  A missing witness
     is therefore a counting bug, reported as LookupError.
     """
-    from .counting import count_table  # local import to avoid cycle at module load
-
     if n < 1:
         raise ValueError("n must be positive")
     threshold = Fraction(product_upper_bound(n, parts, mults), n * n + 1)
@@ -190,7 +195,7 @@ def product_upper_column(
     """
     num = [1] * (upto + 1)
     den = [1] * (upto + 1)
-    for a in parts.elements_upto(upto // min_positive(mults)):
+    for a in parts.elements_upto(upto // mults.min_positive()):
         positive = [m for m in mults.elements_upto(upto // a) if m > 0]
         for k, m in enumerate(positive, start=1):
             num[m * a] *= k + 1
@@ -259,7 +264,37 @@ def harmonic_numbers(upto: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Transcendental bounds: plain evaluation + interval builders
+# Transcendental bounds.  Each term is one formula over an mpmath context:
+# under mp it gives the displayed value, under iv the enclosure a verdict
+# is certified against.
+
+def debruijn_log_term(ctx, n: int):
+    """log(2n+1) * log2(2n)."""
+    return ctx.log(2 * n + 1) * ctx.log(2 * n) / ctx.log(2)
+
+
+def sqrt_lower_term(ctx, n: int):
+    """e^sqrt(n) / n."""
+    return ctx.exp(ctx.sqrt(n)) / n
+
+
+def classical_refined_term(ctx, n: int):
+    """e^(2 sqrt(n)) / (2 pi n^2)."""
+    return ctx.exp(2 * ctx.sqrt(n)) / (2 * ctx.pi * n * n)
+
+
+def exp_harmonic_term(ctx, h: Fraction):
+    """e^h for an exact rational h."""
+    return ctx.exp(ctx.mpf(h.numerator) / h.denominator)
+
+
+def slow_growth_term(ctx, n: int):
+    """(lg n) (lg lg n)^(lg lg n) with base-2 logs.  log(x, 2) and power
+    keep the exact points exact: at n = 2^16 the value is 4096 exactly."""
+    lg_n = ctx.log(n, 2)
+    lg_lg = ctx.log(lg_n, 2)
+    return lg_n * ctx.power(lg_lg, lg_lg)
+
 
 def hrr_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
     """(1/(4 n sqrt(3))) exp(pi sqrt(2n/3)), the classical leading term."""
@@ -270,10 +305,6 @@ def hrr_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
         / (4 * n * mpmath.sqrt(3)),
         digits,
     )
-
-
-def hrr_leading_term_iv(n: int):
-    return iv.exp(iv.pi * iv.sqrt(iv.mpf(2 * n) / 3)) / (4 * n * iv.sqrt(3))
 
 
 def debruijn_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
@@ -287,23 +318,12 @@ def debruijn_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecision
     )
 
 
-def debruijn_leading_term_iv(n: int):
-    return (iv.log(iv.mpf(n) / iv.log(iv.mpf(n)))) ** 2 / (2 * iv.log(iv.mpf(2)))
-
-
 def debruijn_upper_bound(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
     """log(2n+1) * log2(2n), an upper bound for log of the binary-partition
     count of 2n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(
-        lambda: mpmath.log(2 * n + 1) * mpmath.log(2 * n) / mpmath.log(2), digits
-    )
-
-
-def debruijn_count_upper_iv(n: int):
-    """exp of the de Bruijn log bound: direct upper bound for the count."""
-    return iv.exp(iv.log(iv.mpf(2 * n + 1)) * iv.log(iv.mpf(2 * n)) / iv.log(iv.mpf(2)))
+    return _hp(lambda: debruijn_log_term(mp, n), digits)
 
 
 def harmonic_chain_bound(
@@ -319,26 +339,14 @@ def harmonic_chain_bound(
     a_n = parts.count_leq(n)
     if h is None:
         h = harmonic_number(n)
-    return _hp(
-        lambda: mpmath.mpf(n) ** a_n
-        * mpmath.exp(mpmath.mpf(h.numerator) / h.denominator),
-        digits,
-    )
-
-
-def exp_harmonic_iv(h: Fraction):
-    return iv.exp(iv.mpf(h.numerator) / iv.mpf(h.denominator))
+    return _hp(lambda: mpmath.mpf(n) ** a_n * exp_harmonic_term(mp, h), digits)
 
 
 def classical_sqrt_lower(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
     """e^sqrt(n) / n; holds for the classical p(n) once n is large enough."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(lambda: mpmath.exp(mpmath.sqrt(n)) / n, digits)
-
-
-def classical_sqrt_lower_iv(n: int):
-    return iv.exp(iv.sqrt(iv.mpf(n))) / n
+    return _hp(lambda: sqrt_lower_term(mp, n), digits)
 
 
 def classical_refined_comparison(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
@@ -346,31 +354,14 @@ def classical_refined_comparison(n: int, digits: int = DEFAULT_DIGITS) -> HighPr
     parts = all positive integers."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(
-        lambda: mpmath.exp(2 * mpmath.sqrt(n)) / (2 * mpmath.pi * n * n), digits
-    )
-
-
-def classical_refined_iv(n: int):
-    return iv.exp(2 * iv.sqrt(iv.mpf(n))) / (2 * iv.pi * n * n)
+    return _hp(lambda: classical_refined_term(mp, n), digits)
 
 
 def slow_growth_closed_form(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
     """(lg n) (lg lg n)^(lg lg n) with base-2 logs; needs n >= 16."""
     if n < 16:
         raise ValueError("n must be at least 16")
-    def expr():
-        lg_n = mpmath.log(n, 2)
-        lg_lg = mpmath.log(lg_n, 2)
-        return lg_n * mpmath.power(lg_lg, lg_lg)
-    return _hp(expr, digits)
-
-
-def slow_growth_closed_form_iv(n: int):
-    ln2 = iv.log(iv.mpf(2))
-    lg_n = iv.log(iv.mpf(n)) / ln2
-    lg_lg = iv.log(lg_n) / ln2
-    return lg_n * iv.exp(lg_lg * iv.log(lg_lg))
+    return _hp(lambda: slow_growth_term(mp, n), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -392,119 +383,32 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
 
 
-def _is_all_parts(parts: IntegerSetSpec) -> bool:
-    from .setspec import AllFrom
-
-    return parts == AllFrom(1)
-
-
-def _is_binary_parts(parts: IntegerSetSpec) -> bool:
-    from .setspec import Powers
-
-    return parts == Powers(2)
-
-
 class _Bound(NamedTuple):
-    direction: str
-    applies: Callable  # (n, parts, mults, table) -> bool
-    value: Callable    # (n, parts, mults, table, digits) -> value
-    # (n, table, digits, exact, value) -> rigorous verdict, given the value
-    # just computed; None for asymptotic entries
-    holds: Callable | None
+    direction: str  # "upper" | "lower" | "asymptotic"
+    applies: Callable  # (n, table) -> bool
+    value: Callable  # (n, table, digits) -> int | Fraction | HighPrecisionReal
+    # (n, table) -> iv enclosure the verdict is certified against; None when
+    # the value is exact and compared directly
+    enclosure: Callable | None = None
+    # (n, table) -> the quantity the bound is claimed for, when it is not p(n)
+    bounded: Callable | None = None
 
 
-def _mk_registry() -> dict[str, _Bound]:
-    nat = has_all_multiplicities
-    reg: dict[str, _Bound] = {}
+def _verdict(b: _Bound, n: int, table: CountTable, value, digits: int) -> bool | None:
+    """bounded <= value for an upper bound, bounded >= value for a lower one;
+    None for asymptotic reference values."""
+    if b.direction == "asymptotic":
+        return None
+    exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+    upper = b.direction == "upper"
+    if b.enclosure is not None:
+        certify = certified_leq if upper else certified_geq
+        return certify(exact, lambda: b.enclosure(n, table), digits)
+    return exact <= value if upper else exact >= value
 
-    reg["product_upper"] = _Bound(
-        "upper",
-        lambda n, p, m, t: True,
-        lambda n, p, m, t, d: product_upper_column(t.upto, p, m)[n],
-        lambda n, t, d, exact, v: exact <= v,
-    )
-    reg["monotone_lower"] = _Bound(
-        "lower",
-        lambda n, p, m, t: 1 <= n < t.nondecreasing_prefix,
-        lambda n, p, m, t, d: monotone_lower_bound(n, p, m),
-        lambda n, t, d, exact, v: exact >= v,
-    )
-    reg["schur"] = _Bound(
-        "asymptotic",
-        lambda n, p, m, t: finite_coprime_parts(p, m) is not None,
-        lambda n, p, m, t, d: schur_asymptotic(n, finite_coprime_parts(p, m)),
-        None,
-    )
-    reg["hrr"] = _Bound(
-        "asymptotic",
-        lambda n, p, m, t: n >= 1 and nat(m) and _is_all_parts(p),
-        lambda n, p, m, t, d: hrr_leading_term(n, d),
-        None,
-    )
-    reg["debruijn_upper"] = _Bound(
-        "upper",
-        lambda n, p, m, t: n >= 2 and n % 2 == 0 and nat(m) and _is_binary_parts(p),
-        lambda n, p, m, t, d: _hp(
-            lambda: mpmath.exp(debruijn_upper_bound(n // 2, d).value), d
-        ),
-        lambda n, t, d, exact, v: certified_leq(
-            exact, lambda: debruijn_count_upper_iv(n // 2), d
-        ),
-    )
-    reg["harmonic_chain"] = _Bound(
-        "upper",
-        lambda n, p, m, t: n >= 1 and nat(m),
-        lambda n, p, m, t, d: harmonic_chain_bound(
-            n, p, d, harmonic_numbers(t.upto)[n]
-        ),
-        lambda n, t, d, exact, v: certified_leq(
-            Fraction(exact, n ** t.parts.count_leq(n)),
-            lambda: exp_harmonic_iv(harmonic_numbers(t.upto)[n]),
-            d,
-        ),
-    )
-    reg["sqrt_lower"] = _Bound(
-        "lower",
-        lambda n, p, m, t: n >= 1 and nat(m) and _is_all_parts(p),
-        lambda n, p, m, t, d: classical_sqrt_lower(n, d),
-        lambda n, t, d, exact, v: certified_geq(
-            exact, lambda: classical_sqrt_lower_iv(n), d
-        ),
-    )
-    reg["classical_refined"] = _Bound(
-        "lower",
-        lambda n, p, m, t: n >= 1 and nat(m) and _is_all_parts(p),
-        lambda n, p, m, t, d: classical_refined_comparison(n, d),
-        lambda n, t, d, exact, v: certified_geq(
-            exact, lambda: classical_refined_iv(n), d
-        ),
-    )
-    reg["padberg"] = _Bound(
-        "lower",  # compares the cumulative count, not p(n) itself
-        lambda n, p, m, t: finite_coprime_parts(p, m) is not None,
-        lambda n, p, m, t, d: padberg_lower(n, finite_coprime_parts(p, m)),
-        lambda n, t, d, exact, v: t.prefix_sums[n] >= v,
-    )
-    reg["eq10"] = _Bound(
-        "lower",
-        lambda n, p, m, t: finite_coprime_parts(p, m) is not None
-        and t.record_flags[n],
-        lambda n, p, m, t, d: schur_style_point_lower(n, finite_coprime_parts(p, m)),
-        lambda n, t, d, exact, v: exact >= v,
-    )
-    reg["refined"] = _Bound(
-        "lower",
-        lambda n, p, m, t: n >= 1 and nat(m) and _can_refine(n, p),
-        lambda n, p, m, t, d: refined_lower_bound(n, p),
-        lambda n, t, d, exact, v: exact >= v,
-    )
-    reg["slow_growth"] = _Bound(
-        "asymptotic",
-        lambda n, p, m, t: n >= 16,
-        lambda n, p, m, t, d: slow_growth_closed_form(n, d),
-        None,
-    )
-    return reg
+
+def _classical(n: int, table: CountTable) -> bool:
+    return n >= 1 and has_all_multiplicities(table.mults) and table.parts == ALL_PARTS
 
 
 def _can_refine(n: int, parts: IntegerSetSpec) -> bool:
@@ -517,7 +421,77 @@ def _can_refine(n: int, parts: IntegerSetSpec) -> bool:
     return True
 
 
-BOUND_REGISTRY = _mk_registry()
+BOUND_REGISTRY: dict[str, _Bound] = {
+    "product_upper": _Bound(
+        "upper",
+        lambda n, t: True,
+        lambda n, t, d: product_upper_column(t.upto, t.parts, t.mults)[n],
+    ),
+    "monotone_lower": _Bound(
+        "lower",
+        lambda n, t: 1 <= n < t.nondecreasing_prefix,
+        lambda n, t, d: monotone_lower_bound(n, t.parts, t.mults),
+    ),
+    "schur": _Bound(
+        "asymptotic",
+        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None,
+        lambda n, t, d: schur_asymptotic(n, finite_coprime_parts(t.parts, t.mults)),
+    ),
+    "hrr": _Bound(
+        "asymptotic",
+        _classical,
+        lambda n, t, d: hrr_leading_term(n, d),
+    ),
+    "debruijn_upper": _Bound(
+        "upper",
+        lambda n, t: n >= 2 and n % 2 == 0 and has_all_multiplicities(t.mults)
+        and t.parts == Powers(2),
+        lambda n, t, d: _hp(lambda: mpmath.exp(debruijn_upper_bound(n // 2, d).value), d),
+        enclosure=lambda n, t: iv.exp(debruijn_log_term(iv, n // 2)),
+    ),
+    "harmonic_chain": _Bound(
+        "upper",
+        lambda n, t: n >= 1 and has_all_multiplicities(t.mults),
+        lambda n, t, d: harmonic_chain_bound(n, t.parts, d, harmonic_numbers(t.upto)[n]),
+        # n^A(n) is exact, so it is divided out and only e^(H_n) is enclosed
+        enclosure=lambda n, t: exp_harmonic_term(iv, harmonic_numbers(t.upto)[n]),
+        bounded=lambda n, t: Fraction(t.values[n], n ** t.parts.count_leq(n)),
+    ),
+    "sqrt_lower": _Bound(
+        "lower",
+        _classical,
+        lambda n, t, d: classical_sqrt_lower(n, d),
+        enclosure=lambda n, t: sqrt_lower_term(iv, n),
+    ),
+    "classical_refined": _Bound(
+        "lower",
+        _classical,
+        lambda n, t, d: classical_refined_comparison(n, d),
+        enclosure=lambda n, t: classical_refined_term(iv, n),
+    ),
+    "padberg": _Bound(
+        "lower",
+        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None,
+        lambda n, t, d: padberg_lower(n, finite_coprime_parts(t.parts, t.mults)),
+        bounded=lambda n, t: t.prefix_sums[n],  # the cumulative count
+    ),
+    "eq10": _Bound(
+        "lower",
+        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None
+        and t.record_flags[n],
+        lambda n, t, d: schur_style_point_lower(n, finite_coprime_parts(t.parts, t.mults)),
+    ),
+    "refined": _Bound(
+        "lower",
+        lambda n, t: n >= 1 and has_all_multiplicities(t.mults) and _can_refine(n, t.parts),
+        lambda n, t, d: refined_lower_bound(n, t.parts),
+    ),
+    "slow_growth": _Bound(
+        "asymptotic",
+        lambda n, t: n >= 16,
+        lambda n, t, d: slow_growth_closed_form(n, d),
+    ),
+}
 BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 
@@ -536,12 +510,10 @@ def bound_report(
             b = BOUND_REGISTRY[bid]
         except KeyError:
             raise ValueError(f"unknown bound id {bid!r}") from None
-        if not b.applies(n, table.parts, table.mults, table):
+        if not b.applies(n, table):
             entries.append(BoundEntry(bid, b.direction, False))
             continue
-        value = b.value(n, table.parts, table.mults, table, digits)
-        sat = None
-        if b.holds is not None:
-            sat = b.holds(n, table, digits, exact, value)
+        value = b.value(n, table, digits)
+        sat = _verdict(b, n, table, value, digits)
         entries.append(BoundEntry(bid, b.direction, True, value, sat))
     return BoundReport(n, exact, tuple(entries))

@@ -39,17 +39,6 @@ class CorpusPair:
     parts: IntegerSetSpec
     mults: IntegerSetSpec
 
-    def describe(self) -> str:
-        try:
-            p = self.parts.spec_string()
-        except ValueError:
-            p = f"<{self.label}:parts>"
-        try:
-            m = self.mults.spec_string()
-        except ValueError:
-            m = f"<{self.label}:mults>"
-        return f"parts={p} mults={m}"
-
 
 def _pair(label: str, parts: str | IntegerSetSpec, mults: str | IntegerSetSpec) -> CorpusPair:
     if isinstance(parts, str):

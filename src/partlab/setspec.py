@@ -86,7 +86,12 @@ class IntegerSetSpec:
         return out
 
     def __str__(self) -> str:
-        return self.spec_string()
+        """The spec string.  Only a sparse set built in memory has none; it
+        is finite, so it prints as all its elements, e.g. anchors:0,2,5,11."""
+        try:
+            return self.spec_string()
+        except InvalidSetError:
+            return "anchors:" + ",".join(str(a) for a in self.iter_elements())
 
 
 @dataclass(frozen=True)
@@ -267,10 +272,6 @@ NAT_MULTS = WithZero(AllFrom(1))
 
 # ---------------------------------------------------------------------------
 # Operations
-
-def min_positive(spec: IntegerSetSpec) -> int:
-    return spec.min_positive()
-
 
 def validate_kind(spec: IntegerSetSpec, kind: str) -> IntegerSetSpec:
     """Enforce the part-set / multiplicity-set rules; returns spec unchanged."""

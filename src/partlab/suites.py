@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from . import bounds
 from .arith import FiniteCoprimeSet, eventually_strictly_increasing, frobenius_threshold
@@ -35,7 +35,6 @@ from .setspec import (
     NAT_MULTS,
     DoublyExponential,
     Finite,
-    IntegerSetSpec,
     Powers,
     WithZero,
     construct_sparse_set,
@@ -82,18 +81,11 @@ class SuiteResult:
         }
 
 
-def _spec_str(spec: IntegerSetSpec) -> str:
-    try:
-        return spec.spec_string()
-    except ValueError:
-        return "anchors:" + ",".join(str(a) for a in spec.elements_upto(10**9))
-
-
 def _inputs(pair: CorpusPair, n: int) -> dict:
     return {
         "label": pair.label,
-        "parts": _spec_str(pair.parts),
-        "mults": _spec_str(pair.mults),
+        "parts": str(pair.parts),
+        "mults": str(pair.mults),
         "n": n,
     }
 
@@ -254,7 +246,7 @@ def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
     for n in range(1, DEBRUIJN_LIMIT + 1):
         p2n = table.values[2 * n]
         ok = bounds.certified_leq(
-            p2n, lambda n=n: bounds.debruijn_count_upper_iv(n), digits
+            p2n, lambda n=n: iv.exp(bounds.debruijn_log_term(iv, n)), digits
         )
         res.check(
             ok,
@@ -290,7 +282,7 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     for n in range(1, CHAIN_LIMIT + 1):
         h = harmonic[n]
         enclosures[n] = (
-            bounds.interval_endpoints(lambda h=h: bounds.exp_harmonic_iv(h), digits),
+            bounds.interval_endpoints(lambda h=h: bounds.exp_harmonic_term(iv, h), digits),
             h,
         )
     for pair in CORPUS:
@@ -306,7 +298,7 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
                 ok = False
             else:
                 ok = bounds.certified_leq(
-                    lhs, lambda h=h: bounds.exp_harmonic_iv(h), 2 * digits
+                    lhs, lambda h=h: bounds.exp_harmonic_term(iv, h), 2 * digits
                 )
             res.check(
                 ok,
@@ -329,22 +321,21 @@ def suite_cumulative_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
         if cset is None:
             continue
         table = count_table(PADBERG_LIMIT, pair.parts)
-        running = 0
         for n in range(PADBERG_LIMIT + 1):
-            running += table.values[n]
+            cumulative = table.prefix_sums[n]
             floor = bounds.padberg_lower(n, cset)
             res.check(
-                running >= floor,
+                cumulative >= floor,
                 _inputs(pair, n),
                 f">= {floor}",
-                str(running),
+                str(cumulative),
             )
             if cset.elements == (1,):
                 res.check(
-                    running == floor,
+                    cumulative == floor,
                     _inputs(pair, n),
                     f"equality {floor}",
-                    str(running),
+                    str(cumulative),
                 )
     return res
 
@@ -400,7 +391,7 @@ def suite_prefix_extension_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteRe
     last_bad = 0
     for n in range(1, REFINED_LIMIT + 1):
         ok = bounds.certified_geq(
-            table.values[n], lambda n=n: bounds.classical_refined_iv(n), digits
+            table.values[n], lambda n=n: bounds.classical_refined_term(iv, n), digits
         )
         if n >= REFINED_TRANSCENDENTAL_FROM:
             res.check(
@@ -439,7 +430,7 @@ def suite_sqrt_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     last_bad = 0
     for n in range(1, SQRT_LIMIT + 1):
         ok = bounds.certified_geq(
-            table.values[n], lambda n=n: bounds.classical_sqrt_lower_iv(n), digits
+            table.values[n], lambda n=n: bounds.sqrt_lower_term(iv, n), digits
         )
         if n >= SQRT_ASSERT_FROM:
             res.check(
@@ -487,7 +478,7 @@ def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
         for n in records:
             ok = bounds.certified_leq(
                 vals[n],
-                lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_closed_form_iv(n),
+                lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n),
                 digits,
             )
             res.check(

@@ -3,9 +3,12 @@ certified interval comparisons, and the per-n report."""
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from partlab.arith import FiniteCoprimeSet, gcd_of_set
@@ -21,13 +24,9 @@ from partlab.bounds import (
     certified_leq,
     check_existence_lower_bound,
     classical_refined_comparison,
-    classical_refined_iv,
     classical_sqrt_lower,
-    classical_sqrt_lower_iv,
-    debruijn_count_upper_iv,
     debruijn_leading_term,
     debruijn_upper_bound,
-    exp_harmonic_iv,
     harmonic_chain_bound,
     harmonic_number,
     harmonic_numbers,
@@ -42,6 +41,7 @@ from partlab.bounds import (
     schur_asymptotic,
     schur_style_point_lower,
     slow_growth_closed_form,
+    slow_growth_term,
 )
 from partlab.counting import count_table
 from partlab.setspec import (
@@ -237,6 +237,64 @@ class TestTranscendentalTerms:
             slow_growth_closed_form(15)
 
 
+def _within_enclosure(value, builder, digits):
+    """value (an mpf) lies in the enclosure builder() gives at digits,
+    widened by a relative 10^-(digits - 5)."""
+    man, exp = value.man_exp
+    v = Fraction(man) * Fraction(2) ** exp
+    lo, hi = interval_endpoints(builder, digits)
+    slack = Fraction(1, 10 ** (digits - 5))
+    return lo - abs(lo) * slack <= v <= hi + abs(hi) * slack
+
+
+# the part set under which each transcendental registry bound applies
+_TRANSCENDENTAL_PARTS = {
+    "classical_refined": ALL_PARTS,
+    "debruijn_upper": Powers(2),
+    "harmonic_chain": Powers(2),
+    "sqrt_lower": ALL_PARTS,
+}
+_FORMULA_LIMIT = 400
+
+
+@cache
+def _formula_table(parts):
+    return count_table(_FORMULA_LIMIT, parts)
+
+
+class TestOneFormula:
+    """A transcendental bound's displayed value (mp) and the enclosure its
+    verdict is certified against (iv) come from one formula, so they agree
+    to the working precision."""
+
+    def test_transcendental_bounds_listed(self):
+        with_enclosure = {bid for bid, b in BOUND_REGISTRY.items() if b.enclosure is not None}
+        assert with_enclosure == set(_TRANSCENDENTAL_PARTS)
+
+    @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
+    @settings(max_examples=25, deadline=None)
+    @given(half_n=st.integers(1, _FORMULA_LIMIT // 2), digits=st.integers(15, 100))
+    def test_value_inside_enclosure(self, bid, half_n, digits):
+        n = 2 * half_n if bid == "debruijn_upper" else half_n
+        table = _formula_table(_TRANSCENDENTAL_PARTS[bid])
+        bound = BOUND_REGISTRY[bid]
+        assert bound.applies(n, table)
+        value = bound.value(n, table, digits)
+        assert value.digits == digits
+        shown = value.value
+        if bid == "harmonic_chain":
+            # the exact factor n^A(n) is divided out before certification
+            with mpmath.workdps(digits):
+                shown = shown / n ** table.parts.count_leq(n)
+        assert _within_enclosure(shown, lambda: bound.enclosure(n, table), digits)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(16, 2**80), digits=st.integers(15, 100))
+    def test_slow_growth_inside_enclosure(self, n, digits):
+        value = slow_growth_closed_form(n, digits).value
+        assert _within_enclosure(value, lambda: slow_growth_term(iv, n), digits)
+
+
 class TestCertification:
     def test_interval_endpoints_bracket(self):
         lo, hi = interval_endpoints(lambda: iv.pi, 50)
@@ -362,25 +420,32 @@ def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
             value = HighPrecisionReal(
                 mpmath.exp(debruijn_upper_bound(n // 2, digits).value), digits
             )
-        ok = certified_leq(exact, lambda: debruijn_count_upper_iv(n // 2), digits)
+        ok = certified_leq(
+            exact,
+            lambda: iv.exp(iv.log(iv.mpf(n + 1)) * iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))),
+            digits,
+        )
         return BoundEntry(bid, "upper", True, value, ok)
     if bid == "harmonic_chain":
         if not (n >= 1 and nat):
             return BoundEntry(bid, "upper", False)
         h = harmonic_number(n)
         ok = certified_leq(
-            Fraction(exact, n ** parts.count_leq(n)), lambda: exp_harmonic_iv(h), digits
+            Fraction(exact, n ** parts.count_leq(n)),
+            lambda: iv.exp(iv.mpf(h.numerator) / iv.mpf(h.denominator)),
+            digits,
         )
         return BoundEntry(bid, "upper", True, harmonic_chain_bound(n, parts, digits), ok)
     if bid in ("sqrt_lower", "classical_refined"):
         if not classical:
             return BoundEntry(bid, "lower", False)
         if bid == "sqrt_lower":
-            value, builder = classical_sqrt_lower(n, digits), classical_sqrt_lower_iv
+            value = classical_sqrt_lower(n, digits)
+            builder = lambda: iv.exp(iv.sqrt(iv.mpf(n))) / n
         else:
             value = classical_refined_comparison(n, digits)
-            builder = classical_refined_iv
-        ok = certified_geq(exact, lambda: builder(n), digits)
+            builder = lambda: iv.exp(2 * iv.sqrt(iv.mpf(n))) / (2 * iv.pi * n * n)
+        ok = certified_geq(exact, builder, digits)
         return BoundEntry(bid, "lower", True, value, ok)
     if bid == "padberg":
         if cset is None:

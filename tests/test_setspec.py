@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from partlab.corpus import CORPUS, CORPUS_BY_LABEL
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
@@ -40,7 +41,7 @@ VARIANTS = [
 def _variant_id(spec):
     # sourceless sparse sets have no spec string, fall back to the type
     try:
-        return str(spec)
+        return spec.spec_string()
     except InvalidSetError:
         return type(spec).__name__
 
@@ -263,3 +264,16 @@ class TestSpecStrings:
     def test_sparse_without_source(self):
         with pytest.raises(InvalidSetError):
             SparseConstructed((16,)).spec_string()
+
+    def test_str_is_total_on_corpus(self):
+        # a set with no spec string prints as its elements, the text that
+        # suite failure records carry
+        for pair in CORPUS:
+            for spec in (pair.parts, pair.mults):
+                try:
+                    assert str(spec) == spec.spec_string()
+                except InvalidSetError:
+                    assert str(spec).startswith("anchors:")
+        assert str(CORPUS_BY_LABEL["sparse-parts"].parts) == "anchors:16,256,65536"
+        assert str(CORPUS_BY_LABEL["sparse-mults"].mults) == "anchors:0,2,5,11"
+        assert str(SparseConstructed((5, 2 * 10**9))) == "anchors:5,2000000000"
