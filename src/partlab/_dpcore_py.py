@@ -5,6 +5,9 @@ adding one part's layer to the table.  Keep the loop bodies free of any
 abstraction: this is the hot path of every table build.
 """
 
+from itertools import islice
+from operator import add
+
 BACKEND = "python"
 
 
@@ -22,13 +25,14 @@ def restricted_layer(values: list, offsets: list) -> None:
     """Fold in a part whose admissible positive multiples are `offsets`
     (ascending; the zero multiplicity is the implicit identity term).
 
-    Descending order keeps every values[v - off] at its previous-layer
-    value while values[v] is rewritten, so no second array is needed.
+    The new values[v] is the old values[v] plus old values[v - off] for
+    every offset.  Each offset is one C-level slice pass adding a shifted
+    snapshot of the old row.  With one offset the pass reads the old row
+    directly: both operands are consumed before the slice is rewritten.
     """
-    for v in range(len(values) - 1, 0, -1):
-        acc = values[v]
-        for off in offsets:
-            if off > v:
-                break
-            acc += values[v - off]
-        values[v] = acc
+    n = len(values)
+    old = values[:] if len(offsets) > 1 else values
+    for off in offsets:
+        if off >= n:
+            break
+        values[off:] = map(add, islice(values, off, None), islice(old, n - off))

@@ -45,10 +45,10 @@ from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
 from .counting import CountTable, count_table, finite_coprime_parts, has_all_multiplicities
-from .setspec import ALL_PARTS, IntegerSetSpec, Powers
+from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
 
 DEFAULT_DIGITS = 50
-_MAX_DIGITS = 3200
+MAX_DIGITS = 3200
 
 
 class HighPrecisionReal(NamedTuple):
@@ -95,7 +95,7 @@ def _certify(
     digits: int,
 ) -> bool:
     d = digits
-    while d <= _MAX_DIGITS:
+    while d <= MAX_DIGITS:
         lo, hi = interval_endpoints(builder, d)
         if want_leq:
             if exact <= lo:
@@ -108,7 +108,7 @@ def _certify(
             if exact < lo:
                 return False
         d *= 2
-    raise PrecisionError(f"cannot separate {exact} from bound at {_MAX_DIGITS} digits")
+    raise PrecisionError(f"cannot separate {exact} from bound at {MAX_DIGITS} digits")
 
 
 def certified_leq(exact, builder, digits: int = DEFAULT_DIGITS) -> bool:
@@ -133,13 +133,23 @@ def product_upper_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) ->
     """prod over parts a of M(n/a), truncated where the factor becomes 1.
 
     Elements are integers, so M(n/a) = M(n // a).  A factor is 1 exactly
-    when only multiplicity 0 fits, i.e. when a * M.min_positive() > n, so
-    the product runs over a <= n // M.min_positive().
+    when only multiplicity 0 fits, so only _parts_with_factors contribute.
     """
     out = 1
-    for a in parts.elements_upto(n // mults.min_positive()):
+    for a in _parts_with_factors(n, parts, mults):
         out *= mults.count_leq(n // a)
     return out
+
+
+def _parts_with_factors(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> list[int]:
+    """The parts a whose factor M(n // a) exceeds 1, i.e. a * m <= n for
+    the least positive multiplicity m; no part at all when 0 is the only
+    multiplicity."""
+    try:
+        least = mults.min_positive()
+    except InvalidSetError:
+        return []
+    return parts.elements_upto(n // least)
 
 
 class ExistenceWitness(NamedTuple):
@@ -195,7 +205,7 @@ def product_upper_column(
     """
     num = [1] * (upto + 1)
     den = [1] * (upto + 1)
-    for a in parts.elements_upto(upto // mults.min_positive()):
+    for a in _parts_with_factors(upto, parts, mults):
         positive = [m for m in mults.elements_upto(upto // a) if m > 0]
         for k, m in enumerate(positive, start=1):
             num[m * a] *= k + 1

@@ -116,6 +116,8 @@ def _check_precision(args) -> int:
     digits = getattr(args, "precision", bounds.DEFAULT_DIGITS)
     if digits < 10:
         raise UsageError("--precision must be at least 10")
+    if digits > bounds.MAX_DIGITS:
+        raise UsageError(f"--precision must be at most {bounds.MAX_DIGITS}")
     return digits
 
 

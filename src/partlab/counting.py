@@ -1,13 +1,26 @@
-"""Exact partition counting: p(n; S, M) by dynamic programming, plus
-independent oracles (explicit enumeration, Euler's pentagonal recurrence).
+"""Exact partition counting: p(n; S, M), plus independent oracles
+(explicit enumeration, Euler's pentagonal recurrence).
 
-The DP runs one layer per part a <= n.  With unrestricted multiplicities
-the layer is the classical ascending in-place recurrence; otherwise the
-layer folds in the part's admissible positive multiples m*a with a
-descending in-place scan.  Either way a table to N costs one rolling array
-of N+1 exact integers.
+count_table picks the cheapest exact method from the pair it is given:
 
-The inner loops live in a compiled Cython kernel when available, with a
+- The classical pair (all parts, all multiplicities) is Euler's pentagonal
+  recurrence, O(n^1.5) additions instead of the DP's O(n^2).
+- Otherwise the table is built one layer per part a <= n.  A layer folds
+  in the part's admissible positive multiples m*a (all of a, 2a, 3a, ...
+  when multiplicities are unrestricted).  While the table is sparse, a
+  layer pushes each nonzero entry to its shifted targets, costing (support
+  size) x (number of multiples) additions; doubly exponential and other
+  thin sets never leave this mode.  Once that product exceeds a quarter of
+  the row length the rest of the table runs on the dense kernel: the
+  classical ascending in-place recurrence for unrestricted
+  multiplicities, otherwise one pass per multiple over the whole row.
+
+Either way a table to N costs one rolling array of N+1 exact integers.
+Passing kernel=K skips every shortcut and runs the plain dense DP with
+kernel K; the tests use count_table(..., kernel=_dpcore_py) as the oracle
+of the other methods.
+
+The dense layers live in a compiled Cython kernel when available, with a
 pure-Python fallback selected at import time (see KERNEL_BACKEND).
 """
 
@@ -20,6 +33,7 @@ from itertools import accumulate
 
 from .arith import FiniteCoprimeSet
 from .setspec import (
+    ALL_PARTS,
     AllFrom,
     Finite,
     IntegerSetSpec,
@@ -36,6 +50,10 @@ except ImportError:  # extension not built; pure Python does the same work
 KERNEL_BACKEND = _kernel.BACKEND
 
 BRUTE_FORCE_LIMIT = 40
+
+# A layer is folded in sparsely while the pushes it costs, (support size) x
+# (number of multiples), are at most the row length divided by this.
+SPARSE_DIVISOR = 4
 
 
 @dataclass(frozen=True)
@@ -117,22 +135,55 @@ def count_table(
     mults: IntegerSetSpec = NAT_MULTS,
     kernel=None,
 ) -> CountTable:
-    """One DP pass producing p(0..upto; parts, mults)."""
+    """p(0..upto; parts, mults) by the cheapest exact method (see the module
+    docstring); with a kernel given, by the plain dense DP on that kernel."""
     _check_pair(parts, mults)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
+    unrestricted = has_all_multiplicities(mults)
+    if kernel is None and unrestricted and parts == ALL_PARTS:
+        return CountTable(parts, mults, tuple(pentagonal_table(upto)))
     k = kernel if kernel is not None else _kernel
     values = [0] * (upto + 1)
     values[0] = 1
-    unrestricted = has_all_multiplicities(mults)
+    support = [0] if kernel is None else None  # None once the table is dense
+    sparse_limit = upto // SPARSE_DIVISOR
     for a in parts.elements_upto(upto):
+        if unrestricted:
+            offsets = range(a, upto + 1, a)
+        else:
+            offsets = [m * a for m in mults.elements_upto(upto // a) if m > 0]
+            if not offsets:
+                continue
+        if support is not None and len(support) * len(offsets) <= sparse_limit:
+            support = _sparse_layer(values, support, offsets)
+            continue
+        support = None
         if unrestricted:
             k.unbounded_layer(values, a)
         else:
-            offsets = [m * a for m in mults.elements_upto(upto // a) if m > 0]
-            if offsets:
-                k.restricted_layer(values, offsets)
+            k.restricted_layer(values, offsets)
     return CountTable(parts, mults, tuple(values))
+
+
+def _sparse_layer(values: list, support: list, offsets) -> list:
+    """Fold in one part by pushing every nonzero values[s] (s in the
+    ascending `support`) to values[s + off]; returns the new support.
+
+    Descending s keeps each source at its previous-layer value: every
+    target s + off lies above all the sources still to come.
+    """
+    top = len(values) - 1
+    reached = set(support)
+    for s in reversed(support):
+        v = values[s]
+        for off in offsets:
+            t = s + off
+            if t > top:
+                break
+            values[t] += v
+            reached.add(t)
+    return sorted(reached)
 
 
 def count_partitions(

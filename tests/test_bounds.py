@@ -77,6 +77,16 @@ class TestProductUpper:
             for n in range(top + 1):
                 assert table.values[n] <= product_upper_bound(n, parts, mults), n
 
+    @pytest.mark.parametrize("parts", [ALL_PARTS, Finite((2, 3)), DEXP_PARTS])
+    def test_zero_only_multiplicities(self, parts):
+        # no positive multiplicity: every factor M(n // a) is 1
+        zero = Finite((0,))
+        assert product_upper_column(5, parts, zero) == (1, 1, 1, 1, 1, 1)
+        assert [product_upper_bound(n, parts, zero) for n in range(6)] == [1] * 6
+        assert [monotone_lower_bound(n, parts, zero) for n in range(1, 6)] == [
+            Fraction(1, n + 1) for n in range(1, 6)
+        ]
+
 
 class TestExistenceWitness:
     def test_classical_n4(self):

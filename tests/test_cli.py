@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from partlab.bounds import BOUND_IDS
+from partlab.bounds import BOUND_IDS, MAX_DIGITS
 from partlab.cli import main
 
 # SHA-256 of `table --parts P --upto 60 --bounds <every id> --format csv`,
@@ -74,6 +74,27 @@ class TestExitCodes:
             capsys, "count", "--parts", "all", "--n", "5", "--precision", "5"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--parts", "pow:2", "--upto", "4", "--bounds", "debruijn_upper"),
+            ("verify", "--suite", "eq10"),
+        ],
+        ids=["table", "verify"],
+    )
+    def test_precision_above_ceiling_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--precision", str(MAX_DIGITS + 1))
+        assert code == 1
+        assert out == ""
+        assert f"at most {MAX_DIGITS}" in err
+
+    def test_precision_at_ceiling_runs(self, capsys):
+        code, _, _ = run(
+            capsys, "table", "--parts", "pow:2", "--upto", "2",
+            "--bounds", "debruijn_upper", "--precision", str(MAX_DIGITS),
+        )
+        assert code == 0
 
     def test_negative_n_is_one(self, capsys):
         code, _, _ = run(capsys, "count", "--parts", "all", "--n", "-3")
@@ -166,6 +187,16 @@ class TestTable:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ALL_BOUNDS_CSV_SHA256[parts]
+
+    def test_zero_only_multiplicities(self, capsys):
+        # multiplicity set {0}: only the empty partition, and a product ceiling of 1
+        code, out, _ = run(
+            capsys,
+            "table", "--parts", "all", "--mults", "finite:0", "--upto", "5",
+            "--bounds", "product_upper", "--format", "csv",
+        )
+        assert code == 0
+        assert out == "n,count,product_upper\n0,1,1\n1,0,1\n2,0,1\n3,0,1\n4,0,1\n5,0,1\n"
 
     def test_human_dash_for_inapplicable(self, capsys):
         _, out, _ = run(

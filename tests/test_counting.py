@@ -1,7 +1,10 @@
 """DP counting engine against independent oracles and structural laws."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from partlab import counting
 from partlab.arith import FiniteCoprimeSet
 from partlab.counting import (
     BRUTE_FORCE_LIMIT,
@@ -23,6 +26,7 @@ from partlab.setspec import (
     Finite,
     InvalidSetError,
     Powers,
+    SparseConstructed,
     WithZero,
     parse_set_spec,
 )
@@ -60,8 +64,10 @@ class TestOracles:
             assert table.values[n] == brute_force_count(n, parts, mults), n
 
     def test_pentagonal_recurrence(self):
-        # Euler's recurrence shares no code with the DP layers
-        assert count_table(500, ALL_PARTS).values == tuple(pentagonal_table(500))
+        # Euler's recurrence shares no code with the DP layers; count_table
+        # itself answers the classical pair with it, so compare the dense DP
+        dense = count_table(500, ALL_PARTS, kernel=_dpcore_py)
+        assert dense.values == tuple(pentagonal_table(500))
 
     def test_brute_force_cap(self):
         with pytest.raises(ValueError):
@@ -210,3 +216,132 @@ class TestKernels:
                 count_table(upto, parsed).values
                 == count_table(upto, direct).values
             )
+
+
+# -- method dispatch: pentagonal, sparse support, dense kernel ---------------
+
+_positive_sets = st.one_of(
+    st.lists(st.integers(1, 60), min_size=1, max_size=5).map(Finite),
+    st.integers(1, 6).map(AllFrom),
+    st.builds(ArithmeticProgression, st.integers(1, 9), st.integers(1, 9)),
+    st.integers(2, 5).map(Powers),
+    st.integers(2, 3).map(DoublyExponential),
+    st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True).map(
+        lambda xs: SparseConstructed(tuple(sorted(xs)))
+    ),
+)
+_mult_sets = st.one_of(
+    _positive_sets.map(WithZero),
+    st.lists(st.integers(1, 12), max_size=4).map(lambda xs: Finite((0, *xs))),
+)
+_pairs = st.tuples(_positive_sets, _mult_sets)
+
+# brute force walks every partial multiplicity assignment; keep it to n
+# where the counts up to n stay small
+_BRUTE_BUDGET = 3000
+
+
+def _dense(upto, parts, mults):
+    return count_table(upto, parts, mults, kernel=_dpcore_py).values
+
+
+class TestDispatch:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_pairs, upto=st.integers(0, BRUTE_FORCE_LIMIT))
+    def test_methods_agree_with_brute_force(self, pair, upto):
+        parts, mults = pair
+        values = count_table(upto, parts, mults).values
+        assert values == _dense(upto, parts, mults)
+        total = 0
+        for n, v in enumerate(values):
+            total += v
+            if total > _BRUTE_BUDGET:
+                break
+            assert v == brute_force_count(n, parts, mults), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_pairs, upto=st.integers(BRUTE_FORCE_LIMIT + 1, 1500))
+    def test_methods_agree_beyond_brute_force(self, pair, upto):
+        parts, mults = pair
+        assert count_table(upto, parts, mults).values == _dense(upto, parts, mults)
+
+    @pytest.mark.parametrize(
+        "parts,mults,upto,goes_dense",
+        [
+            ("dexp:2", "zero|dexp:2", 2**16, False),
+            ("anchors", "nat", 2**16, True),
+            ("all", "zero|finite:1", 1500, True),
+            ("finite:7", "zero|finite:1,3,100", 2000, False),
+        ],
+    )
+    def test_sparse_then_dense_matches_oracle(self, monkeypatch, parts, mults, upto, goes_dense):
+        parts = (SparseConstructed((16, 256, 65536)) if parts == "anchors"
+                 else parse_set_spec(parts, "parts"))
+        mults = parse_set_spec(mults, "mults")
+        calls = {"sparse": 0, "dense": 0}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(counting, "_sparse_layer", spy("sparse", counting._sparse_layer))
+        for layer in ("unbounded_layer", "restricted_layer"):
+            monkeypatch.setattr(counting._kernel, layer, spy("dense", getattr(counting._kernel, layer)))
+        values = count_table(upto, parts, mults).values
+        assert calls["sparse"] > 0
+        assert (calls["dense"] > 0) == goes_dense
+        monkeypatch.undo()
+        assert values == _dense(upto, parts, mults)
+
+    def test_classical_pair_uses_no_layers(self, monkeypatch):
+        monkeypatch.setattr(counting, "_sparse_layer", None)
+        monkeypatch.setattr(counting, "_kernel", None)
+        assert count_table(300, ALL_PARTS).values == tuple(pentagonal_table(300))
+
+    def test_explicit_kernel_runs_every_layer_dense(self, monkeypatch):
+        parts, mults = DoublyExponential(2), WithZero(DoublyExponential(2))
+        expected = count_table(2**12, parts, mults).values
+        monkeypatch.setattr(counting, "_sparse_layer", None)
+        assert count_table(2**12, parts, mults, kernel=_dpcore_py).values == expected
+
+
+def _naive_restricted(values, offsets):
+    """new[v] = old[v] + sum of old[v - off] over offsets off <= v, from two arrays."""
+    old = list(values)
+    new = list(values)
+    for v in range(len(values)):
+        for off in offsets:
+            if off <= v:
+                new[v] += old[v - off]
+    return new
+
+
+class TestPythonKernel:
+    ROW = [1, 0, 3, 10**30, 7, 0, 0, 2, 5, 11, 4]
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[1], [4], [10], [2, 5], [1, 2, 3], [3, 6, 9], [11], [10, 11, 40], [4, 50]],
+        ids=str,
+    )
+    def test_restricted_layer_matches_two_array_reference(self, offsets):
+        values = list(self.ROW)
+        _dpcore_py.restricted_layer(values, offsets)
+        assert values == _naive_restricted(self.ROW, offsets)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        row=st.lists(st.integers(0, 10**40), min_size=1, max_size=60),
+        offsets=st.lists(st.integers(1, 70), min_size=1, max_size=6, unique=True).map(sorted),
+    )
+    def test_restricted_layer_generated(self, row, offsets):
+        values = list(row)
+        _dpcore_py.restricted_layer(values, offsets)
+        assert values == _naive_restricted(row, offsets)
+
+    def test_unbounded_layer_is_all_multiples(self):
+        values = list(self.ROW)
+        _dpcore_py.unbounded_layer(values, 3)
+        assert values == _naive_restricted(self.ROW, range(3, len(self.ROW), 3))
