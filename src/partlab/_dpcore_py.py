@@ -1,8 +1,8 @@
-"""Pure-Python DP kernels; fallback when the compiled extension is absent.
+"""The DP kernels: pure Python, run by count_table once a table is dense.
 
 Both kernels update one rolling array of exact integer counts in place,
 adding one part's layer to the table.  Keep the loop bodies free of any
-abstraction: this is the hot path of every table build.
+abstraction: this is the hot path of every dense table build.
 """
 
 from itertools import islice

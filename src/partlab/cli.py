@@ -102,8 +102,11 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -381,9 +384,9 @@ def cmd_explore(args) -> int:
 
 def cmd_sparse(args) -> int:
     try:
-        with open(args.epsilon_file) as fh:
+        with open(args.epsilon_file, encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.epsilon_file}: {exc}") from exc
     entries: list[tuple[int, int]] = []
     for i, line in enumerate(raw_lines, start=1):
@@ -405,8 +408,7 @@ def cmd_sparse(args) -> int:
     sset = construct_sparse_set(entries, source=args.out)
     anchor_lines = "\n".join(str(a) for a in sset.anchors) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(anchor_lines)
+        _emit(anchor_lines, args.out)
         if args.format == "json":
             sys.stdout.write(
                 _json(

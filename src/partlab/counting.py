@@ -16,12 +16,10 @@ count_table picks the cheapest exact method from the pair it is given:
   multiplicities, otherwise one pass per multiple over the whole row.
 
 Either way a table to N costs one rolling array of N+1 exact integers.
-Passing kernel=K skips every shortcut and runs the plain dense DP with
-kernel K; the tests use count_table(..., kernel=_dpcore_py) as the oracle
-of the other methods.
-
-The dense layers live in a compiled Cython kernel when available, with a
-pure-Python fallback selected at import time (see KERNEL_BACKEND).
+The dense layers are the pure-Python kernel in _dpcore_py (KERNEL_BACKEND
+is always "python").  Passing kernel=K skips every shortcut and runs the
+plain dense DP with kernel K; the tests use count_table(...,
+kernel=_dpcore_py) as the oracle of the other methods.
 """
 
 from __future__ import annotations
@@ -37,15 +35,12 @@ from .setspec import (
     AllFrom,
     Finite,
     IntegerSetSpec,
-    InvalidSetError,
     NAT_MULTS,
     WithZero,
+    validate_kind,
 )
 
-try:
-    from . import _dpcore as _kernel
-except ImportError:  # extension not built; pure Python does the same work
-    from . import _dpcore_py as _kernel
+from . import _dpcore_py as _kernel
 
 KERNEL_BACKEND = _kernel.BACKEND
 
@@ -104,13 +99,6 @@ class CountTable:
         return self.nondecreasing_prefix == len(self.values)
 
 
-def _check_pair(parts: IntegerSetSpec, mults: IntegerSetSpec) -> None:
-    if parts.contains_zero():
-        raise InvalidSetError("part set must not contain 0")
-    if not mults.contains_zero():
-        raise InvalidSetError("multiplicity set must contain 0")
-
-
 def has_all_multiplicities(mults: IntegerSetSpec) -> bool:
     """True for the full multiplicity set {0, 1, 2, ...}."""
     return isinstance(mults, WithZero) and mults.inner == AllFrom(1)
@@ -137,7 +125,8 @@ def count_table(
 ) -> CountTable:
     """p(0..upto; parts, mults) by the cheapest exact method (see the module
     docstring); with a kernel given, by the plain dense DP on that kernel."""
-    _check_pair(parts, mults)
+    validate_kind(parts, "parts")
+    validate_kind(mults, "mults")
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     unrestricted = has_all_multiplicities(mults)
@@ -201,15 +190,13 @@ def brute_force_count(
     Guarded at n <= 40: the recursion walks every admissible multiplicity
     assignment.
     """
-    _check_pair(parts, mults)
+    validate_kind(parts, "parts")
+    validate_kind(mults, "mults")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_LIMIT}")
     part_list = parts.elements_upto(n)
-
-    def admissible_mults(limit: int) -> list[int]:
-        return mults.elements_upto(limit)
 
     def walk(i: int, remaining: int) -> int:
         if remaining == 0:
@@ -218,7 +205,7 @@ def brute_force_count(
             return 0
         a = part_list[i]
         total = 0
-        for m in admissible_mults(remaining // a):
+        for m in mults.elements_upto(remaining // a):
             total += walk(i + 1, remaining - m * a)
         return total
 

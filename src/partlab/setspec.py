@@ -313,9 +313,9 @@ def _parse_int_list(text: str, pos: int) -> tuple[list[int], int]:
 
 def _load_anchor_file(path: str) -> SparseConstructed:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSetError(f"cannot read anchors file {path}: {exc}") from exc
     try:
         anchors = [int(ln) for ln in lines]

@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice
 
 import mpmath
 from mpmath import iv, mp
@@ -457,19 +457,24 @@ def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     mults = WithZero(DoublyExponential(2))
     table = count_table(SLOW_GROWTH_LIMIT, parts, mults)
     vals = table.values
-    for n in range(1, SLOW_GROWTH_LIMIT + 1, 2):
-        res.cases += 1
-        if vals[n] != 0:
-            res.failures.append(
-                SuiteFailure(
-                    {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
-                    "0 (gcd of parts is 2)",
-                    str(vals[n]),
-                )
+    # Only ~1400 of the 2^20 entries are nonzero: both scans below visit
+    # the nonzero entries alone (compress and islice run in C).
+    odd = range(1, SLOW_GROWTH_LIMIT + 1, 2)
+    res.cases += len(odd)
+    for n in compress(odd, islice(vals, 1, None, 2)):
+        res.failures.append(
+            SuiteFailure(
+                {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
+                "0 (gcd of parts is 2)",
+                str(vals[n]),
             )
-    best = -1
-    records = []
-    for n in range(SLOW_GROWTH_FROM, SLOW_GROWTH_LIMIT + 1):
+        )
+    # records: n = SLOW_GROWTH_FROM, then every strict increase of the
+    # running maximum (necessarily at a nonzero entry)
+    best = vals[SLOW_GROWTH_FROM]
+    records = [SLOW_GROWTH_FROM]
+    later = range(SLOW_GROWTH_FROM + 1, SLOW_GROWTH_LIMIT + 1)
+    for n in compress(later, islice(vals, later.start, None)):
         if vals[n] > best:
             best = vals[n]
             records.append(n)
@@ -490,7 +495,7 @@ def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
             ratio = vals[n] / bounds.slow_growth_closed_form(n, digits).value
             if ratio > slack:
                 slack = ratio
-    res.extras["max_count"] = str(max(vals[SLOW_GROWTH_FROM:]))
+    res.extras["max_count"] = str(best)
     res.extras["min_sufficient_slack"] = _nstr(slack)
     res.extras["record_indices"] = ",".join(str(n) for n in records)
     return res

@@ -5,12 +5,18 @@ the suite stays fast.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlab.bounds import BOUND_IDS, MAX_DIGITS
 from partlab.cli import main
+
+NON_UTF8 = bytes([0xFF, 0xFE, 0x00, 0x01])
 
 # SHA-256 of `table --parts P --upto 60 --bounds <every id> --format csv`,
 # recorded from the per-n bound evaluation that computed every table-wide
@@ -310,6 +316,22 @@ class TestSparse:
     def test_missing_file_is_one(self, capsys, tmp_path):
         assert run(capsys, "sparse", str(tmp_path / "nope.txt"))[0] == 1
 
+    def test_non_utf8_file_is_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NON_UTF8)
+        code, out, err = run(capsys, "sparse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "cannot read" in err
+
+    def test_non_utf8_anchors_file_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "anchors.txt"
+        bad.write_bytes(NON_UTF8)
+        code, out, err = run(capsys, "count", "--parts", f"sparse:@{bad}", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert "cannot read anchors file" in err
+
 
 class TestOutFile:
     def test_count_to_file(self, capsys, tmp_path):
@@ -320,3 +342,115 @@ class TestOutFile:
         assert code == 0
         assert out == ""
         assert target.read_text() == "7\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--parts", "all", "--n", "5"),
+            ("table", "--parts", "finite:2,3", "--upto", "5"),
+            ("sparse", "EPS"),
+        ],
+        ids=["count", "table", "sparse"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv, target):
+        eps = tmp_path / "eps.txt"
+        eps.write_text("4 1\n16 2\n")
+        argv = [str(eps) if a == "EPS" else a for a in argv]
+        out_path = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert f"cannot write {out_path}" in err
+
+
+# -- the contract on generated argv: exit 0/1/2/3, never an exception --------
+
+_PARTS = [
+    "all", "finite:2,3", "finite:6,10,15", "pow:2", "dexp:2", "ap:3,4",
+    "all-from:2", "sparse:@ANCHORS",
+]
+_MULTS = ["nat", "finite:0,1", "zero|finite:1", "zero|dexp:2", "zero|pow:2"]
+_BAD_SPECS = [
+    "", "fnite:2,3", "finite:", "finite:1,,2", "finite:0,3", "finite:1,2",
+    "finite:\u00b2", "ap:3", "ap:0,1", "pow:1", "dexp:0", "all-from:0",
+    "zero|", "zero|nat", "all2", "sparse:@", "sparse:@MISSING",
+    "sparse:@NON_UTF8",
+]
+
+
+@st.composite
+def _argv(draw):
+    """argv over a small vocabulary.  Each argument is only now and then
+    malformed or left out, so that many runs get past the parser."""
+
+    def odd_one_out():
+        return draw(st.integers(0, 4)) == 4
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if odd_one_out() else good))
+
+    def size():
+        if odd_one_out():
+            return draw(st.sampled_from(["-1", "", "x", "1e3"]))
+        return str(draw(st.integers(0, 200)))
+
+    command = draw(
+        st.sampled_from(["count", "table", "analyze", "verify", "explore", "sparse"])
+    )
+    argv = [command]
+    if command == "verify":
+        argv.append("--list")
+    elif command == "sparse":
+        argv.append(pick(["EPS"], ["BAD_EPS", "MISSING", "NON_UTF8"]))
+    elif not odd_one_out():
+        argv += ["--parts", pick(_PARTS, _BAD_SPECS)]
+    if command in ("count", "table", "explore") and draw(st.booleans()):
+        argv += ["--mults", pick(_MULTS, _BAD_SPECS)]
+    if command == "count" and not odd_one_out():
+        argv += ["--n", size()]
+    if command in ("table", "explore") and not odd_one_out():
+        argv += ["--upto", size()]
+    if command == "table" and draw(st.booleans()):
+        ids = draw(st.lists(st.sampled_from(BOUND_IDS), min_size=1, max_size=3))
+        argv += ["--bounds", ",".join(ids + ["bogus"] * odd_one_out())]
+    if command in ("count", "table", "verify") and draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(0, 80)))]
+    if draw(st.booleans()):
+        argv += ["--format", pick(["table", "csv", "json"], ["xml"])]
+    if draw(st.booleans()):
+        argv += ["--out", pick(["WRITABLE"], ["MISSING_DIR", "DIRECTORY"])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "anchors.txt").write_text("16\n256\n")
+    (root / "non_utf8.txt").write_bytes(NON_UTF8)
+    (root / "eps.txt").write_text("4 1\n16 2\n256 3\n")
+    (root / "bad_eps.txt").write_text("4 one\n")
+    return {
+        "ANCHORS": root / "anchors.txt",
+        "NON_UTF8": root / "non_utf8.txt",
+        "MISSING": root / "missing.txt",
+        "EPS": root / "eps.txt",
+        "BAD_EPS": root / "bad_eps.txt",
+        "WRITABLE": root / "out.txt",
+        "MISSING_DIR": root / "missing" / "out.txt",
+        "DIRECTORY": root,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_cli_contract_on_generated_argv(contract_paths, argv):
+    def resolve(arg):
+        for name, path in contract_paths.items():
+            arg = arg.replace(f"@{name}", f"@{path}")
+        return str(contract_paths.get(arg, arg))
+
+    argv = [resolve(a) for a in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -3,6 +3,8 @@ acceptance gate; this file checks the result type and registry behave."""
 
 import pytest
 
+from partlab import suites
+from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
 
@@ -44,3 +46,35 @@ def test_failure_records_serialize():
     assert not r.passed
     d = r.to_json_dict()
     assert d["failures"] == [{"inputs": {"n": 3}, "expected": "1", "got": "2"}]
+
+
+def test_slow_growth_scans_match_plain_loops(monkeypatch):
+    # The suite scans only the nonzero entries of its 2^20 table.  Plant
+    # nonzero odd entries and a zero at n = 16, and compare with the plain
+    # loops over every index.
+    real = suites.count_table
+    top = suites.SLOW_GROWTH_LIMIT
+
+    tables = []
+
+    def planted(upto, parts, mults):
+        vals = list(real(upto, parts, mults).values)
+        vals[16], vals[17], vals[top - 1] = 0, 1, 10**6
+        tables.append(CountTable(parts, mults, tuple(vals)))
+        return tables[-1]
+
+    monkeypatch.setattr(suites, "count_table", planted)
+    r = run_suite("slow-growth")
+    vals = tables[0].values
+    odd = [n for n in range(1, top + 1, 2) if vals[n] != 0]
+    best, records = -1, []
+    for n in range(suites.SLOW_GROWTH_FROM, top + 1):
+        if vals[n] > best:
+            best = vals[n]
+            records.append(n)
+    parity = [f.inputs["n"] for f in r.failures if f.expected.startswith("0 ")]
+    assert parity == odd == [17, top - 1]
+    assert r.extras["record_indices"] == ",".join(map(str, records))
+    assert records[0] == 16 and top - 1 in records
+    assert r.extras["max_count"] == str(max(vals[16:])) == str(10**6)
+    assert r.cases == (top + 1) // 2 + len(records)
