@@ -26,14 +26,27 @@ the table-wide facts the bounds need are computed once per table, not
 once per n: prefix sums, record flags and the nondecreasing prefix live
 on CountTable; H_0..H_N come from harmonic_numbers(N) and the product
 ceilings for 0..N from product_upper_column, each cached for the last
-table.  Each bound is evaluated once per n, and its verdict compares
+table.  Each bound is evaluated once per n, and an exact verdict compares
 against that value.  Thresholds are integers throughout: set elements are
 integers, so M(n/a) = M(n // a).
+
+Transcendental verdicts are certified a family at a time.  verdict_column
+gives a bound's verdict at every n of a table; bound_report builds it on
+the first call for a table and keeps it on the table.  A bound whose
+enclosed term never decreases from some n on (_Bound.increasing_from)
+is certified there by certify_increasing: one interval check settles a
+whole block of n, and a block that does not settle is halved, down to
+single n, which get the pointwise certified_leq / certified_geq with
+their escalation.  Below that n, and for a bound without a declared
+range, every n is certified pointwise.  Either way each verdict is the
+pointwise one.  The verification suites debruijn, harmonic-chain,
+refined and sqrt-lower read the same columns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,6 +132,47 @@ def certified_leq(exact, builder, digits: int = DEFAULT_DIGITS) -> bool:
 def certified_geq(exact, builder, digits: int = DEFAULT_DIGITS) -> bool:
     """Rigorous verdict of exact >= bound."""
     return _certify(exact, builder, False, digits)
+
+
+def certify_increasing(
+    ns: list[int],
+    exact: list[int | Fraction],
+    enclosure: Callable[[int], "iv.mpf"],
+    upper: bool,
+    digits: int = DEFAULT_DIGITS,
+) -> list[bool]:
+    """Rigorous verdicts of exact[i] <= B(ns[i]) (upper) or exact[i] >=
+    B(ns[i]) (lower) for every i, where enclosure(n) encloses B(n) and B
+    never decreases along the ascending ns.
+
+    Because B never decreases, one check settles a block ns[a..b] (Moore,
+    Interval Analysis, 1966): for an upper bound, exact[i] <= max
+    exact[a..b] <= lo B(ns[a]) <= B(ns[i]); for a lower bound, exact[i] >=
+    min exact[a..b] >= hi B(ns[b]) >= B(ns[i]).  Block checks run once, at
+    digits.  A block that does not settle is split in half, and a block of
+    one n goes to certified_leq / certified_geq, so a failing n, and any
+    PrecisionError, is exactly the pointwise one.
+    """
+    certify = certified_leq if upper else certified_geq
+    verdicts: list = [None] * len(ns)
+    ends = {}  # index -> endpoints at digits; a block shares its edge with one half
+    blocks = [(0, len(ns) - 1)] if ns else []
+    while blocks:
+        a, b = blocks.pop()
+        if a == b:
+            verdicts[a] = certify(exact[a], lambda n=ns[a]: enclosure(n), digits)
+            continue
+        edge = a if upper else b
+        if edge not in ends:
+            ends[edge] = interval_endpoints(lambda n=ns[edge]: enclosure(n), digits)
+        lo, hi = ends[edge]
+        window = exact[a : b + 1]
+        if (max(window) <= lo) if upper else (min(window) >= hi):
+            verdicts[a : b + 1] = [True] * len(window)
+        else:
+            mid = (a + b) // 2
+            blocks += [(mid + 1, b), (a, mid)]
+    return verdicts
 
 
 def _hp(expr: Callable[[], mpmath.mpf], digits: int) -> HighPrecisionReal:
@@ -394,6 +448,22 @@ class BoundReport:
 
 
 class _Bound(NamedTuple):
+    """One registry bound.
+
+    increasing_from is the least n from which the enclosed term never
+    decreases over the n the bound applies to, so that verdict_column may
+    certify it by blocks; None certifies every n pointwise.  Proof sketches:
+
+    - debruijn_upper, 2: log(2m+1) and log2(2m) are positive and increasing
+      in m = n // 2 for m >= 1, so their product and its exp increase.
+    - harmonic_chain, 1: e^(H_n) increases with H_n; the exact n^A(n) is
+      divided out on the exact side, not enclosed.
+    - sqrt_lower, 5: log(e^sqrt(n) / n) has derivative 1/(2 sqrt n) - 1/n,
+      positive for n > 4.
+    - classical_refined, 5: log(e^(2 sqrt n) / (2 pi n^2)) has derivative
+      1/sqrt(n) - 2/n, positive for n > 4.
+    """
+
     direction: str  # "upper" | "lower" | "asymptotic"
     applies: Callable  # (n, table) -> bool
     value: Callable  # (n, table, digits) -> int | Fraction | HighPrecisionReal
@@ -402,19 +472,22 @@ class _Bound(NamedTuple):
     enclosure: Callable | None = None
     # (n, table) -> the quantity the bound is claimed for, when it is not p(n)
     bounded: Callable | None = None
+    increasing_from: int | None = None
 
 
-def _verdict(b: _Bound, n: int, table: CountTable, value, digits: int) -> bool | None:
+def _verdict(bid: str, b: _Bound, n: int, table: CountTable, value, digits: int) -> bool | None:
     """bounded <= value for an upper bound, bounded >= value for a lower one;
-    None for asymptotic reference values."""
+    None for asymptotic reference values.  A transcendental verdict is read
+    from the table's verdict column, built on first use."""
     if b.direction == "asymptotic":
         return None
-    exact = table.values[n] if b.bounded is None else b.bounded(n, table)
-    upper = b.direction == "upper"
     if b.enclosure is not None:
-        certify = certified_leq if upper else certified_geq
-        return certify(exact, lambda: b.enclosure(n, table), digits)
-    return exact <= value if upper else exact >= value
+        columns = table.verdict_columns
+        if (bid, digits) not in columns:
+            columns[bid, digits] = verdict_column(bid, table, digits)
+        return columns[bid, digits][n]
+    exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+    return exact <= value if b.direction == "upper" else exact >= value
 
 
 def _classical(n: int, table: CountTable) -> bool:
@@ -458,6 +531,7 @@ BOUND_REGISTRY: dict[str, _Bound] = {
         and t.parts == Powers(2),
         lambda n, t, d: _hp(lambda: mpmath.exp(debruijn_upper_bound(n // 2, d).value), d),
         enclosure=lambda n, t: iv.exp(debruijn_log_term(iv, n // 2)),
+        increasing_from=2,
     ),
     "harmonic_chain": _Bound(
         "upper",
@@ -466,18 +540,21 @@ BOUND_REGISTRY: dict[str, _Bound] = {
         # n^A(n) is exact, so it is divided out and only e^(H_n) is enclosed
         enclosure=lambda n, t: exp_harmonic_term(iv, harmonic_numbers(t.upto)[n]),
         bounded=lambda n, t: Fraction(t.values[n], n ** t.parts.count_leq(n)),
+        increasing_from=1,
     ),
     "sqrt_lower": _Bound(
         "lower",
         _classical,
         lambda n, t, d: classical_sqrt_lower(n, d),
         enclosure=lambda n, t: sqrt_lower_term(iv, n),
+        increasing_from=5,
     ),
     "classical_refined": _Bound(
         "lower",
         _classical,
         lambda n, t, d: classical_refined_comparison(n, d),
         enclosure=lambda n, t: classical_refined_term(iv, n),
+        increasing_from=5,
     ),
     "padberg": _Bound(
         "lower",
@@ -505,6 +582,31 @@ BOUND_REGISTRY: dict[str, _Bound] = {
 BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 
+def verdict_column(
+    bound_id: str, table: CountTable, digits: int = DEFAULT_DIGITS
+) -> list[bool | None]:
+    """The certified verdict of a transcendental registry bound at every n
+    of table (None where it does not apply): by blocks from the bound's
+    increasing_from on, pointwise below it."""
+    b = BOUND_REGISTRY[bound_id]
+    column: list = [None] * (table.upto + 1)
+    ns = [n for n in range(table.upto + 1) if b.applies(n, table)]
+    exact = [table.values[n] if b.bounded is None else b.bounded(n, table) for n in ns]
+    upper = b.direction == "upper"
+    certify = certified_leq if upper else certified_geq
+    start = len(ns) if b.increasing_from is None else bisect_left(ns, b.increasing_from)
+    verdicts = [
+        certify(e, lambda n=n: b.enclosure(n, table), digits)
+        for n, e in zip(ns[:start], exact[:start])
+    ]
+    verdicts += certify_increasing(
+        ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper, digits
+    )
+    for n, ok in zip(ns, verdicts):
+        column[n] = ok
+    return column
+
+
 def bound_report(
     table: CountTable,
     n: int,
@@ -524,6 +626,6 @@ def bound_report(
             entries.append(BoundEntry(bid, b.direction, False))
             continue
         value = b.value(n, table, digits)
-        sat = _verdict(b, n, table, value, digits)
+        sat = _verdict(bid, b, n, table, value, digits)
         entries.append(BoundEntry(bid, b.direction, True, value, sat))
     return BoundReport(n, exact, tuple(entries))

@@ -91,6 +91,13 @@ class CountTable:
                 return n
         return len(values)
 
+    @cached_property
+    def verdict_columns(self) -> dict:
+        """Certified verdict columns of transcendental bounds, keyed by
+        (bound id, digits); bounds.bound_report fills it on first use, so a
+        column belongs to these values and not to (parts, mults)."""
+        return {}
+
     def record_indices(self) -> list[int]:
         """Indices n where p(n) equals the maximum of p over [0, n]."""
         return [n for n, record in enumerate(self.record_flags) if record]

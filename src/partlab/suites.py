@@ -10,6 +10,10 @@ Asymptotic properties are handled two ways: pointwise inequality over an
 explicit range whose tail is asserted (the scan records the empirical
 onset, the least n from which the property holds through the end of the
 range), and ratio checks at fixed n with wide documented tolerances.
+The transcendental scans (debruijn, harmonic-chain, refined, sqrt-lower)
+read their certified verdicts from bounds.verdict_column, which settles
+blocks of n where the bound's term increases; each n is still one
+checked case, with the failure record it always had.
 
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
@@ -92,6 +96,12 @@ def _inputs(pair: CorpusPair, n: int) -> dict:
 
 def _nstr(x, places: int = 8) -> str:
     return mpmath.nstr(x, places)
+
+
+def _onset(verdicts: list) -> int:
+    """One past the last n whose verdict failed (1 when none did): the
+    least n from which the bound holds through the end of the column."""
+    return max((n for n, ok in enumerate(verdicts) if ok is False), default=0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +253,13 @@ def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
     in the documented loose band [0.3, 1.5]."""
     res = SuiteResult("debruijn")
     table = count_table(2 * DEBRUIJN_LIMIT, Powers(2))
+    verdicts = bounds.verdict_column("debruijn_upper", table, digits)
     for n in range(1, DEBRUIJN_LIMIT + 1):
-        p2n = table.values[2 * n]
-        ok = bounds.certified_leq(
-            p2n, lambda n=n: iv.exp(bounds.debruijn_log_term(iv, n)), digits
-        )
         res.check(
-            ok,
+            verdicts[2 * n],
             {"parts": "pow:2", "mults": "nat", "n": 2 * n},
             "p(2n) <= exp(log(2n+1) log2(2n))",
-            str(p2n),
+            str(table.values[2 * n]),
         )
     big = count_table(2 * DEBRUIJN_RATIO_POINT, Powers(2))
     with mp.workdps(digits):
@@ -277,31 +284,14 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     """p_S(n) <= n^A(n) e^(H_n) for every corpus part set with unrestricted
     multiplicities, n <= 200; comparisons divide out the exact n^A(n)."""
     res = SuiteResult("harmonic-chain")
-    enclosures = {}
-    harmonic = bounds.harmonic_numbers(CHAIN_LIMIT)
-    for n in range(1, CHAIN_LIMIT + 1):
-        h = harmonic[n]
-        enclosures[n] = (
-            bounds.interval_endpoints(lambda h=h: bounds.exp_harmonic_term(iv, h), digits),
-            h,
-        )
     for pair in CORPUS:
         if not has_all_multiplicities(pair.mults):
             continue
         table = count_table(CHAIN_LIMIT, pair.parts, NAT_MULTS)
+        verdicts = bounds.verdict_column("harmonic_chain", table, digits)
         for n in range(1, CHAIN_LIMIT + 1):
-            (lo, hi), h = enclosures[n]
-            lhs = Fraction(table.values[n], n ** pair.parts.count_leq(n))
-            if lhs <= lo:
-                ok = True
-            elif lhs > hi:
-                ok = False
-            else:
-                ok = bounds.certified_leq(
-                    lhs, lambda h=h: bounds.exp_harmonic_term(iv, h), 2 * digits
-                )
             res.check(
-                ok,
+                verdicts[n],
                 _inputs(pair, n),
                 "p / n^A(n) <= e^(H_n)",
                 str(table.values[n]),
@@ -388,21 +378,15 @@ def suite_prefix_extension_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteRe
         if not ok:
             last_bad = n
     res.onsets["refined"] = last_bad + 1
-    last_bad = 0
-    for n in range(1, REFINED_LIMIT + 1):
-        ok = bounds.certified_geq(
-            table.values[n], lambda n=n: bounds.classical_refined_term(iv, n), digits
+    verdicts = bounds.verdict_column("classical_refined", table, digits)
+    for n in range(REFINED_TRANSCENDENTAL_FROM, REFINED_LIMIT + 1):
+        res.check(
+            verdicts[n],
+            {"parts": "all", "n": n},
+            ">= e^(2 sqrt n)/(2 pi n^2)",
+            str(table.values[n]),
         )
-        if n >= REFINED_TRANSCENDENTAL_FROM:
-            res.check(
-                ok,
-                {"parts": "all", "n": n},
-                ">= e^(2 sqrt n)/(2 pi n^2)",
-                str(table.values[n]),
-            )
-        if not ok:
-            last_bad = n
-    res.onsets["classical_refined"] = last_bad + 1
+    res.onsets["classical_refined"] = _onset(verdicts)
     with mp.workdps(digits):
         ratio_min = ratio_max = None
         for n in range(REFINED_ASSERT_FROM, REFINED_LIMIT + 1):
@@ -427,18 +411,12 @@ def suite_sqrt_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     [100, 2000] with the empirical onset reported."""
     res = SuiteResult("sqrt-lower")
     table = count_table(SQRT_LIMIT, ALL_PARTS)
-    last_bad = 0
-    for n in range(1, SQRT_LIMIT + 1):
-        ok = bounds.certified_geq(
-            table.values[n], lambda n=n: bounds.sqrt_lower_term(iv, n), digits
+    verdicts = bounds.verdict_column("sqrt_lower", table, digits)
+    for n in range(SQRT_ASSERT_FROM, SQRT_LIMIT + 1):
+        res.check(
+            verdicts[n], {"parts": "all", "n": n}, ">= e^(sqrt n)/n", str(table.values[n])
         )
-        if n >= SQRT_ASSERT_FROM:
-            res.check(
-                ok, {"parts": "all", "n": n}, ">= e^(sqrt n)/n", str(table.values[n])
-            )
-        if not ok:
-            last_bad = n
-    res.onsets["sqrt_lower"] = last_bad + 1
+    res.onsets["sqrt_lower"] = _onset(verdicts)
     return res
 
 

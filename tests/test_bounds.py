@@ -19,9 +19,11 @@ from partlab.bounds import (
     BoundEntry,
     ExistenceWitness,
     HighPrecisionReal,
+    PrecisionError,
     bound_report,
     certified_geq,
     certified_leq,
+    certify_increasing,
     check_existence_lower_bound,
     classical_refined_comparison,
     classical_sqrt_lower,
@@ -42,8 +44,9 @@ from partlab.bounds import (
     schur_style_point_lower,
     slow_growth_closed_form,
     slow_growth_term,
+    sqrt_lower_term,
 )
-from partlab.counting import count_table
+from partlab.counting import CountTable, count_table
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
@@ -341,6 +344,96 @@ class TestCertification:
         assert not certified_geq(target, builder)
 
 
+def _pointwise(ns, exact, enclosure, upper, digits=DEFAULT_DIGITS):
+    certify = certified_leq if upper else certified_geq
+    return [certify(e, lambda n=n: enclosure(n), digits) for n, e in zip(ns, exact)]
+
+
+class TestFamilyCertification:
+    """certify_increasing settles blocks of n with one interval check each;
+    its verdicts must be the pointwise ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offsets=st.lists(st.integers(-3, 3), min_size=1, max_size=120),
+        first=st.integers(1, 10**6),
+        upper=st.booleans(),
+        digits=st.sampled_from([10, 50]),
+    )
+    def test_matches_pointwise(self, offsets, first, upper, digits):
+        # B(n) = 1000 sqrt(n) increases; exact sits a few units either side
+        ns = list(range(first, first + len(offsets)))
+        exact = [math.isqrt(10**6 * n) + off for n, off in zip(ns, offsets)]
+        enclosure = lambda n: 1000 * iv.sqrt(iv.mpf(n))
+        got = certify_increasing(ns, exact, enclosure, upper, digits)
+        assert got == _pointwise(ns, exact, enclosure, upper, digits)
+
+    def test_wide_margin_settles_in_one_check(self, monkeypatch):
+        calls = []
+
+        def counted(builder, digits):
+            calls.append(digits)
+            return interval_endpoints(builder, digits)
+
+        monkeypatch.setattr("partlab.bounds.interval_endpoints", counted)
+        # on [1000, 2000], p(n) >= p(1000) ~ 2.4e31 while e^(sqrt n)/n stays
+        # below 1.3e16, so the whole range is one block
+        ns = list(range(1000, 2001))
+        table = count_table(2000, ALL_PARTS)
+        exact = [table.values[n] for n in ns]
+        verdicts = certify_increasing(ns, exact, lambda n: sqrt_lower_term(iv, n), False)
+        assert verdicts == [True] * len(ns)
+        assert calls == [DEFAULT_DIGITS]
+
+    def test_precision_error_is_the_pointwise_one(self):
+        # one n whose comparison cannot settle at any precision
+        ns = [1, 2, 3]
+        exact = [Fraction(1, 3), Fraction(1, 3), Fraction(1, 2)]
+        enclosure = lambda n: iv.mpf(n) / 3
+        with pytest.raises(PrecisionError):
+            certify_increasing(ns, exact, enclosure, True)
+
+
+_MONOTONE_LIMIT = 2000
+
+
+@cache
+def _monotone_points(bid):
+    b = BOUND_REGISTRY[bid]
+    table = count_table(_MONOTONE_LIMIT, _TRANSCENDENTAL_PARTS[bid])
+    start = b.increasing_from
+    return table, [n for n in range(start, _MONOTONE_LIMIT + 1) if b.applies(n, table)]
+
+
+class TestMonotoneRanges:
+    """Block certification rests on each declared range: from
+    increasing_from on, the enclosed term never decreases over the n the
+    bound applies to."""
+
+    def test_declared_ranges(self):
+        declared = {
+            bid: b.increasing_from
+            for bid, b in BOUND_REGISTRY.items()
+            if b.increasing_from is not None
+        }
+        assert declared == {
+            "classical_refined": 5, "debruijn_upper": 2, "harmonic_chain": 1, "sqrt_lower": 5,
+        }
+        assert all(BOUND_REGISTRY[bid].enclosure is not None for bid in declared)
+
+    @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_enclosures_increase(self, bid, data):
+        table, points = _monotone_points(bid)
+        i = data.draw(st.integers(0, len(points) - 2))
+        n, m = points[i], data.draw(st.sampled_from(points[i + 1 :]))
+        b = BOUND_REGISTRY[bid]
+        _, hi_n = interval_endpoints(lambda: b.enclosure(n, table), 50)
+        lo_m, _ = interval_endpoints(lambda: b.enclosure(m, table), 50)
+        assert hi_n <= lo_m
+
+
 class TestBoundReport:
     def test_ids_sorted_and_stable(self):
         assert BOUND_IDS == tuple(sorted(BOUND_REGISTRY))
@@ -378,6 +471,15 @@ class TestBoundReport:
         table = count_table(10, Finite((2, 3)))
         assert bound_report(table, 10, ["eq10"]).entries[0].applicable is True
         assert bound_report(table, 7, ["eq10"]).entries[0].applicable is False
+
+    def test_verdicts_follow_the_table_object(self):
+        # a column is kept on the table it was built for, so a table with
+        # the same pair but planted values gets its own verdicts
+        real = count_table(300, ALL_PARTS)
+        planted = CountTable(real.parts, real.mults, real.values[:200] + (1,) + real.values[201:])
+        assert bound_report(real, 200, ["sqrt_lower"]).entries[0].satisfied is True
+        assert bound_report(planted, 200, ["sqrt_lower"]).entries[0].satisfied is False
+        assert bound_report(real, 200, ["sqrt_lower"]).entries[0].satisfied is True
 
     def test_monotone_applicability_tracks_data(self):
         table = count_table(10, Finite((2, 3)))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlab.corpus import CORPUS, CORPUS_BY_LABEL
 from partlab.setspec import (
@@ -36,6 +38,24 @@ VARIANTS = [
     WithZero(AllFrom(1)),
     SparseConstructed((16, 256, 65536)),
 ]
+
+
+# The words, numbers and separators of the spec language, plus a stray
+# letter and a non-ASCII digit.  A "sparse:@" path built from them names no
+# file, so it is rejected as unreadable.
+SPEC_FORMS = ("all", "all-from:", "finite:", "ap:", "pow:", "dexp:", "nat", "zero|", "sparse:@")
+SPEC_TOKENS = SPEC_FORMS + (",", ":", "|", "-", "0", "1", "2", "3", "10", "65536", "x", "\u0663")
+_NUMBERS = st.integers(0, 70000).map(str)
+# Strings over the vocabulary: token soup, and zero| prefixes on a form
+# followed by a number list, which parse far more often.
+SPEC_TEXTS = st.one_of(
+    st.lists(st.sampled_from(SPEC_TOKENS) | _NUMBERS, max_size=8).map("".join),
+    st.tuples(
+        st.sampled_from(["", "zero|", "zero|zero|"]),
+        st.sampled_from(SPEC_FORMS),
+        st.lists(_NUMBERS, max_size=3).map(",".join),
+    ).map("".join),
+)
 
 
 def _variant_id(spec):
@@ -190,6 +210,18 @@ class TestParser:
     )
     def test_print_parse_round_trip(self, text, kind):
         spec = parse_set_spec(text, kind)
+        assert parse_set_spec(spec.spec_string(), kind) == spec
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=SPEC_TEXTS,
+        kind=st.sampled_from(["parts", "mults"]),
+    )
+    def test_every_string_round_trips_or_is_rejected(self, text, kind):
+        try:
+            spec = parse_set_spec(text, kind)
+        except (SpecSyntaxError, InvalidSetError):
+            return
         assert parse_set_spec(spec.spec_string(), kind) == spec
 
     def test_sparse_round_trip(self, tmp_path):

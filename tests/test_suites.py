@@ -3,7 +3,7 @@ acceptance gate; this file checks the result type and registry behave."""
 
 import pytest
 
-from partlab import suites
+from partlab import bounds, suites
 from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
@@ -78,3 +78,62 @@ def test_slow_growth_scans_match_plain_loops(monkeypatch):
     assert records[0] == 16 and top - 1 in records
     assert r.extras["max_count"] == str(max(vals[16:])) == str(10**6)
     assert r.cases == (top + 1) // 2 + len(records)
+
+
+def _pointwise_column(bound_id, table, digits=bounds.DEFAULT_DIGITS):
+    """One certified_leq / certified_geq per applicable n, no blocks."""
+    b = bounds.BOUND_REGISTRY[bound_id]
+    certify = bounds.certified_leq if b.direction == "upper" else bounds.certified_geq
+    column = [None] * (table.upto + 1)
+    for n in range(table.upto + 1):
+        if b.applies(n, table):
+            exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+            column[n] = certify(exact, lambda n=n: b.enclosure(n, table), digits)
+    return column
+
+
+# Violations planted in each suite's certified range: inside a large block,
+# on both sides of the first split, and at the last n.  debruijn's applicable
+# n are 2, 4, ..., 8192, so its first split falls between 4096 and 4098;
+# the classical bounds are blocked on [5, 2000], split between 1002 and 1003.
+# Each entry: table size, planted n, planted value, the check they fail.
+PLANTED = {
+    "debruijn": (
+        2 * suites.DEBRUIJN_LIMIT, (6002, 4096, 4098, 2 * suites.DEBRUIJN_LIMIT), 10**200,
+        "p(2n) <= exp(log(2n+1) log2(2n))",
+    ),
+    "sqrt-lower": (suites.SQRT_LIMIT, (1500, 1002, 1003, 2000), 1, ">= e^(sqrt n)/n"),
+    "refined": (
+        suites.REFINED_LIMIT, (1500, 1002, 1003, 2000), 1, ">= e^(2 sqrt n)/(2 pi n^2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_block_certification_matches_pointwise_on_planted_failures(monkeypatch, name):
+    upto, planted_ns, value, expected = PLANTED[name]
+    real = suites.count_table
+
+    def planted(n, parts, mults=suites.NAT_MULTS):
+        table = real(n, parts, mults)
+        if n != upto:
+            return table
+        vals = list(table.values)
+        for k in planted_ns:
+            vals[k] = value
+        return CountTable(parts, mults, tuple(vals))
+
+    monkeypatch.setattr(suites, "count_table", planted)
+    blocks = run_suite(name).to_json_dict()
+    monkeypatch.setattr(bounds, "verdict_column", _pointwise_column)
+    pointwise = run_suite(name).to_json_dict()
+    assert blocks == pointwise
+    failed = [f["inputs"]["n"] for f in blocks["failures"] if f["expected"] == expected]
+    assert failed == sorted(planted_ns)
+
+
+@pytest.mark.parametrize("name", ["sqrt-lower", "refined", "debruijn", "harmonic-chain"])
+def test_reports_do_not_depend_on_precision(name):
+    # certified verdicts never flip with precision, so neither does a report
+    reports = [run_suite(name, digits).to_json_dict() for digits in (10, 50, 400)]
+    assert reports[0] == reports[1] == reports[2]
