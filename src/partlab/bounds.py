@@ -14,33 +14,34 @@ Two value families, kept strictly apart:
   wide to decide, precision is escalated.
 
 Directions are from the point of view of the exact count: an "upper"
-bound claims exact <= value, a "lower" bound claims exact >= value.  Every
-registry verdict follows from that direction alone (_verdict): exact
-values are compared directly, transcendental ones through their
-enclosure, asymptotic reference values get none.  The exact side is p(n)
-unless a bound names another quantity (the cumulative count for padberg,
-p(n) / n^A(n) for harmonic_chain).
+bound claims exact <= value, a "lower" bound claims exact >= value.  The
+exact side is p(n) unless a bound names another quantity (the cumulative
+count for padberg, p(n) / n^A(n) for harmonic_chain).
 
-A `table --bounds` run asks for every bound at every n of one table, so
-the table-wide facts the bounds need are computed once per table, not
-once per n: prefix sums, record flags and the nondecreasing prefix live
-on CountTable; H_0..H_N come from harmonic_numbers(N) and the product
-ceilings for 0..N from product_upper_column, each cached for the last
-table.  Each bound is evaluated once per n, and an exact verdict compares
-against that value.  Thresholds are integers throughout: set elements are
+Whether a registry bound holds is decided in one place, per table.  Each
+bound has two columns over the n of a table, built on first use and kept
+on the table (CountTable.bound_columns), so they belong to its values and
+not to (parts, mults):
+
+* value_column: _Bound.value at every n the bound applies to, None
+  elsewhere;
+* verdict_column: the verdict at every applicable n, None elsewhere and
+  for asymptotic reference values.  An exact value is compared with the
+  exact side directly.  An enclosed term never decreases from its
+  _Bound.increasing_from on, so certify_increasing certifies it there by
+  blocks: one interval check settles a whole block of n, and a block that
+  does not settle is halved, down to single n, which get the pointwise
+  certified_leq / certified_geq with their escalation.  Below that n every
+  n is certified pointwise.  Either way each verdict is the pointwise one.
+
+bound_report is a lookup into the two columns, and the verification
+suites scan the same columns over their ranges of n.  The table-wide
+facts the bounds need are also computed once per table, not once per n:
+prefix sums, record flags, the nondecreasing prefix and the finite coprime
+part set live on CountTable; H_0..H_N come from harmonic_numbers(N) and
+the product ceilings for 0..N from product_upper_column, each cached for
+the last table.  Thresholds are integers throughout: set elements are
 integers, so M(n/a) = M(n // a).
-
-Transcendental verdicts are certified a family at a time.  verdict_column
-gives a bound's verdict at every n of a table; bound_report builds it on
-the first call for a table and keeps it on the table.  A bound whose
-enclosed term never decreases from some n on (_Bound.increasing_from)
-is certified there by certify_increasing: one interval check settles a
-whole block of n, and a block that does not settle is halved, down to
-single n, which get the pointwise certified_leq / certified_geq with
-their escalation.  Below that n, and for a bound without a declared
-range, every n is certified pointwise.  Either way each verdict is the
-pointwise one.  The verification suites debruijn, harmonic-chain,
-refined and sqrt-lower read the same columns.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
-from .counting import CountTable, count_table, finite_coprime_parts, has_all_multiplicities
+from .counting import CountTable, count_table, has_all_multiplicities
 from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
 
 DEFAULT_DIGITS = 50
@@ -447,12 +448,14 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
 
 
-class _Bound(NamedTuple):
+@dataclass(frozen=True)
+class _Bound:
     """One registry bound.
 
-    increasing_from is the least n from which the enclosed term never
+    A bound whose value is transcendental gives, with its enclosure,
+    increasing_from: the least n from which the enclosed term never
     decreases over the n the bound applies to, so that verdict_column may
-    certify it by blocks; None certifies every n pointwise.  Proof sketches:
+    certify it by blocks.  The two come together.  Proof sketches:
 
     - debruijn_upper, 2: log(2m+1) and log2(2m) are positive and increasing
       in m = n // 2 for m >= 1, so their product and its exp increase.
@@ -474,20 +477,9 @@ class _Bound(NamedTuple):
     bounded: Callable | None = None
     increasing_from: int | None = None
 
-
-def _verdict(bid: str, b: _Bound, n: int, table: CountTable, value, digits: int) -> bool | None:
-    """bounded <= value for an upper bound, bounded >= value for a lower one;
-    None for asymptotic reference values.  A transcendental verdict is read
-    from the table's verdict column, built on first use."""
-    if b.direction == "asymptotic":
-        return None
-    if b.enclosure is not None:
-        columns = table.verdict_columns
-        if (bid, digits) not in columns:
-            columns[bid, digits] = verdict_column(bid, table, digits)
-        return columns[bid, digits][n]
-    exact = table.values[n] if b.bounded is None else b.bounded(n, table)
-    return exact <= value if b.direction == "upper" else exact >= value
+    def __post_init__(self):
+        if (self.enclosure is None) != (self.increasing_from is None):
+            raise TypeError("an enclosure and its increasing_from come together")
 
 
 def _classical(n: int, table: CountTable) -> bool:
@@ -517,8 +509,8 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     ),
     "schur": _Bound(
         "asymptotic",
-        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None,
-        lambda n, t, d: schur_asymptotic(n, finite_coprime_parts(t.parts, t.mults)),
+        lambda n, t: t.finite_coprime is not None,
+        lambda n, t, d: schur_asymptotic(n, t.finite_coprime),
     ),
     "hrr": _Bound(
         "asymptotic",
@@ -558,15 +550,14 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     ),
     "padberg": _Bound(
         "lower",
-        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None,
-        lambda n, t, d: padberg_lower(n, finite_coprime_parts(t.parts, t.mults)),
+        lambda n, t: t.finite_coprime is not None,
+        lambda n, t, d: padberg_lower(n, t.finite_coprime),
         bounded=lambda n, t: t.prefix_sums[n],  # the cumulative count
     ),
     "eq10": _Bound(
         "lower",
-        lambda n, t: finite_coprime_parts(t.parts, t.mults) is not None
-        and t.record_flags[n],
-        lambda n, t, d: schur_style_point_lower(n, finite_coprime_parts(t.parts, t.mults)),
+        lambda n, t: t.finite_coprime is not None and t.record_flags[n],
+        lambda n, t, d: schur_style_point_lower(n, t.finite_coprime),
     ),
     "refined": _Bound(
         "lower",
@@ -582,28 +573,56 @@ BOUND_REGISTRY: dict[str, _Bound] = {
 BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 
+def value_column(bound_id: str, table: CountTable, digits: int = DEFAULT_DIGITS) -> list:
+    """The value of a registry bound at every n of table, None where it
+    does not apply; built on first use and kept on the table."""
+    key = ("value", bound_id, digits)
+    columns = table.bound_columns
+    if key not in columns:
+        b = BOUND_REGISTRY[bound_id]
+        columns[key] = [
+            b.value(n, table, digits) if b.applies(n, table) else None
+            for n in range(table.upto + 1)
+        ]
+    return columns[key]
+
+
 def verdict_column(
     bound_id: str, table: CountTable, digits: int = DEFAULT_DIGITS
 ) -> list[bool | None]:
-    """The certified verdict of a transcendental registry bound at every n
-    of table (None where it does not apply): by blocks from the bound's
-    increasing_from on, pointwise below it."""
+    """The verdict of a registry bound at every n of table, None where it
+    does not apply and for asymptotic reference values: an exact value is
+    compared directly, an enclosed term is certified by blocks from the
+    bound's increasing_from on and pointwise below it.  Built on first use
+    and kept on the table."""
+    key = ("verdict", bound_id, digits)
+    columns = table.bound_columns
+    if key in columns:
+        return columns[key]
     b = BOUND_REGISTRY[bound_id]
     column: list = [None] * (table.upto + 1)
-    ns = [n for n in range(table.upto + 1) if b.applies(n, table)]
-    exact = [table.values[n] if b.bounded is None else b.bounded(n, table) for n in ns]
     upper = b.direction == "upper"
-    certify = certified_leq if upper else certified_geq
-    start = len(ns) if b.increasing_from is None else bisect_left(ns, b.increasing_from)
-    verdicts = [
-        certify(e, lambda n=n: b.enclosure(n, table), digits)
-        for n, e in zip(ns[:start], exact[:start])
-    ]
-    verdicts += certify_increasing(
-        ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper, digits
-    )
-    for n, ok in zip(ns, verdicts):
-        column[n] = ok
+    bounded = b.bounded or (lambda n, t: t.values[n])
+    if b.enclosure is not None:
+        ns = [n for n in range(table.upto + 1) if b.applies(n, table)]
+        exact = [bounded(n, table) for n in ns]
+        certify = certified_leq if upper else certified_geq
+        start = bisect_left(ns, b.increasing_from)
+        verdicts = [
+            certify(e, lambda n=n: b.enclosure(n, table), digits)
+            for n, e in zip(ns[:start], exact[:start])
+        ]
+        verdicts += certify_increasing(
+            ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper, digits
+        )
+        for n, ok in zip(ns, verdicts):
+            column[n] = ok
+    elif b.direction != "asymptotic":
+        for n, v in enumerate(value_column(bound_id, table, digits)):
+            if v is not None:
+                exact = bounded(n, table)
+                column[n] = exact <= v if upper else exact >= v
+    columns[key] = column
     return column
 
 
@@ -613,19 +632,17 @@ def bound_report(
     bound_ids: list[str] | None = None,
     digits: int = DEFAULT_DIGITS,
 ) -> BoundReport:
-    """Evaluate the requested bounds at one n against the exact count."""
-    ids = list(bound_ids) if bound_ids is not None else list(BOUND_IDS)
-    exact = table.values[n]
+    """The requested bounds at one n against the exact count, read from
+    each bound's value and verdict columns."""
     entries = []
-    for bid in ids:
-        try:
-            b = BOUND_REGISTRY[bid]
-        except KeyError:
-            raise ValueError(f"unknown bound id {bid!r}") from None
-        if not b.applies(n, table):
-            entries.append(BoundEntry(bid, b.direction, False))
-            continue
-        value = b.value(n, table, digits)
-        sat = _verdict(bid, b, n, table, value, digits)
-        entries.append(BoundEntry(bid, b.direction, True, value, sat))
-    return BoundReport(n, exact, tuple(entries))
+    for bid in BOUND_IDS if bound_ids is None else bound_ids:
+        if bid not in BOUND_REGISTRY:
+            raise ValueError(f"unknown bound id {bid!r}")
+        direction = BOUND_REGISTRY[bid].direction
+        value = value_column(bid, table, digits)[n]
+        if value is None:
+            entries.append(BoundEntry(bid, direction, False))
+        else:
+            verdict = verdict_column(bid, table, digits)[n]
+            entries.append(BoundEntry(bid, direction, True, value, verdict))
+    return BoundReport(n, table.values[n], tuple(entries))

@@ -42,6 +42,11 @@ from .suites import SUITES, run_all, run_suite
 DISPLAY_DIGITS = 12
 MAX_HUMAN_FAILURES = 20
 
+# Largest accepted --n / --upto.  Every command builds the table p(0..n),
+# n + 1 exact integers, so this bounds what one run allocates.  It admits
+# the largest benchmarked count (dexp:2 to 2^20) with room for a doubling.
+MAX_N = 2**21
+
 
 class UsageError(Exception):
     pass
@@ -57,15 +62,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="partlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def size(text: str) -> int:
+        n = int(text)  # a ValueError becomes argparse's "invalid value" error
+        if not 0 <= n <= MAX_N:
+            raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_N}, got {n}")
+        return n
+
     def common(p, parts=False, mults=False, n=False, upto=False, fmt=True, prec=True):
         if parts:
             p.add_argument("--parts", required=True, help="part-set spec")
         if mults:
             p.add_argument("--mults", default="nat", help="multiplicity-set spec")
         if n:
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--n", type=size, required=True)
         if upto:
-            p.add_argument("--upto", type=int, required=True)
+            p.add_argument("--upto", type=size, required=True)
         if fmt:
             p.add_argument(
                 "--format", choices=("table", "csv", "json"), default="table"
@@ -139,8 +150,6 @@ def cmd_count(args) -> int:
     _check_precision(args)
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
     value = count_partitions(args.n, parts, mults)
     if args.format == "json":
         payload = _json(
@@ -175,8 +184,6 @@ def cmd_table(args) -> int:
     digits = _check_precision(args)
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
-    if args.upto < 0:
-        raise UsageError("--upto must be nonnegative")
     bound_ids = _parse_bound_ids(args.bounds)
     table = count_table(args.upto, parts, mults)
     reports = [
@@ -328,8 +335,6 @@ def cmd_verify(args) -> int:
 def cmd_explore(args) -> int:
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
-    if args.upto < 0:
-        raise UsageError("--upto must be nonnegative")
     table = count_table(args.upto, parts, mults)
     zeros = [n for n in range(1, args.upto + 1) if table.values[n] == 0]
     max_count = max(table.values)

@@ -92,10 +92,16 @@ class CountTable:
         return len(values)
 
     @cached_property
-    def verdict_columns(self) -> dict:
-        """Certified verdict columns of transcendental bounds, keyed by
-        (bound id, digits); bounds.bound_report fills it on first use, so a
-        column belongs to these values and not to (parts, mults)."""
+    def finite_coprime(self) -> FiniteCoprimeSet | None:
+        """finite_coprime_parts(parts, mults), asked at every n by the
+        polynomial-growth bounds."""
+        return finite_coprime_parts(self.parts, self.mults)
+
+    @cached_property
+    def bound_columns(self) -> dict:
+        """The value and verdict columns of registry bounds, keyed by
+        (kind, bound id, digits); bounds fills it on first use, so a column
+        belongs to these values and not to (parts, mults)."""
         return {}
 
     def record_indices(self) -> list[int]:

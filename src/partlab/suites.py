@@ -6,14 +6,16 @@ embedded constants (shown by `verify --list`) so a run is reproducible
 from the suite name alone.  Suites collect failures instead of raising;
 every failure carries the inputs needed to reproduce it.
 
-Asymptotic properties are handled two ways: pointwise inequality over an
-explicit range whose tail is asserted (the scan records the empirical
-onset, the least n from which the property holds through the end of the
-range), and ratio checks at fixed n with wide documented tolerances.
-The transcendental scans (debruijn, harmonic-chain, refined, sqrt-lower)
-read their certified verdicts from bounds.verdict_column, which settles
-blocks of n where the bound's term increases; each n is still one
-checked case, with the failure record it always had.
+Every suite that checks a registry bound over a range of n (eq4,
+monotone-lb, harmonic-chain, padberg, eq10, refined, sqrt-lower,
+debruijn) does it through _scan, which reads the bound's verdict column
+from bounds.verdict_column and, for a failure only, its value column; the
+comparison itself is made in bounds alone.  Each applicable n in the
+asserted range is one checked case.  An asymptotic property is asserted on
+the tail of its range, and its empirical onset is reported by one rule
+(_onset) over the whole column: the least applicable n from which the
+bound holds to the end of the column.  Other properties are ratio checks
+at fixed n with wide documented tolerances.
 
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
@@ -99,9 +101,30 @@ def _nstr(x, places: int = 8) -> str:
 
 
 def _onset(verdicts: list) -> int:
-    """One past the last n whose verdict failed (1 when none did): the
-    least n from which the bound holds through the end of the column."""
-    return max((n for n, ok in enumerate(verdicts) if ok is False), default=0) + 1
+    """The least applicable n from which the bound holds to the end of the
+    column: one past the last failure, or else the first applicable n."""
+    failed = [n for n, ok in enumerate(verdicts) if ok is False]
+    return failed[-1] + 1 if failed else verdicts.index(True)
+
+
+def _scan(
+    res: SuiteResult, bound_id: str, table, inputs, digits: int,
+    start: int = 0, expected: str | None = None, got=None,
+) -> int:
+    """Check registry bound bound_id at every applicable n >= start of
+    table, one case each, and return its onset.  A failure records
+    inputs(n), the expected text (by default the bound's direction and
+    value) and got[n] (by default p(n))."""
+    verdicts = bounds.verdict_column(bound_id, table, digits)
+    op = "<=" if bounds.BOUND_REGISTRY[bound_id].direction == "upper" else ">="
+    for n, ok in enumerate(verdicts[start:], start):
+        if ok is None:
+            continue
+        res.cases += 1
+        if not ok:
+            text = expected or f"{op} {bounds.value_column(bound_id, table, digits)[n]}"
+            res.failures.append(SuiteFailure(inputs(n), text, str((got or table.values)[n])))
+    return _onset(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +139,7 @@ def suite_product_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     res = SuiteResult("eq4")
     for pair in CORPUS:
         table = count_table(EQ4_LIMIT, pair.parts, pair.mults)
-        for n in range(EQ4_LIMIT + 1):
-            ceiling = bounds.product_upper_bound(n, pair.parts, pair.mults)
-            res.check(
-                table.values[n] <= ceiling,
-                _inputs(pair, n),
-                f"<= {ceiling}",
-                str(table.values[n]),
-            )
+        _scan(res, "product_upper", table, lambda n: _inputs(pair, n), digits)
     return res
 
 
@@ -161,14 +177,7 @@ def suite_monotone_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
         if not table.is_nondecreasing():
             continue
         applicable.append(pair.label)
-        for n in range(1, MONOTONE_LIMIT + 1):
-            floor = bounds.monotone_lower_bound(n, pair.parts, pair.mults)
-            res.check(
-                table.values[n] >= floor,
-                _inputs(pair, n),
-                f">= {floor}",
-                str(table.values[n]),
-            )
+        _scan(res, "monotone_lower", table, lambda n: _inputs(pair, n), digits)
     res.extras["nondecreasing_pairs"] = ",".join(applicable)
     return res
 
@@ -253,14 +262,10 @@ def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
     in the documented loose band [0.3, 1.5]."""
     res = SuiteResult("debruijn")
     table = count_table(2 * DEBRUIJN_LIMIT, Powers(2))
-    verdicts = bounds.verdict_column("debruijn_upper", table, digits)
-    for n in range(1, DEBRUIJN_LIMIT + 1):
-        res.check(
-            verdicts[2 * n],
-            {"parts": "pow:2", "mults": "nat", "n": 2 * n},
-            "p(2n) <= exp(log(2n+1) log2(2n))",
-            str(table.values[2 * n]),
-        )
+    _scan(
+        res, "debruijn_upper", table, lambda n: {"parts": "pow:2", "mults": "nat", "n": n},
+        digits, expected="p(2n) <= exp(log(2n+1) log2(2n))",
+    )
     big = count_table(2 * DEBRUIJN_RATIO_POINT, Powers(2))
     with mp.workdps(digits):
         log_count = mpmath.log(mpmath.mpf(big.values[2 * DEBRUIJN_RATIO_POINT]))
@@ -288,14 +293,10 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
         if not has_all_multiplicities(pair.mults):
             continue
         table = count_table(CHAIN_LIMIT, pair.parts, NAT_MULTS)
-        verdicts = bounds.verdict_column("harmonic_chain", table, digits)
-        for n in range(1, CHAIN_LIMIT + 1):
-            res.check(
-                verdicts[n],
-                _inputs(pair, n),
-                "p / n^A(n) <= e^(H_n)",
-                str(table.values[n]),
-            )
+        _scan(
+            res, "harmonic_chain", table, lambda n: _inputs(pair, n), digits,
+            expected="p / n^A(n) <= e^(H_n)",
+        )
     return res
 
 
@@ -307,25 +308,19 @@ def suite_cumulative_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     (n+1)^k/(k! prod a) up to n = 500, with equality throughout for {1}."""
     res = SuiteResult("padberg")
     for pair in CORPUS:
-        cset = finite_coprime_parts(pair.parts, pair.mults)
-        if cset is None:
+        if finite_coprime_parts(pair.parts, pair.mults) is None:
             continue
         table = count_table(PADBERG_LIMIT, pair.parts)
-        for n in range(PADBERG_LIMIT + 1):
-            cumulative = table.prefix_sums[n]
-            floor = bounds.padberg_lower(n, cset)
-            res.check(
-                cumulative >= floor,
-                _inputs(pair, n),
-                f">= {floor}",
-                str(cumulative),
-            )
-            if cset.elements == (1,):
+        cumulative = table.prefix_sums
+        _scan(res, "padberg", table, lambda n: _inputs(pair, n), digits, got=cumulative)
+        if table.finite_coprime.elements == (1,):
+            floors = bounds.value_column("padberg", table, digits)
+            for n, floor in enumerate(floors):
                 res.check(
-                    cumulative == floor,
+                    cumulative[n] == floor,
                     _inputs(pair, n),
                     f"equality {floor}",
-                    str(cumulative),
+                    str(cumulative[n]),
                 )
     return res
 
@@ -338,20 +333,15 @@ def suite_record_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     """(n+1)^(k-1)/(k! prod a) holds at the record indices of each finite
     coprime corpus table; asserted on [10, 2000], onset reported."""
     res = SuiteResult("eq10")
-    last_bad = -1
+    onsets = []
     for pair in CORPUS:
-        cset = finite_coprime_parts(pair.parts, pair.mults)
-        if cset is None:
+        if finite_coprime_parts(pair.parts, pair.mults) is None:
             continue
         table = count_table(EQ10_LIMIT, pair.parts)
-        for n in table.record_indices():
-            floor = bounds.schur_style_point_lower(n, cset)
-            ok = table.values[n] >= floor
-            if n >= EQ10_ASSERT_FROM:
-                res.check(ok, _inputs(pair, n), f">= {floor}", str(table.values[n]))
-            if not ok:
-                last_bad = max(last_bad, n)
-    res.onsets["eq10"] = last_bad + 1
+        onsets.append(
+            _scan(res, "eq10", table, lambda n: _inputs(pair, n), digits, EQ10_ASSERT_FROM)
+        )
+    res.onsets["eq10"] = max(onsets)
     return res
 
 
@@ -367,38 +357,21 @@ def suite_prefix_extension_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteRe
     ratio band between the two forms are reported."""
     res = SuiteResult("refined")
     table = count_table(REFINED_LIMIT, ALL_PARTS)
-    last_bad = 0
-    for n in range(1, REFINED_LIMIT + 1):
-        floor = bounds.refined_lower_bound(n, ALL_PARTS)
-        ok = table.values[n] >= floor
-        if n >= REFINED_ASSERT_FROM:
-            res.check(
-                ok, {"parts": "all", "n": n}, f">= {floor}", str(table.values[n])
-            )
-        if not ok:
-            last_bad = n
-    res.onsets["refined"] = last_bad + 1
-    verdicts = bounds.verdict_column("classical_refined", table, digits)
-    for n in range(REFINED_TRANSCENDENTAL_FROM, REFINED_LIMIT + 1):
-        res.check(
-            verdicts[n],
-            {"parts": "all", "n": n},
-            ">= e^(2 sqrt n)/(2 pi n^2)",
-            str(table.values[n]),
-        )
-    res.onsets["classical_refined"] = _onset(verdicts)
+    inputs = lambda n: {"parts": "all", "n": n}
+    res.onsets["refined"] = _scan(res, "refined", table, inputs, digits, REFINED_ASSERT_FROM)
+    res.onsets["classical_refined"] = _scan(
+        res, "classical_refined", table, inputs, digits, REFINED_TRANSCENDENTAL_FROM,
+        expected=">= e^(2 sqrt n)/(2 pi n^2)",
+    )
+    floors = bounds.value_column("refined", table, digits)
+    forms = bounds.value_column("classical_refined", table, digits)
     with mp.workdps(digits):
-        ratio_min = ratio_max = None
-        for n in range(REFINED_ASSERT_FROM, REFINED_LIMIT + 1):
-            fl = bounds.refined_lower_bound(n, ALL_PARTS)
-            exact_form = mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator)
-            ratio = exact_form / bounds.classical_refined_comparison(n, digits).value
-            if ratio_min is None or ratio < ratio_min:
-                ratio_min = ratio
-            if ratio_max is None or ratio > ratio_max:
-                ratio_max = ratio
-    res.extras["form_ratio_min"] = _nstr(ratio_min)
-    res.extras["form_ratio_max"] = _nstr(ratio_max)
+        ratios = [
+            mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator) / form.value
+            for fl, form in zip(floors[REFINED_ASSERT_FROM:], forms[REFINED_ASSERT_FROM:])
+        ]
+    res.extras["form_ratio_min"] = _nstr(min(ratios))
+    res.extras["form_ratio_max"] = _nstr(max(ratios))
     return res
 
 
@@ -411,12 +384,10 @@ def suite_sqrt_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
     [100, 2000] with the empirical onset reported."""
     res = SuiteResult("sqrt-lower")
     table = count_table(SQRT_LIMIT, ALL_PARTS)
-    verdicts = bounds.verdict_column("sqrt_lower", table, digits)
-    for n in range(SQRT_ASSERT_FROM, SQRT_LIMIT + 1):
-        res.check(
-            verdicts[n], {"parts": "all", "n": n}, ">= e^(sqrt n)/n", str(table.values[n])
-        )
-    res.onsets["sqrt_lower"] = _onset(verdicts)
+    res.onsets["sqrt_lower"] = _scan(
+        res, "sqrt_lower", table, lambda n: {"parts": "all", "n": n}, digits,
+        SQRT_ASSERT_FROM, expected=">= e^(sqrt n)/n",
+    )
     return res
 
 

@@ -6,7 +6,9 @@ explicit float bands; expected values were frozen from independent oracles,
 never from the code under test.  Run order follows the numbering.
 """
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -220,6 +222,13 @@ def test_criterion_14_record_and_prefix_floors():
     _report(14, "empirical onsets", onsets == expected, str(onsets))
 
 
+# sha256 of `verify --suite all --format json` (as in perfbench/references.json),
+# and of the human report with its "  N ms" timings stripped.  Only the
+# human report shows the extras (form_ratio_min, record_indices, ...).
+VERIFY_JSON_SHA256 = "aab8e7b81e987e4fe7cfad209fab466975af12feb8bac079408e7f4bb6833e32"
+VERIFY_HUMAN_SHA256 = "70252955e58b9ab15e68b15a1036b50ebabe399eb9c35f9a65fc94ac4fc813f7"
+
+
 def test_criterion_15_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
@@ -227,3 +236,13 @@ def test_criterion_15_determinism(tmp_path):
         assert code == 0
     same = a.read_bytes() == b.read_bytes()
     _report(15, "byte-identical verify output", same, f"{a.stat().st_size} bytes")
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
+    _report(15, "verify JSON digest", digest == VERIFY_JSON_SHA256, digest)
+
+
+def test_criterion_15_human_report_digest(tmp_path):
+    target = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(target)]) == 0
+    text = re.sub(r"  [0-9]+ ms$", "", target.read_text(), flags=re.M)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    _report(15, "verify human report digest", digest == VERIFY_HUMAN_SHA256, digest)

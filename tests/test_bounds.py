@@ -20,6 +20,7 @@ from partlab.bounds import (
     ExistenceWitness,
     HighPrecisionReal,
     PrecisionError,
+    _Bound,
     bound_report,
     certified_geq,
     certified_leq,
@@ -45,6 +46,8 @@ from partlab.bounds import (
     slow_growth_closed_form,
     slow_growth_term,
     sqrt_lower_term,
+    value_column,
+    verdict_column,
 )
 from partlab.counting import CountTable, count_table
 from partlab.setspec import (
@@ -421,6 +424,15 @@ class TestMonotoneRanges:
         }
         assert all(BOUND_REGISTRY[bid].enclosure is not None for bid in declared)
 
+    def test_enclosure_needs_a_declared_range(self):
+        applies, value = (lambda n, t: True), (lambda n, t, d: 0)
+        enclosure = lambda n, t: iv.mpf(n)
+        with pytest.raises(TypeError):
+            _Bound("upper", applies, value, enclosure=enclosure)
+        with pytest.raises(TypeError):
+            _Bound("upper", applies, value, increasing_from=1)
+        assert _Bound("upper", applies, value, enclosure=enclosure, increasing_from=1)
+
     @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -480,6 +492,16 @@ class TestBoundReport:
         assert bound_report(real, 200, ["sqrt_lower"]).entries[0].satisfied is True
         assert bound_report(planted, 200, ["sqrt_lower"]).entries[0].satisfied is False
         assert bound_report(real, 200, ["sqrt_lower"]).entries[0].satisfied is True
+
+    def test_columns_are_built_once_per_table(self):
+        table = count_table(50, Finite((2, 3)))
+        for bid in BOUND_IDS:
+            assert value_column(bid, table) is value_column(bid, table)
+            assert verdict_column(bid, table) is verdict_column(bid, table)
+        values, verdicts = value_column("eq10", table), verdict_column("eq10", table)
+        assert [n for n, v in enumerate(values) if v is not None] == table.record_indices()
+        assert [n for n, ok in enumerate(verdicts) if ok is not None] == table.record_indices()
+        assert verdict_column("schur", table) == [None] * 51  # asymptotic: no verdicts
 
     def test_monotone_applicability_tracks_data(self):
         table = count_table(10, Finite((2, 3)))

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlab import cli, counting
 from partlab.bounds import BOUND_IDS, MAX_DIGITS
-from partlab.cli import main
+from partlab.cli import MAX_N, main
 
 NON_UTF8 = bytes([0xFF, 0xFE, 0x00, 0x01])
 
@@ -105,6 +106,26 @@ class TestExitCodes:
     def test_negative_n_is_one(self, capsys):
         code, _, _ = run(capsys, "count", "--parts", "all", "--n", "-3")
         assert code == 1
+
+    @pytest.mark.parametrize("size", [MAX_N + 1, 10**19])
+    @pytest.mark.parametrize(
+        "command,flag", [("count", "--n"), ("table", "--upto"), ("explore", "--upto")]
+    )
+    def test_size_above_ceiling_is_one_before_any_table(
+        self, capsys, monkeypatch, command, flag, size
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "count_table", refuse)
+        monkeypatch.setattr(counting, "count_table", refuse)
+        code, out, err = run(capsys, command, "--parts", "all", flag, str(size))
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: must be between 0 and {MAX_N}" in err
+
+    def test_ceiling_admits_the_largest_benchmarked_count(self):
+        assert MAX_N >= 2**20
 
     def test_missing_subcommand_is_one(self, capsys):
         assert run(capsys, )[0] == 1

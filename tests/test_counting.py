@@ -160,6 +160,10 @@ class TestFiniteCoprimeParts:
         assert finite_coprime_parts(ALL_PARTS, NAT_MULTS) is None
         assert finite_coprime_parts(Finite((2, 3)), Finite((0, 1))) is None
 
+    def test_finite_coprime_is_a_table_fact(self):
+        assert count_table(5, Finite((3, 2))).finite_coprime == FiniteCoprimeSet((2, 3))
+        assert count_table(5, ALL_PARTS).finite_coprime is None
+
 
 class TestValidation:
     def test_parts_with_zero_rejected(self):

@@ -1,9 +1,12 @@
 """Suite runner plumbing.  The heavy per-suite content is exercised by the
 acceptance gate; this file checks the result type and registry behave."""
 
+import hashlib
+import json
+
 import pytest
 
-from partlab import bounds, suites
+from partlab import bounds, counting, suites
 from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
@@ -81,55 +84,140 @@ def test_slow_growth_scans_match_plain_loops(monkeypatch):
 
 
 def _pointwise_column(bound_id, table, digits=bounds.DEFAULT_DIGITS):
-    """One certified_leq / certified_geq per applicable n, no blocks."""
+    """One verdict per applicable n, no blocks and no shared columns: an
+    exact value compared directly, an enclosed term by one certified_leq /
+    certified_geq."""
     b = bounds.BOUND_REGISTRY[bound_id]
-    certify = bounds.certified_leq if b.direction == "upper" else bounds.certified_geq
+    upper = b.direction == "upper"
+    certify = bounds.certified_leq if upper else bounds.certified_geq
     column = [None] * (table.upto + 1)
     for n in range(table.upto + 1):
-        if b.applies(n, table):
-            exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+        if b.direction == "asymptotic" or not b.applies(n, table):
+            continue
+        exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+        if b.enclosure is None:
+            value = b.value(n, table, digits)
+            column[n] = exact <= value if upper else exact >= value
+        else:
             column[n] = certify(exact, lambda n=n: b.enclosure(n, table), digits)
     return column
 
 
-# Violations planted in each suite's certified range: inside a large block,
-# on both sides of the first split, and at the last n.  debruijn's applicable
-# n are 2, 4, ..., 8192, so its first split falls between 4096 and 4098;
-# the classical bounds are blocked on [5, 2000], split between 1002 and 1003.
-# Each entry: table size, planted n, planted value, the check they fail.
+def _set(ns, value):
+    def plant(vals):
+        for n in ns:
+            vals[n] = value
+    return plant
+
+
+def _shift(k, by):
+    """Move `by` from p(k) to p(k + 1): the cumulative count drops at k alone."""
+    def plant(vals):
+        vals[k] -= by
+        vals[k + 1] += by
+    return plant
+
+
+def _plants(*plants):
+    def plant(vals):
+        for p in plants:
+            p(vals)
+    return plant
+
+
+_CLASSICAL_BLOCK_EDGES = (1002, 1003, 1500, 2000)
+
+# Each case: suite, table size, the parts of the planted table (None: every
+# table of that size), the plant, the asserted failures as (n, first word of
+# the expected text), and the onsets.  Transcendental violations sit inside
+# a large block, on both sides of the first split and at the last n.
+# debruijn's applicable n are 2, 4, ..., 8192, so its first split falls
+# between 4096 and 4098; the classical bounds are blocked on [5, 2000],
+# split between 1002 and 1003.  In refined-onset, p(5) = 0 fails both of
+# refined's halves below their asserted ranges, and eq10's flat prefix of
+# zeros keeps n <= 6 records that fail below its asserted range: onsets
+# count failures that are not asserted.  monotone-lb has no case: a planted
+# floor violation makes its table decrease, and then the suite skips the pair.
 PLANTED = {
     "debruijn": (
-        2 * suites.DEBRUIJN_LIMIT, (6002, 4096, 4098, 2 * suites.DEBRUIJN_LIMIT), 10**200,
-        "p(2n) <= exp(log(2n+1) log2(2n))",
+        "debruijn", 2 * suites.DEBRUIJN_LIMIT, None,
+        _set((6002, 4096, 4098, 2 * suites.DEBRUIJN_LIMIT), 10**200),
+        [(n, "p(2n)") for n in (4096, 4098, 6002, 8192)], {},
     ),
-    "sqrt-lower": (suites.SQRT_LIMIT, (1500, 1002, 1003, 2000), 1, ">= e^(sqrt n)/n"),
+    "sqrt-lower": (
+        "sqrt-lower", suites.SQRT_LIMIT, None, _set(_CLASSICAL_BLOCK_EDGES, 1),
+        [(n, ">=") for n in _CLASSICAL_BLOCK_EDGES], {"sqrt_lower": 2001},
+    ),
     "refined": (
-        suites.REFINED_LIMIT, (1500, 1002, 1003, 2000), 1, ">= e^(2 sqrt n)/(2 pi n^2)",
+        "refined", suites.REFINED_LIMIT, None, _set(_CLASSICAL_BLOCK_EDGES, 1),
+        [(n, ">=") for n in _CLASSICAL_BLOCK_EDGES] * 2,
+        {"refined": 2001, "classical_refined": 2001},
+    ),
+    "refined-onset": (
+        "refined", suites.REFINED_LIMIT, None, _set((5,), 0), [],
+        {"refined": 6, "classical_refined": 6},
+    ),
+    "eq4": (
+        "eq4", suites.EQ4_LIMIT, "finite:2,3", _set((0, 150, 200), 10**60),
+        [(n, "<=") for n in (0, 150, 200)], {},
+    ),
+    "padberg": (
+        "padberg", suites.PADBERG_LIMIT, "finite:2,3", _plants(_shift(0, 1), _shift(300, 200)),
+        [(0, ">="), (300, ">=")], {},
+    ),
+    "padberg-singleton": (
+        "padberg", suites.PADBERG_LIMIT, "finite:1",
+        _plants(_shift(250, 1), _set((400,), 2)),
+        [(250, ">="), (250, "equality")] + [(n, "equality") for n in range(400, 501)], {},
+    ),
+    "eq10": (
+        "eq10", suites.EQ10_LIMIT, "finite:2,3", _set(range(7), 0), [], {"eq10": 7},
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PLANTED))
-def test_block_certification_matches_pointwise_on_planted_failures(monkeypatch, name):
-    upto, planted_ns, value, expected = PLANTED[name]
-    real = suites.count_table
+# sha256 of each planted report (json.dumps with sorted keys), recorded from
+# the per-suite comparison loops that the shared column scan replaced: the
+# failure texts, inputs, case counts and onsets are theirs.
+PLANTED_REPORT_SHA256 = {
+    "debruijn": "40f3b702d7cce3df41daf322a7ae4d568e3c0662c788aba34f28f755fd3ce79e",
+    "eq10": "15f52a821b90aab746599e5632fc74539f41abf099725ed1fe18bb8696473e40",
+    "eq4": "58afd382ee649cab8f040458e3ac8a97d915a0a2298497b727e0b4e289c84805",
+    "padberg": "8b424c2c3821e324b03c8e620ca1c83174f5ec3da4bd7b6e9bb163f5e7347a47",
+    "padberg-singleton": "ff0ed2defeabecd1c38a8787e9c51a5c2e924b7de21bdefb37687f62b8cc1d35",
+    "refined": "b3416505f62244e540f7f53acb11e81cb1cc20093fb8cf22864602a3ed7d45e1",
+    "refined-onset": "9e12083c9342a6c78153c0aa891d83398d1f97602c13827048448ed61da9442f",
+    "sqrt-lower": "4c6a55f434f53783c52c24776abcb948095d65c6f257d910a286eb3018c7d3b9",
+}
+
+
+def _planted_report(monkeypatch, case):
+    name, upto, parts_spec, plant, _, _ = PLANTED[case]
 
     def planted(n, parts, mults=suites.NAT_MULTS):
-        table = real(n, parts, mults)
-        if n != upto:
+        table = counting.count_table(n, parts, mults)
+        if n != upto or parts_spec not in (None, str(parts)):
             return table
         vals = list(table.values)
-        for k in planted_ns:
-            vals[k] = value
+        plant(vals)
         return CountTable(parts, mults, tuple(vals))
 
     monkeypatch.setattr(suites, "count_table", planted)
-    blocks = run_suite(name).to_json_dict()
+    return run_suite(name).to_json_dict()
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_block_certification_matches_pointwise_on_planted_failures(monkeypatch, case):
+    failures, onsets = PLANTED[case][4:]
+    blocks = _planted_report(monkeypatch, case)
     monkeypatch.setattr(bounds, "verdict_column", _pointwise_column)
-    pointwise = run_suite(name).to_json_dict()
+    pointwise = _planted_report(monkeypatch, case)
     assert blocks == pointwise
-    failed = [f["inputs"]["n"] for f in blocks["failures"] if f["expected"] == expected]
-    assert failed == sorted(planted_ns)
+    got = [(f["inputs"]["n"], f["expected"].split()[0]) for f in blocks["failures"]]
+    assert got == failures
+    assert blocks["onsets"] == onsets
+    digest = hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
+    assert digest == PLANTED_REPORT_SHA256[case]
 
 
 @pytest.mark.parametrize("name", ["sqrt-lower", "refined", "debruijn", "harmonic-chain"])
