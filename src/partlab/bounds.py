@@ -11,7 +11,8 @@ Two value families, kept strictly apart:
   under iv, it gives an outward-rounded enclosure, and a verdict is
   claimed only when the exact side clears the whole enclosure, so it
   would survive any amount of extra precision.  When an enclosure is too
-  wide to decide, precision is escalated.
+  wide to decide, precision is escalated, from DEFAULT_DIGITS up to
+  MAX_DIGITS.
 
 Directions are from the point of view of the exact count: an "upper"
 bound claims exact <= value, a "lower" bound claims exact >= value.  The
@@ -20,11 +21,11 @@ count for padberg, p(n) / n^A(n) for harmonic_chain).
 
 Whether a registry bound holds is decided in one place, per table.  Each
 bound has two columns over the n of a table, built on first use and kept
-on the table (CountTable.bound_columns), so they belong to its values and
-not to (parts, mults):
+on the table (CountTable.bound_columns, keyed by (kind, bound id)), so
+they belong to its values and not to (parts, mults):
 
 * value_column: _Bound.value at every n the bound applies to, None
-  elsewhere;
+  elsewhere, transcendental values at DEFAULT_DIGITS;
 * verdict_column: the verdict at every applicable n, None elsewhere and
   for asymptotic reference values.  An exact value is compared with the
   exact side directly.  An enclosed term never decreases from its
@@ -61,6 +62,10 @@ from .arith import FiniteCoprimeSet, gcd_of_set
 from .counting import CountTable, count_table, has_all_multiplicities
 from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
 
+# The working precision is fixed, not an option.  Values are shown at 12
+# digits (cli.DISPLAY_DIGITS), which 50 covers with room to spare, and a
+# verdict starts at 50 and escalates by itself, up to MAX_DIGITS, until the
+# enclosure decides it; a starting precision changes neither.
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 3200
 
@@ -469,7 +474,7 @@ class _Bound:
 
     direction: str  # "upper" | "lower" | "asymptotic"
     applies: Callable  # (n, table) -> bool
-    value: Callable  # (n, table, digits) -> int | Fraction | HighPrecisionReal
+    value: Callable  # (n, table) -> int | Fraction | HighPrecisionReal
     # (n, table) -> iv enclosure the verdict is certified against; None when
     # the value is exact and compared directly
     enclosure: Callable | None = None
@@ -500,35 +505,37 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     "product_upper": _Bound(
         "upper",
         lambda n, t: True,
-        lambda n, t, d: product_upper_column(t.upto, t.parts, t.mults)[n],
+        lambda n, t: product_upper_column(t.upto, t.parts, t.mults)[n],
     ),
     "monotone_lower": _Bound(
         "lower",
         lambda n, t: 1 <= n < t.nondecreasing_prefix,
-        lambda n, t, d: monotone_lower_bound(n, t.parts, t.mults),
+        lambda n, t: monotone_lower_bound(n, t.parts, t.mults),
     ),
     "schur": _Bound(
         "asymptotic",
         lambda n, t: t.finite_coprime is not None,
-        lambda n, t, d: schur_asymptotic(n, t.finite_coprime),
+        lambda n, t: schur_asymptotic(n, t.finite_coprime),
     ),
     "hrr": _Bound(
         "asymptotic",
         _classical,
-        lambda n, t, d: hrr_leading_term(n, d),
+        lambda n, t: hrr_leading_term(n),
     ),
     "debruijn_upper": _Bound(
         "upper",
         lambda n, t: n >= 2 and n % 2 == 0 and has_all_multiplicities(t.mults)
         and t.parts == Powers(2),
-        lambda n, t, d: _hp(lambda: mpmath.exp(debruijn_upper_bound(n // 2, d).value), d),
+        lambda n, t: _hp(
+            lambda: mpmath.exp(debruijn_upper_bound(n // 2).value), DEFAULT_DIGITS
+        ),
         enclosure=lambda n, t: iv.exp(debruijn_log_term(iv, n // 2)),
         increasing_from=2,
     ),
     "harmonic_chain": _Bound(
         "upper",
         lambda n, t: n >= 1 and has_all_multiplicities(t.mults),
-        lambda n, t, d: harmonic_chain_bound(n, t.parts, d, harmonic_numbers(t.upto)[n]),
+        lambda n, t: harmonic_chain_bound(n, t.parts, h=harmonic_numbers(t.upto)[n]),
         # n^A(n) is exact, so it is divided out and only e^(H_n) is enclosed
         enclosure=lambda n, t: exp_harmonic_term(iv, harmonic_numbers(t.upto)[n]),
         bounded=lambda n, t: Fraction(t.values[n], n ** t.parts.count_leq(n)),
@@ -537,65 +544,63 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     "sqrt_lower": _Bound(
         "lower",
         _classical,
-        lambda n, t, d: classical_sqrt_lower(n, d),
+        lambda n, t: classical_sqrt_lower(n),
         enclosure=lambda n, t: sqrt_lower_term(iv, n),
         increasing_from=5,
     ),
     "classical_refined": _Bound(
         "lower",
         _classical,
-        lambda n, t, d: classical_refined_comparison(n, d),
+        lambda n, t: classical_refined_comparison(n),
         enclosure=lambda n, t: classical_refined_term(iv, n),
         increasing_from=5,
     ),
     "padberg": _Bound(
         "lower",
         lambda n, t: t.finite_coprime is not None,
-        lambda n, t, d: padberg_lower(n, t.finite_coprime),
+        lambda n, t: padberg_lower(n, t.finite_coprime),
         bounded=lambda n, t: t.prefix_sums[n],  # the cumulative count
     ),
     "eq10": _Bound(
         "lower",
         lambda n, t: t.finite_coprime is not None and t.record_flags[n],
-        lambda n, t, d: schur_style_point_lower(n, t.finite_coprime),
+        lambda n, t: schur_style_point_lower(n, t.finite_coprime),
     ),
     "refined": _Bound(
         "lower",
         lambda n, t: n >= 1 and has_all_multiplicities(t.mults) and _can_refine(n, t.parts),
-        lambda n, t, d: refined_lower_bound(n, t.parts),
+        lambda n, t: refined_lower_bound(n, t.parts),
     ),
     "slow_growth": _Bound(
         "asymptotic",
         lambda n, t: n >= 16,
-        lambda n, t, d: slow_growth_closed_form(n, d),
+        lambda n, t: slow_growth_closed_form(n),
     ),
 }
 BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 
-def value_column(bound_id: str, table: CountTable, digits: int = DEFAULT_DIGITS) -> list:
+def value_column(bound_id: str, table: CountTable) -> list:
     """The value of a registry bound at every n of table, None where it
     does not apply; built on first use and kept on the table."""
-    key = ("value", bound_id, digits)
+    key = ("value", bound_id)
     columns = table.bound_columns
     if key not in columns:
         b = BOUND_REGISTRY[bound_id]
         columns[key] = [
-            b.value(n, table, digits) if b.applies(n, table) else None
+            b.value(n, table) if b.applies(n, table) else None
             for n in range(table.upto + 1)
         ]
     return columns[key]
 
 
-def verdict_column(
-    bound_id: str, table: CountTable, digits: int = DEFAULT_DIGITS
-) -> list[bool | None]:
+def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
     """The verdict of a registry bound at every n of table, None where it
     does not apply and for asymptotic reference values: an exact value is
     compared directly, an enclosed term is certified by blocks from the
     bound's increasing_from on and pointwise below it.  Built on first use
     and kept on the table."""
-    key = ("verdict", bound_id, digits)
+    key = ("verdict", bound_id)
     columns = table.bound_columns
     if key in columns:
         return columns[key]
@@ -609,16 +614,16 @@ def verdict_column(
         certify = certified_leq if upper else certified_geq
         start = bisect_left(ns, b.increasing_from)
         verdicts = [
-            certify(e, lambda n=n: b.enclosure(n, table), digits)
+            certify(e, lambda n=n: b.enclosure(n, table))
             for n, e in zip(ns[:start], exact[:start])
         ]
         verdicts += certify_increasing(
-            ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper, digits
+            ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper
         )
         for n, ok in zip(ns, verdicts):
             column[n] = ok
     elif b.direction != "asymptotic":
-        for n, v in enumerate(value_column(bound_id, table, digits)):
+        for n, v in enumerate(value_column(bound_id, table)):
             if v is not None:
                 exact = bounded(n, table)
                 column[n] = exact <= v if upper else exact >= v
@@ -627,10 +632,7 @@ def verdict_column(
 
 
 def bound_report(
-    table: CountTable,
-    n: int,
-    bound_ids: list[str] | None = None,
-    digits: int = DEFAULT_DIGITS,
+    table: CountTable, n: int, bound_ids: list[str] | None = None
 ) -> BoundReport:
     """The requested bounds at one n against the exact count, read from
     each bound's value and verdict columns."""
@@ -639,10 +641,10 @@ def bound_report(
         if bid not in BOUND_REGISTRY:
             raise ValueError(f"unknown bound id {bid!r}")
         direction = BOUND_REGISTRY[bid].direction
-        value = value_column(bid, table, digits)[n]
+        value = value_column(bid, table)[n]
         if value is None:
             entries.append(BoundEntry(bid, direction, False))
         else:
-            verdict = verdict_column(bid, table, digits)[n]
+            verdict = verdict_column(bid, table)[n]
             entries.append(BoundEntry(bid, direction, True, value, verdict))
     return BoundReport(n, table.values[n], tuple(entries))

@@ -19,7 +19,6 @@ from statistics import linear_regression
 
 import mpmath
 
-from . import bounds
 from .arith import (
     FiniteCoprimeSet,
     coprime_prefix,
@@ -35,7 +34,6 @@ from .setspec import (
     SpecSyntaxError,
     construct_sparse_set,
     parse_set_spec,
-    validate_step_table,
 )
 from .suites import SUITES, run_all, run_suite
 
@@ -68,7 +66,7 @@ def _build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_N}, got {n}")
         return n
 
-    def common(p, parts=False, mults=False, n=False, upto=False, fmt=True, prec=True):
+    def common(p, parts=False, mults=False, n=False, upto=False):
         if parts:
             p.add_argument("--parts", required=True, help="part-set spec")
         if mults:
@@ -77,12 +75,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--n", type=size, required=True)
         if upto:
             p.add_argument("--upto", type=size, required=True)
-        if fmt:
-            p.add_argument(
-                "--format", choices=("table", "csv", "json"), default="table"
-            )
-        if prec:
-            p.add_argument("--precision", type=int, default=bounds.DEFAULT_DIGITS)
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("count", help="exact p(n; parts, mults)")
@@ -93,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bounds", help="comma-separated bound ids; see below")
 
     p = sub.add_parser("analyze", help="gcd, coprime prefix, representability")
-    common(p, parts=True, prec=False)
+    common(p, parts=True)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     common(p)
@@ -101,7 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--list", action="store_true", help="list suites and parameters")
 
     p = sub.add_parser("explore", help="zero pattern and growth summary")
-    common(p, parts=True, mults=True, upto=True, prec=False)
+    common(p, parts=True, mults=True, upto=True)
 
     p = sub.add_parser("sparse", help="build a sparse anchors file from a step table")
     p.add_argument("epsilon_file", help="lines 'threshold value', ascending")
@@ -126,13 +119,11 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _check_precision(args) -> int:
-    digits = getattr(args, "precision", bounds.DEFAULT_DIGITS)
-    if digits < 10:
-        raise UsageError("--precision must be at least 10")
-    if digits > bounds.MAX_DIGITS:
-        raise UsageError(f"--precision must be at most {bounds.MAX_DIGITS}")
-    return digits
+def _csv(rows) -> str:
+    """Comma-joined rows, None as an empty cell."""
+    return "".join(
+        ",".join("" if c is None else str(c) for c in row) + "\n" for row in rows
+    )
 
 
 def _format_value(v) -> str:
@@ -147,7 +138,6 @@ def _format_value(v) -> str:
 # Subcommands
 
 def cmd_count(args) -> int:
-    _check_precision(args)
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
     value = count_partitions(args.n, parts, mults)
@@ -161,7 +151,7 @@ def cmd_count(args) -> int:
             }
         )
     elif args.format == "csv":
-        payload = f"n,count\n{args.n},{value}\n"
+        payload = _csv([("n", "count"), (args.n, value)])
     else:
         payload = f"{value}\n"
     _emit(payload, args.out)
@@ -181,19 +171,18 @@ def _parse_bound_ids(text: str | None) -> list[str]:
 
 
 def cmd_table(args) -> int:
-    digits = _check_precision(args)
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
     bound_ids = _parse_bound_ids(args.bounds)
     table = count_table(args.upto, parts, mults)
-    reports = [
-        bound_report(table, n, bound_ids, digits) if bound_ids else None
+    entries = [
+        bound_report(table, n, bound_ids).entries if bound_ids else ()
         for n in range(args.upto + 1)
     ]
 
     if args.format == "json":
         rows = []
-        for n in range(args.upto + 1):
+        for n, row_entries in enumerate(entries):
             row = {"count": str(table.values[n]), "n": n}
             if bound_ids:
                 row["bounds"] = {
@@ -203,7 +192,7 @@ def cmd_table(args) -> int:
                         "satisfied": e.satisfied,
                         "value": _format_value(e.value) if e.applicable else None,
                     }
-                    for e in reports[n].entries
+                    for e in row_entries
                 }
             rows.append(row)
         payload = _json(
@@ -214,33 +203,24 @@ def cmd_table(args) -> int:
                 "upto": args.upto,
             }
         )
-    elif args.format == "csv":
-        header = "n,count" + "".join(f",{b}" for b in bound_ids)
-        lines = [header]
-        for n in range(args.upto + 1):
-            cells = [str(n), str(table.values[n])]
-            if bound_ids:
-                for e in reports[n].entries:
-                    cells.append(_format_value(e.value) if e.applicable else "")
-            lines.append(",".join(cells))
-        payload = "\n".join(lines) + "\n"
     else:
-        header = ["n", "count"] + bound_ids
-        body = []
-        for n in range(args.upto + 1):
-            cells = [str(n), str(table.values[n])]
-            if bound_ids:
-                for e in reports[n].entries:
-                    cells.append(_format_value(e.value) if e.applicable else "-")
-            body.append(cells)
-        widths = [
-            max(len(header[i]), max(len(r[i]) for r in body))
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for cells in body:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
-        payload = "\n".join(lines) + "\n"
+        # one row builder for both renderings; None marks an inapplicable
+        # bound.  Rows are made as they are rendered, so CSV holds one at a time.
+        def rows():
+            yield ["n", "count", *bound_ids]
+            for n, row_entries in enumerate(entries):
+                yield [str(n), str(table.values[n])] + [
+                    _format_value(e.value) if e.applicable else None for e in row_entries
+                ]
+
+        if args.format == "csv":
+            payload = _csv(rows())
+        else:
+            shown = [["-" if c is None else c for c in row] for row in rows()]
+            widths = [max(map(len, column)) for column in zip(*shown)]
+            payload = "".join(
+                "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in shown
+            )
     _emit(payload, args.out)
     return 0
 
@@ -268,13 +248,13 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         payload = _json(info)
     elif args.format == "csv":
-        lines = ["key,value"]
+        rows = [("key", "value")]
         for key in sorted(info):
             v = info[key]
             if key == "coprime_prefix":
                 v = "prefix " + " ".join(str(e) for e in v["elements"])
-            lines.append(f"{key},{str(v).lower() if isinstance(v, bool) else v}")
-        payload = "\n".join(lines) + "\n"
+            rows.append((key, str(v).lower() if isinstance(v, bool) else v))
+        payload = _csv(rows)
     else:
         lines = [f"parts: {info['parts']}", f"gcd: {g}"]
         lines.append(f"eventually-positive: {'yes' if g == 1 else 'no'}")
@@ -294,7 +274,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    digits = _check_precision(args)
     if args.list:
         lines = []
         for name, (_, description, params) in SUITES.items():
@@ -304,9 +283,9 @@ def cmd_verify(args) -> int:
         return 0
     name = args.suite or "all"
     if name == "all":
-        results = run_all(digits)
+        results = run_all()
     elif name in SUITES:
-        results = [run_suite(name, digits)]
+        results = [run_suite(name)]
     else:
         raise UsageError(f"unknown suite {name!r}; see 'verify --list'")
 
@@ -363,12 +342,15 @@ def cmd_explore(args) -> int:
             }
         )
     elif args.format == "csv":
-        lines = ["key,value"]
-        lines.append(f"zero_count,{len(zeros)}")
-        lines.append(f"max_count,{max_count}")
-        lines.append(f"max_index,{max_index}")
-        lines.append(f"slope,{'' if slope is None else f'{slope:.4f}'}")
-        payload = "\n".join(lines) + "\n"
+        payload = _csv(
+            [
+                ("key", "value"),
+                ("zero_count", len(zeros)),
+                ("max_count", max_count),
+                ("max_index", max_index),
+                ("slope", None if slope is None else f"{slope:.4f}"),
+            ]
+        )
     else:
         lines = [
             f"p(n) = 0 at {len(zeros)} of {args.upto} positive n",
@@ -409,7 +391,6 @@ def cmd_sparse(args) -> int:
             raise UsageError(
                 f"{args.epsilon_file}:{i}: expected integers, got {text!r}"
             ) from None
-    validate_step_table(entries)
     sset = construct_sparse_set(entries, source=args.out)
     anchor_lines = "\n".join(str(a) for a in sset.anchors) + "\n"
     if args.out:

@@ -100,7 +100,7 @@ class CountTable:
     @cached_property
     def bound_columns(self) -> dict:
         """The value and verdict columns of registry bounds, keyed by
-        (kind, bound id, digits); bounds fills it on first use, so a column
+        (kind, bound id); bounds fills it on first use, so a column
         belongs to these values and not to (parts, mults)."""
         return {}
 

@@ -394,17 +394,14 @@ def validate_step_table(table: list[tuple[int, int]]) -> None:
 
 
 def construct_sparse_set(
-    epsilon: list[tuple[int, int]],
-    count: int | None = None,
-    source: str | None = None,
+    epsilon: list[tuple[int, int]], source: str | None = None
 ) -> SparseConstructed:
     """Build anchors a_1 < a_2 < ... with a_i the least x > a_{i-1} where
     epsilon(x) >= i + 1.
 
     For the resulting set S the counting function A(n) = |S inter [1, n]|
     then satisfies A(n) + 1 <= epsilon(n) for every n >= a_1 inside the
-    tabulated range, because epsilon is nondecreasing.  With count given,
-    raises when the table cannot supply that many anchors.
+    tabulated range, because epsilon is nondecreasing.
     """
     validate_step_table(epsilon)
     anchors: list[int] = []
@@ -420,12 +417,6 @@ def construct_sparse_set(
             break
         anchors.append(max(prev + 1, hit))
         prev = anchors[-1]
-        if count is not None and len(anchors) == count:
-            break
-    if count is not None and len(anchors) < count:
-        raise InvalidSetError(
-            f"epsilon table supports only {len(anchors)} anchors, {count} requested"
-        )
     if not anchors:
         raise InvalidSetError("epsilon table never reaches 2; no anchors exist")
     return SparseConstructed(tuple(anchors), source=source)

@@ -3,8 +3,10 @@
 Each suite checks one documented property of the counting engine against
 the bound evaluators at fixed desk-scale parameters.  Parameters are
 embedded constants (shown by `verify --list`) so a run is reproducible
-from the suite name alone.  Suites collect failures instead of raising;
-every failure carries the inputs needed to reproduce it.
+from the suite name alone; real arithmetic runs at bounds.DEFAULT_DIGITS
+and certification escalates past it by itself.  Suites collect failures
+instead of raising; every failure carries the inputs needed to reproduce
+it.
 
 Every suite that checks a registry bound over a range of n (eq4,
 monotone-lb, harmonic-chain, padberg, eq10, refined, sqrt-lower,
@@ -108,21 +110,21 @@ def _onset(verdicts: list) -> int:
 
 
 def _scan(
-    res: SuiteResult, bound_id: str, table, inputs, digits: int,
+    res: SuiteResult, bound_id: str, table, inputs,
     start: int = 0, expected: str | None = None, got=None,
 ) -> int:
     """Check registry bound bound_id at every applicable n >= start of
     table, one case each, and return its onset.  A failure records
     inputs(n), the expected text (by default the bound's direction and
     value) and got[n] (by default p(n))."""
-    verdicts = bounds.verdict_column(bound_id, table, digits)
+    verdicts = bounds.verdict_column(bound_id, table)
     op = "<=" if bounds.BOUND_REGISTRY[bound_id].direction == "upper" else ">="
     for n, ok in enumerate(verdicts[start:], start):
         if ok is None:
             continue
         res.cases += 1
         if not ok:
-            text = expected or f"{op} {bounds.value_column(bound_id, table, digits)[n]}"
+            text = expected or f"{op} {bounds.value_column(bound_id, table)[n]}"
             res.failures.append(SuiteFailure(inputs(n), text, str((got or table.values)[n])))
     return _onset(verdicts)
 
@@ -133,13 +135,13 @@ def _scan(
 EQ4_LIMIT = 200
 
 
-def suite_product_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_product_ceiling() -> SuiteResult:
     """Every exact count stays at or below the truncated product of
     multiplicity counts; all corpus pairs, n <= 200."""
     res = SuiteResult("eq4")
     for pair in CORPUS:
         table = count_table(EQ4_LIMIT, pair.parts, pair.mults)
-        _scan(res, "product_upper", table, lambda n: _inputs(pair, n), digits)
+        _scan(res, "product_upper", table, lambda n: _inputs(pair, n))
     return res
 
 
@@ -147,7 +149,7 @@ EQ5_N_LIMIT = 30
 EQ5_TABLE_LIMIT = EQ5_N_LIMIT * EQ5_N_LIMIT
 
 
-def suite_average_witness(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_average_witness() -> SuiteResult:
     """Some r <= n^2 has p(r) at least product/(n^2+1); all corpus pairs,
     n <= 30 (tables to 900)."""
     res = SuiteResult("eq5")
@@ -167,7 +169,7 @@ def suite_average_witness(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
 MONOTONE_LIMIT = 200
 
 
-def suite_monotone_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_monotone_floor() -> SuiteResult:
     """For corpus pairs whose table is nondecreasing on [0, 200], the
     averaged square-root product floor holds at every n in [1, 200]."""
     res = SuiteResult("monotone-lb")
@@ -177,7 +179,7 @@ def suite_monotone_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
         if not table.is_nondecreasing():
             continue
         applicable.append(pair.label)
-        _scan(res, "monotone_lower", table, lambda n: _inputs(pair, n), digits)
+        _scan(res, "monotone_lower", table, lambda n: _inputs(pair, n))
     res.extras["nondecreasing_pairs"] = ",".join(applicable)
     return res
 
@@ -185,7 +187,7 @@ def suite_monotone_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
 SCHUR_CHECKS = "123@2000 within 1%, 357@5000 ratio in [0.9,1.1], deviation shrinks over 500/1000/2000"
 
 
-def suite_polynomial_ratio(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_polynomial_ratio() -> SuiteResult:
     """Finite coprime part sets grow like n^(k-1)/((k-1)! prod a): exact
     ratio checks at fixed n, all in rational arithmetic."""
     res = SuiteResult("schur")
@@ -224,16 +226,16 @@ def suite_polynomial_ratio(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
 HRR_RANGE = (200, 500)
 
 
-def suite_exponential_ratio(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_exponential_ratio() -> SuiteResult:
     """Classical counts sit in [0.9, 1.0] of the exponential leading term
     on [200, 500], with the ratio strictly increasing at 200/300/500."""
     res = SuiteResult("hrr")
     table = count_table(HRR_RANGE[1], ALL_PARTS)
     probes = {}
-    with mp.workdps(digits):
+    with mp.workdps(bounds.DEFAULT_DIGITS):
         lo, hi = mpmath.mpf("0.9"), mpmath.mpf("1.0")
         for n in range(HRR_RANGE[0], HRR_RANGE[1] + 1):
-            ratio = mpmath.mpf(table.values[n]) / bounds.hrr_leading_term(n, digits).value
+            ratio = mpmath.mpf(table.values[n]) / bounds.hrr_leading_term(n).value
             res.check(
                 lo <= ratio <= hi,
                 {"parts": "all", "n": n},
@@ -256,7 +258,7 @@ DEBRUIJN_LIMIT = 2**12
 DEBRUIJN_RATIO_POINT = 2**16
 
 
-def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_binary_log_ceiling() -> SuiteResult:
     """Binary-partition counts respect the log ceiling log(2n+1)*log2(2n)
     up to n = 2^12; the log-count over the leading term at n = 2^16 lies
     in the documented loose band [0.3, 1.5]."""
@@ -264,12 +266,12 @@ def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
     table = count_table(2 * DEBRUIJN_LIMIT, Powers(2))
     _scan(
         res, "debruijn_upper", table, lambda n: {"parts": "pow:2", "mults": "nat", "n": n},
-        digits, expected="p(2n) <= exp(log(2n+1) log2(2n))",
+        expected="p(2n) <= exp(log(2n+1) log2(2n))",
     )
     big = count_table(2 * DEBRUIJN_RATIO_POINT, Powers(2))
-    with mp.workdps(digits):
+    with mp.workdps(bounds.DEFAULT_DIGITS):
         log_count = mpmath.log(mpmath.mpf(big.values[2 * DEBRUIJN_RATIO_POINT]))
-        lead = bounds.debruijn_leading_term(DEBRUIJN_RATIO_POINT, digits).value
+        lead = bounds.debruijn_leading_term(DEBRUIJN_RATIO_POINT).value
         ratio = log_count / lead
         ok = mpmath.mpf("0.3") <= ratio <= mpmath.mpf("1.5")
     res.extras["log_ratio_at_pow16"] = _nstr(ratio)
@@ -285,7 +287,7 @@ def suite_binary_log_ceiling(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
 CHAIN_LIMIT = 200
 
 
-def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_part_count_chain() -> SuiteResult:
     """p_S(n) <= n^A(n) e^(H_n) for every corpus part set with unrestricted
     multiplicities, n <= 200; comparisons divide out the exact n^A(n)."""
     res = SuiteResult("harmonic-chain")
@@ -294,7 +296,7 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
             continue
         table = count_table(CHAIN_LIMIT, pair.parts, NAT_MULTS)
         _scan(
-            res, "harmonic_chain", table, lambda n: _inputs(pair, n), digits,
+            res, "harmonic_chain", table, lambda n: _inputs(pair, n),
             expected="p / n^A(n) <= e^(H_n)",
         )
     return res
@@ -303,7 +305,7 @@ def suite_part_count_chain(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
 PADBERG_LIMIT = 500
 
 
-def suite_cumulative_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_cumulative_floor() -> SuiteResult:
     """Cumulative counts of finite coprime corpus sets dominate
     (n+1)^k/(k! prod a) up to n = 500, with equality throughout for {1}."""
     res = SuiteResult("padberg")
@@ -312,9 +314,9 @@ def suite_cumulative_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
             continue
         table = count_table(PADBERG_LIMIT, pair.parts)
         cumulative = table.prefix_sums
-        _scan(res, "padberg", table, lambda n: _inputs(pair, n), digits, got=cumulative)
+        _scan(res, "padberg", table, lambda n: _inputs(pair, n), got=cumulative)
         if table.finite_coprime.elements == (1,):
-            floors = bounds.value_column("padberg", table, digits)
+            floors = bounds.value_column("padberg", table)
             for n, floor in enumerate(floors):
                 res.check(
                     cumulative[n] == floor,
@@ -329,7 +331,7 @@ EQ10_LIMIT = 2000
 EQ10_ASSERT_FROM = 10
 
 
-def suite_record_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_record_floor() -> SuiteResult:
     """(n+1)^(k-1)/(k! prod a) holds at the record indices of each finite
     coprime corpus table; asserted on [10, 2000], onset reported."""
     res = SuiteResult("eq10")
@@ -339,7 +341,7 @@ def suite_record_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
             continue
         table = count_table(EQ10_LIMIT, pair.parts)
         onsets.append(
-            _scan(res, "eq10", table, lambda n: _inputs(pair, n), digits, EQ10_ASSERT_FROM)
+            _scan(res, "eq10", table, lambda n: _inputs(pair, n), EQ10_ASSERT_FROM)
         )
     res.onsets["eq10"] = max(onsets)
     return res
@@ -350,7 +352,7 @@ REFINED_ASSERT_FROM = 10
 REFINED_TRANSCENDENTAL_FROM = 100
 
 
-def suite_prefix_extension_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_prefix_extension_floor() -> SuiteResult:
     """(n+1)^(j-1)/(j! a_1..a_j) with j the least index where j a_j >= n,
     for unrestricted parts: asserted on [10, 2000].  The specialization
     e^(2 sqrt n)/(2 pi n^2) is asserted on [100, 2000].  Onsets and the
@@ -358,14 +360,14 @@ def suite_prefix_extension_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteRe
     res = SuiteResult("refined")
     table = count_table(REFINED_LIMIT, ALL_PARTS)
     inputs = lambda n: {"parts": "all", "n": n}
-    res.onsets["refined"] = _scan(res, "refined", table, inputs, digits, REFINED_ASSERT_FROM)
+    res.onsets["refined"] = _scan(res, "refined", table, inputs, REFINED_ASSERT_FROM)
     res.onsets["classical_refined"] = _scan(
-        res, "classical_refined", table, inputs, digits, REFINED_TRANSCENDENTAL_FROM,
+        res, "classical_refined", table, inputs, REFINED_TRANSCENDENTAL_FROM,
         expected=">= e^(2 sqrt n)/(2 pi n^2)",
     )
-    floors = bounds.value_column("refined", table, digits)
-    forms = bounds.value_column("classical_refined", table, digits)
-    with mp.workdps(digits):
+    floors = bounds.value_column("refined", table)
+    forms = bounds.value_column("classical_refined", table)
+    with mp.workdps(bounds.DEFAULT_DIGITS):
         ratios = [
             mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator) / form.value
             for fl, form in zip(floors[REFINED_ASSERT_FROM:], forms[REFINED_ASSERT_FROM:])
@@ -379,13 +381,13 @@ SQRT_LIMIT = 2000
 SQRT_ASSERT_FROM = 100
 
 
-def suite_sqrt_floor(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_sqrt_floor() -> SuiteResult:
     """e^(sqrt n)/n lower-bounds the classical count; asserted on
     [100, 2000] with the empirical onset reported."""
     res = SuiteResult("sqrt-lower")
     table = count_table(SQRT_LIMIT, ALL_PARTS)
     res.onsets["sqrt_lower"] = _scan(
-        res, "sqrt_lower", table, lambda n: {"parts": "all", "n": n}, digits,
+        res, "sqrt_lower", table, lambda n: {"parts": "all", "n": n},
         SQRT_ASSERT_FROM, expected=">= e^(sqrt n)/n",
     )
     return res
@@ -396,7 +398,7 @@ SLOW_GROWTH_FROM = 16
 SLOW_GROWTH_SLACK = 4
 
 
-def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_slow_growth() -> SuiteResult:
     """The doubly exponential pair stays below 4 (lg n)(lg lg n)^(lg lg n)
     on [16, 2^20] and vanishes at every odd n.  The ceiling is checked at
     the running-maximum indices of p, which suffices because the closed
@@ -428,12 +430,10 @@ def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
             best = vals[n]
             records.append(n)
     slack = mpmath.mpf(0)
-    with mp.workdps(digits):
+    with mp.workdps(bounds.DEFAULT_DIGITS):
         for n in records:
             ok = bounds.certified_leq(
-                vals[n],
-                lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n),
-                digits,
+                vals[n], lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n)
             )
             res.check(
                 ok,
@@ -441,7 +441,7 @@ def suite_slow_growth(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
                 f"<= {SLOW_GROWTH_SLACK} (lg n)(lg lg n)^(lg lg n)",
                 str(vals[n]),
             )
-            ratio = vals[n] / bounds.slow_growth_closed_form(n, digits).value
+            ratio = vals[n] / bounds.slow_growth_closed_form(n).value
             if ratio > slack:
                 slack = ratio
     res.extras["max_count"] = str(best)
@@ -456,7 +456,7 @@ CRITERION_LIMIT = 2000
 CRITERION_TAIL = 200
 
 
-def suite_increase_criterion(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_increase_criterion() -> SuiteResult:
     """The coprime-(k-1)-subset criterion agrees with observed behavior for
     every coprime set with elements <= 12 and k <= 4: eventually strictly
     increasing means the last non-increase sits before 2000 - 200."""
@@ -497,7 +497,7 @@ def suite_increase_criterion(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult
     return res
 
 
-def suite_sparse_construction(digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def suite_sparse_construction() -> SuiteResult:
     """Anchors built from the tabulated floor(lg lg x) satisfy
     A(n)+1 <= eps(n) on [a_1, 2^16], and the resulting part set keeps
     p(n) <= n^eps(n) there (checked directly in integer arithmetic)."""
@@ -607,16 +607,16 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def run_suite(name: str, digits: int = bounds.DEFAULT_DIGITS) -> SuiteResult:
+def run_suite(name: str) -> SuiteResult:
     try:
         fn = SUITES[name][0]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}") from None
     start = time.perf_counter()
-    result = fn(digits)
+    result = fn()
     result.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return result
 
 
-def run_all(digits: int = bounds.DEFAULT_DIGITS) -> list[SuiteResult]:
-    return [run_suite(name, digits) for name in SUITES]
+def run_all() -> list[SuiteResult]:
+    return [run_suite(name) for name in SUITES]

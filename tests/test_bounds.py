@@ -27,9 +27,12 @@ from partlab.bounds import (
     certify_increasing,
     check_existence_lower_bound,
     classical_refined_comparison,
+    classical_refined_term,
     classical_sqrt_lower,
     debruijn_leading_term,
+    debruijn_log_term,
     debruijn_upper_bound,
+    exp_harmonic_term,
     harmonic_chain_bound,
     harmonic_number,
     harmonic_numbers,
@@ -272,6 +275,19 @@ _TRANSCENDENTAL_PARTS = {
 }
 _FORMULA_LIMIT = 400
 
+# each transcendental registry bound's public evaluator, which takes the
+# precision, and the formula its enclosure is made from; debruijn_upper's
+# evaluator gives the log of the bound
+_EVALUATORS = {
+    "classical_refined": (classical_refined_comparison, classical_refined_term),
+    "debruijn_upper": (debruijn_upper_bound, debruijn_log_term),
+    "harmonic_chain": (
+        lambda n, digits: harmonic_chain_bound(n, Powers(2), digits),
+        lambda ctx, n: exp_harmonic_term(ctx, harmonic_number(n)),
+    ),
+    "sqrt_lower": (classical_sqrt_lower, sqrt_lower_term),
+}
+
 
 @cache
 def _formula_table(parts):
@@ -289,20 +305,33 @@ class TestOneFormula:
 
     @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
     @settings(max_examples=25, deadline=None)
-    @given(half_n=st.integers(1, _FORMULA_LIMIT // 2), digits=st.integers(15, 100))
-    def test_value_inside_enclosure(self, bid, half_n, digits):
+    @given(half_n=st.integers(1, _FORMULA_LIMIT // 2))
+    def test_value_inside_enclosure(self, bid, half_n):
         n = 2 * half_n if bid == "debruijn_upper" else half_n
         table = _formula_table(_TRANSCENDENTAL_PARTS[bid])
         bound = BOUND_REGISTRY[bid]
         assert bound.applies(n, table)
-        value = bound.value(n, table, digits)
-        assert value.digits == digits
+        value = bound.value(n, table)
+        assert value.digits == DEFAULT_DIGITS
         shown = value.value
         if bid == "harmonic_chain":
             # the exact factor n^A(n) is divided out before certification
-            with mpmath.workdps(digits):
+            with mpmath.workdps(DEFAULT_DIGITS):
                 shown = shown / n ** table.parts.count_leq(n)
-        assert _within_enclosure(shown, lambda: bound.enclosure(n, table), digits)
+        assert _within_enclosure(shown, lambda: bound.enclosure(n, table), DEFAULT_DIGITS)
+
+    @pytest.mark.parametrize("bid", sorted(_EVALUATORS))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, _FORMULA_LIMIT), digits=st.integers(15, 100))
+    def test_evaluator_inside_enclosure(self, bid, n, digits):
+        evaluate, term = _EVALUATORS[bid]
+        value = evaluate(n, digits)
+        assert value.digits == digits
+        shown = value.value
+        if bid == "harmonic_chain":
+            with mpmath.workdps(digits):
+                shown = shown / n ** Powers(2).count_leq(n)
+        assert _within_enclosure(shown, lambda: term(iv, n), digits)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(16, 2**80), digits=st.integers(15, 100))

@@ -7,15 +7,17 @@ the suite stays fast.
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partlab import cli, counting
-from partlab.bounds import BOUND_IDS, MAX_DIGITS
+from partlab import cli, counting, suites
+from partlab.bounds import BOUND_IDS
 from partlab.cli import MAX_N, main
+from partlab.suites import SuiteResult
 
 NON_UTF8 = bytes([0xFF, 0xFE, 0x00, 0x01])
 
@@ -76,32 +78,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 1
 
-    def test_low_precision_is_one(self, capsys):
-        code, _, _ = run(
-            capsys, "count", "--parts", "all", "--n", "5", "--precision", "5"
-        )
-        assert code == 1
-
     @pytest.mark.parametrize(
         "argv",
         [
+            ("count", "--parts", "all", "--n", "5"),
             ("table", "--parts", "pow:2", "--upto", "4", "--bounds", "debruijn_upper"),
             ("verify", "--suite", "eq10"),
         ],
-        ids=["table", "verify"],
+        ids=["count", "table", "verify"],
     )
-    def test_precision_above_ceiling_is_one(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--precision", str(MAX_DIGITS + 1))
+    def test_precision_is_not_an_option(self, capsys, argv):
+        # the working precision is fixed: values are shown at 12 digits and
+        # certification escalates by itself
+        code, out, err = run(capsys, *argv, "--precision", "50")
         assert code == 1
         assert out == ""
-        assert f"at most {MAX_DIGITS}" in err
-
-    def test_precision_at_ceiling_runs(self, capsys):
-        code, _, _ = run(
-            capsys, "table", "--parts", "pow:2", "--upto", "2",
-            "--bounds", "debruijn_upper", "--precision", str(MAX_DIGITS),
-        )
-        assert code == 0
+        assert "unrecognized arguments: --precision 50" in err
+        assert "Traceback" not in err
 
     def test_negative_n_is_one(self, capsys):
         code, _, _ = run(capsys, "count", "--parts", "all", "--n", "-3")
@@ -250,6 +243,25 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "--parts", "finite:3,4,5")
         assert "eventually-strictly-increasing: yes" in out
 
+    def test_csv(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", "--parts", "finite:6,10,15", "--format", "csv"
+        )
+        assert code == 0
+        assert out == (
+            "key,value\n"
+            "coprime_prefix,prefix 6 10 15\n"
+            "eventually_positive,true\n"
+            "frobenius_threshold,30\n"
+            "gcd,1\n"
+            "parts,finite:6,10,15\n"
+            "strictly_increasing,false\n"
+        )
+
+    def test_csv_without_coprime_facts(self, capsys):
+        _, out, _ = run(capsys, "analyze", "--parts", "ap:4,6", "--format", "csv")
+        assert out == "key,value\neventually_positive,false\ngcd,2\nparts,ap:4,6\n"
+
     def test_json(self, capsys):
         _, out, _ = run(
             capsys, "analyze", "--parts", "finite:6,10,15", "--format", "json"
@@ -286,8 +298,43 @@ class TestVerify:
         assert "PASS" in out
         assert "cases=1200" in out
 
+    def test_human_failures_truncated(self, capsys, monkeypatch):
+        # a planted suite with more failures than the human report lists
+        def planted():
+            res = SuiteResult("planted", onsets={"x": 5}, extras={"k": "v"})
+            for n in range(23):
+                res.check(False, {"label": "p", "n": n}, f"<= {n}", str(n + 1))
+            res.check(True, {"n": 23}, "", "")
+            return res
+
+        monkeypatch.setitem(suites.SUITES, "planted", (planted, "planted", "none"))
+        code, out, _ = run(capsys, "verify", "--suite", "planted")
+        assert code == 3
+        head, *rest = out.split("\n")
+        assert re.fullmatch(r"suite planted: FAIL \(23 failures\)  cases=24  \d+ ms", head)
+        assert rest == [
+            "  onset x: 5",
+            "  k: v",
+            *(f"  FAIL label=p n={n}: expected <= {n}, got {n + 1}" for n in range(20)),
+            "  ... 3 more",
+            "",
+        ]
+
 
 class TestExplore:
+    def test_csv(self, capsys):
+        code, out, _ = run(
+            capsys, "explore", "--parts", "finite:3,5", "--upto", "20", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "key,value\nzero_count,4\nmax_count,2\nmax_index,15\nslope,0.7171\n"
+
+    def test_csv_slope_not_estimable(self, capsys):
+        _, out, _ = run(
+            capsys, "explore", "--parts", "finite:5", "--upto", "3", "--format", "csv"
+        )
+        assert out == "key,value\nzero_count,3\nmax_count,1\nmax_index,0\nslope,\n"
+
     def test_zero_pattern(self, capsys):
         code, out, _ = run(
             capsys, "explore", "--parts", "finite:3,5", "--upto", "20"
@@ -323,6 +370,37 @@ class TestSparse:
         )
         assert code == 0
         assert out == "2\n"  # 272 = 16 + 256 and 16 * 17
+
+    def test_json_to_stdout(self, capsys, tmp_path):
+        table = tmp_path / "eps.txt"
+        table.write_text("4 1\n16 2\n256 3\n")
+        code, out, _ = run(capsys, "sparse", str(table), "--format", "json")
+        assert code == 0
+        assert out == '{\n  "anchors": [\n    16,\n    256\n  ],\n  "out": null\n}\n'
+
+    def test_json_with_out(self, capsys, tmp_path):
+        table = tmp_path / "eps.txt"
+        table.write_text("4 1\n16 2\n256 3\n")
+        anchors = tmp_path / "anchors.txt"
+        code, out, _ = run(
+            capsys, "sparse", str(table), "--format", "json", "--out", str(anchors)
+        )
+        assert code == 0
+        assert out == (
+            '{\n  "anchors": [\n    16,\n    256\n  ],\n'
+            f'  "out": "{anchors}",\n  "spec": "sparse:@{anchors}"\n}}\n'
+        )
+        assert anchors.read_text() == "16\n256\n"
+
+    def test_wrong_field_count_is_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("4 1\n16 2 7\n")
+        code, out, err = run(capsys, "sparse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"partlab: error: {bad}:2: expected 'threshold value', got '16 2 7'\n"
+        )
 
     def test_malformed_line_is_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -435,7 +513,7 @@ def _argv(draw):
     if command == "table" and draw(st.booleans()):
         ids = draw(st.lists(st.sampled_from(BOUND_IDS), min_size=1, max_size=3))
         argv += ["--bounds", ",".join(ids + ["bogus"] * odd_one_out())]
-    if command in ("count", "table", "verify") and draw(st.booleans()):
+    if odd_one_out():
         argv += ["--precision", str(draw(st.integers(0, 80)))]
     if draw(st.booleans()):
         argv += ["--format", pick(["table", "csv", "json"], ["xml"])]

@@ -1,11 +1,13 @@
 """DP counting engine against independent oracles and structural laws."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partlab
-from partlab import counting
+from partlab import bounds, counting
 from partlab.arith import FiniteCoprimeSet
 from partlab.counting import (
     BRUTE_FORCE_LIMIT,
@@ -208,6 +210,32 @@ class TestKernels:
         for parts, mults in PAIRS:
             dense = count_table(300, parts, mults, kernel=_dpcore_py)
             assert dense.values == count_table(300, parts, mults).values
+
+    def test_benchmark_bound_hooks(self):
+        # perfbench/tracer.py times as bound evaluation the public bounds
+        # functions that a registry value's code names (nested lambdas
+        # too), reads each interval evaluation's precision off
+        # interval_endpoints' second argument, and rebinds these
+        # module-level functions
+        public = {
+            name
+            for name, fn in vars(bounds).items()
+            if not name.startswith("_") and callable(fn) and not inspect.isclass(fn)
+            and getattr(fn, "__module__", None) == bounds.__name__
+        }
+        for bid, b in bounds.BOUND_REGISTRY.items():
+            assert inspect.isfunction(b.value), bid
+            names, codes = set(), [b.value.__code__]
+            for code in codes:
+                names.update(code.co_names)
+                codes.extend(c for c in code.co_consts if inspect.iscode(c))
+            assert names & public, bid
+        second = list(inspect.signature(bounds.interval_endpoints).parameters.values())[1]
+        assert second.name == "digits"
+        assert second.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        for fn in (bounds.certified_leq, bounds.certified_geq, bounds.bound_report):
+            assert inspect.isfunction(fn) and fn.__module__ == bounds.__name__
+            assert getattr(bounds, fn.__name__) is fn
 
     def test_spec_string_round_trip_pairs(self):
         # the same tables come out when specs go through the parser

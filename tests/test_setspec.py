@@ -253,9 +253,6 @@ class TestSparseConstruction:
         # table over 1..8 yields one anchor per target 2..8
         sset = construct_sparse_set([(i, i) for i in range(1, 9)])
         assert sset.anchors == (2, 3, 4, 5, 6, 7, 8)
-        assert construct_sparse_set(
-            [(i, i) for i in range(1, 9)], count=6
-        ).anchors == (2, 3, 4, 5, 6, 7)
 
     def test_builtin_table(self):
         sset = construct_sparse_set([(4, 1), (16, 2), (256, 3), (65536, 4)])
@@ -266,10 +263,6 @@ class TestSparseConstruction:
         sset = construct_sparse_set(table)
         for n in range(sset.anchors[0], 65537):
             assert sset.count_leq(n) + 1 <= step_function_value(table, n)
-
-    def test_requested_count_too_large(self):
-        with pytest.raises(InvalidSetError):
-            construct_sparse_set([(4, 1), (16, 2)], count=5)
 
     def test_empty_table(self):
         with pytest.raises(InvalidSetError):

@@ -83,7 +83,7 @@ def test_slow_growth_scans_match_plain_loops(monkeypatch):
     assert r.cases == (top + 1) // 2 + len(records)
 
 
-def _pointwise_column(bound_id, table, digits=bounds.DEFAULT_DIGITS):
+def _pointwise_column(bound_id, table):
     """One verdict per applicable n, no blocks and no shared columns: an
     exact value compared directly, an enclosed term by one certified_leq /
     certified_geq."""
@@ -96,10 +96,10 @@ def _pointwise_column(bound_id, table, digits=bounds.DEFAULT_DIGITS):
             continue
         exact = table.values[n] if b.bounded is None else b.bounded(n, table)
         if b.enclosure is None:
-            value = b.value(n, table, digits)
+            value = b.value(n, table)
             column[n] = exact <= value if upper else exact >= value
         else:
-            column[n] = certify(exact, lambda n=n: b.enclosure(n, table), digits)
+            column[n] = certify(exact, lambda n=n: b.enclosure(n, table))
     return column
 
 
@@ -218,10 +218,3 @@ def test_block_certification_matches_pointwise_on_planted_failures(monkeypatch, 
     assert blocks["onsets"] == onsets
     digest = hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
     assert digest == PLANTED_REPORT_SHA256[case]
-
-
-@pytest.mark.parametrize("name", ["sqrt-lower", "refined", "debruijn", "harmonic-chain"])
-def test_reports_do_not_depend_on_precision(name):
-    # certified verdicts never flip with precision, so neither does a report
-    reports = [run_suite(name, digits).to_json_dict() for digits in (10, 50, 400)]
-    assert reports[0] == reports[1] == reports[2]
