@@ -12,7 +12,9 @@ Two value families, kept strictly apart:
   claimed only when the exact side clears the whole enclosure, so it
   would survive any amount of extra precision.  When an enclosure is too
   wide to decide, precision is escalated, from DEFAULT_DIGITS up to
-  MAX_DIGITS.
+  MAX_DIGITS.  No function but the escalation step interval_endpoints
+  takes a precision: a verdict does not depend on where it starts, and
+  values are computed at DEFAULT_DIGITS.
 
 Directions are from the point of view of the exact count: an "upper"
 bound claims exact <= value, a "lower" bound claims exact >= value.  The
@@ -59,7 +61,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
-from .counting import CountTable, count_table, has_all_multiplicities
+from .counting import CountTable, has_all_multiplicities
 from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
 
 # The working precision is fixed, not an option.  Values are shown at 12
@@ -71,13 +73,12 @@ MAX_DIGITS = 3200
 
 
 class HighPrecisionReal(NamedTuple):
-    """An mpmath value tagged with the decimal precision it was computed at."""
+    """An mpmath value computed at DEFAULT_DIGITS."""
 
     value: mpmath.mpf
-    digits: int
 
     def __str__(self) -> str:
-        return mpmath.nstr(self.value, self.digits)
+        return mpmath.nstr(self.value, DEFAULT_DIGITS)
 
 
 class PrecisionError(ArithmeticError):
@@ -111,9 +112,8 @@ def _certify(
     exact: int | Fraction,
     builder: Callable[[], "iv.mpf"],
     want_leq: bool,
-    digits: int,
 ) -> bool:
-    d = digits
+    d = DEFAULT_DIGITS
     while d <= MAX_DIGITS:
         lo, hi = interval_endpoints(builder, d)
         if want_leq:
@@ -130,14 +130,14 @@ def _certify(
     raise PrecisionError(f"cannot separate {exact} from bound at {MAX_DIGITS} digits")
 
 
-def certified_leq(exact, builder, digits: int = DEFAULT_DIGITS) -> bool:
+def certified_leq(exact, builder) -> bool:
     """Rigorous verdict of exact <= bound; never flips with more precision."""
-    return _certify(exact, builder, True, digits)
+    return _certify(exact, builder, True)
 
 
-def certified_geq(exact, builder, digits: int = DEFAULT_DIGITS) -> bool:
+def certified_geq(exact, builder) -> bool:
     """Rigorous verdict of exact >= bound."""
-    return _certify(exact, builder, False, digits)
+    return _certify(exact, builder, False)
 
 
 def certify_increasing(
@@ -145,7 +145,6 @@ def certify_increasing(
     exact: list[int | Fraction],
     enclosure: Callable[[int], "iv.mpf"],
     upper: bool,
-    digits: int = DEFAULT_DIGITS,
 ) -> list[bool]:
     """Rigorous verdicts of exact[i] <= B(ns[i]) (upper) or exact[i] >=
     B(ns[i]) (lower) for every i, where enclosure(n) encloses B(n) and B
@@ -155,22 +154,22 @@ def certify_increasing(
     Interval Analysis, 1966): for an upper bound, exact[i] <= max
     exact[a..b] <= lo B(ns[a]) <= B(ns[i]); for a lower bound, exact[i] >=
     min exact[a..b] >= hi B(ns[b]) >= B(ns[i]).  Block checks run once, at
-    digits.  A block that does not settle is split in half, and a block of
-    one n goes to certified_leq / certified_geq, so a failing n, and any
-    PrecisionError, is exactly the pointwise one.
+    DEFAULT_DIGITS.  A block that does not settle is split in half, and a
+    block of one n goes to certified_leq / certified_geq, so a failing n,
+    and any PrecisionError, is exactly the pointwise one.
     """
     certify = certified_leq if upper else certified_geq
     verdicts: list = [None] * len(ns)
-    ends = {}  # index -> endpoints at digits; a block shares its edge with one half
+    ends = {}  # index -> endpoints; a block shares its edge with one half
     blocks = [(0, len(ns) - 1)] if ns else []
     while blocks:
         a, b = blocks.pop()
         if a == b:
-            verdicts[a] = certify(exact[a], lambda n=ns[a]: enclosure(n), digits)
+            verdicts[a] = certify(exact[a], lambda n=ns[a]: enclosure(n))
             continue
         edge = a if upper else b
         if edge not in ends:
-            ends[edge] = interval_endpoints(lambda n=ns[edge]: enclosure(n), digits)
+            ends[edge] = interval_endpoints(lambda n=ns[edge]: enclosure(n), DEFAULT_DIGITS)
         lo, hi = ends[edge]
         window = exact[a : b + 1]
         if (max(window) <= lo) if upper else (min(window) >= hi):
@@ -181,9 +180,9 @@ def certify_increasing(
     return verdicts
 
 
-def _hp(expr: Callable[[], mpmath.mpf], digits: int) -> HighPrecisionReal:
-    with mp.workdps(digits):
-        return HighPrecisionReal(expr(), digits)
+def _hp(expr: Callable[[], mpmath.mpf]) -> HighPrecisionReal:
+    with mp.workdps(DEFAULT_DIGITS):
+        return HighPrecisionReal(expr())
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,9 @@ class ExistenceWitness(NamedTuple):
     threshold: Fraction
 
 
-def check_existence_lower_bound(
-    n: int, parts: IntegerSetSpec, mults: IntegerSetSpec, table: CountTable | None = None
-) -> ExistenceWitness:
-    """Smallest r <= n^2 with p(r) >= prod M(n/a_i) / (n^2 + 1).
+def check_existence_lower_bound(n: int, table: CountTable) -> ExistenceWitness:
+    """Smallest r <= n^2 with p(r) >= prod M(n/a_i) / (n^2 + 1), read from a
+    table of the pair that reaches n^2.
 
     Such r always exists: the multiplicity assignments bounded by n/a_i
     produce prod M(n/a_i) partitions of integers <= n^2, so some value
@@ -230,9 +228,9 @@ def check_existence_lower_bound(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    threshold = Fraction(product_upper_bound(n, parts, mults), n * n + 1)
-    if table is None or table.upto < n * n:
-        table = count_table(n * n, parts, mults)
+    if table.upto < n * n:
+        raise ValueError(f"table reaches {table.upto}; the witness search needs {n * n}")
+    threshold = Fraction(product_upper_bound(n, table.parts, table.mults), n * n + 1)
     for r in range(n * n + 1):
         if table.values[r] >= threshold:
             return ExistenceWitness(r, table.values[r], threshold)
@@ -366,41 +364,36 @@ def slow_growth_term(ctx, n: int):
     return lg_n * ctx.power(lg_lg, lg_lg)
 
 
-def hrr_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def hrr_leading_term(n: int) -> HighPrecisionReal:
     """(1/(4 n sqrt(3))) exp(pi sqrt(2n/3)), the classical leading term."""
     if n < 1:
         raise ValueError("n must be positive")
     return _hp(
         lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(mpmath.mpf(2 * n) / 3))
-        / (4 * n * mpmath.sqrt(3)),
-        digits,
+        / (4 * n * mpmath.sqrt(3))
     )
 
 
-def debruijn_leading_term(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def debruijn_leading_term(n: int) -> HighPrecisionReal:
     """(1/(2 log 2)) (log(n / log n))^2: leading log-asymptotic of binary
     partitions of 2n.  Needs n >= 3 so log log n > 0."""
     if n < 3:
         raise ValueError("n must be at least 3")
     return _hp(
-        lambda: (mpmath.log(n / mpmath.log(n))) ** 2 / (2 * mpmath.log(2)),
-        digits,
+        lambda: (mpmath.log(n / mpmath.log(n))) ** 2 / (2 * mpmath.log(2))
     )
 
 
-def debruijn_upper_bound(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def debruijn_upper_bound(n: int) -> HighPrecisionReal:
     """log(2n+1) * log2(2n), an upper bound for log of the binary-partition
     count of 2n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(lambda: debruijn_log_term(mp, n), digits)
+    return _hp(lambda: debruijn_log_term(mp, n))
 
 
 def harmonic_chain_bound(
-    n: int,
-    parts: IntegerSetSpec,
-    digits: int = DEFAULT_DIGITS,
-    h: Fraction | None = None,
+    n: int, parts: IntegerSetSpec, h: Fraction | None = None
 ) -> HighPrecisionReal:
     """n^A(n) * e^(H_n) with A(n) the part-counting function; upper bound for
     p(n; parts, all multiplicities).  h is H_n when the caller has it."""
@@ -409,29 +402,29 @@ def harmonic_chain_bound(
     a_n = parts.count_leq(n)
     if h is None:
         h = harmonic_number(n)
-    return _hp(lambda: mpmath.mpf(n) ** a_n * exp_harmonic_term(mp, h), digits)
+    return _hp(lambda: mpmath.mpf(n) ** a_n * exp_harmonic_term(mp, h))
 
 
-def classical_sqrt_lower(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def classical_sqrt_lower(n: int) -> HighPrecisionReal:
     """e^sqrt(n) / n; holds for the classical p(n) once n is large enough."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(lambda: sqrt_lower_term(mp, n), digits)
+    return _hp(lambda: sqrt_lower_term(mp, n))
 
 
-def classical_refined_comparison(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def classical_refined_comparison(n: int) -> HighPrecisionReal:
     """e^(2 sqrt(n)) / (2 pi n^2): the refined lower bound specialized to
     parts = all positive integers."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(lambda: classical_refined_term(mp, n), digits)
+    return _hp(lambda: classical_refined_term(mp, n))
 
 
-def slow_growth_closed_form(n: int, digits: int = DEFAULT_DIGITS) -> HighPrecisionReal:
+def slow_growth_closed_form(n: int) -> HighPrecisionReal:
     """(lg n) (lg lg n)^(lg lg n) with base-2 logs; needs n >= 16."""
     if n < 16:
         raise ValueError("n must be at least 16")
-    return _hp(lambda: slow_growth_term(mp, n), digits)
+    return _hp(lambda: slow_growth_term(mp, n))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +519,7 @@ BOUND_REGISTRY: dict[str, _Bound] = {
         "upper",
         lambda n, t: n >= 2 and n % 2 == 0 and has_all_multiplicities(t.mults)
         and t.parts == Powers(2),
-        lambda n, t: _hp(
-            lambda: mpmath.exp(debruijn_upper_bound(n // 2).value), DEFAULT_DIGITS
-        ),
+        lambda n, t: _hp(lambda: mpmath.exp(debruijn_upper_bound(n // 2).value)),
         enclosure=lambda n, t: iv.exp(debruijn_log_term(iv, n // 2)),
         increasing_from=2,
     ),

@@ -11,6 +11,8 @@ a fixed display precision.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -120,10 +122,11 @@ def _json(obj) -> str:
 
 
 def _csv(rows) -> str:
-    """Comma-joined rows, None as an empty cell."""
-    return "".join(
-        ",".join("" if c is None else str(c) for c in row) + "\n" for row in rows
-    )
+    """Rows as CSV, None as an empty cell; a cell holding a comma (a spec
+    such as finite:6,10,15) is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _format_value(v) -> str:

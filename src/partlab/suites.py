@@ -157,7 +157,7 @@ def suite_average_witness() -> SuiteResult:
         table = count_table(EQ5_TABLE_LIMIT, pair.parts, pair.mults)
         for n in range(1, EQ5_N_LIMIT + 1):
             try:
-                w = bounds.check_existence_lower_bound(n, pair.parts, pair.mults, table)
+                w = bounds.check_existence_lower_bound(n, table)
                 ok = w.r <= n * n and w.witness >= w.threshold
                 got = f"r={w.r}, p(r)={w.witness}"
             except LookupError as exc:

@@ -1,6 +1,7 @@
 """Bound evaluators: exact rational values, high-precision terms with
 certified interval comparisons, and the per-n report."""
 
+import inspect
 import math
 from fractions import Fraction
 from functools import cache
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from partlab import bounds
 from partlab.arith import FiniteCoprimeSet, gcd_of_set
 from partlab.bounds import (
     BOUND_IDS,
@@ -99,30 +101,36 @@ class TestProductUpper:
 
 class TestExistenceWitness:
     def test_classical_n4(self):
-        w = check_existence_lower_bound(4, ALL_PARTS, NAT_MULTS)
+        w = check_existence_lower_bound(4, count_table(16, ALL_PARTS))
         assert w == ExistenceWitness(4, 5, Fraction(60, 17))
 
     def test_trivial_cases(self):
-        assert check_existence_lower_bound(1, ALL_PARTS, NAT_MULTS).r == 0
-        w = check_existence_lower_bound(3, Finite((2, 3)), NAT_MULTS)
+        assert check_existence_lower_bound(1, count_table(1, ALL_PARTS)).r == 0
+        w = check_existence_lower_bound(3, count_table(9, Finite((2, 3))))
         assert (w.r, w.threshold) == (0, Fraction(2, 5))
 
     def test_smallest_r(self):
         # every earlier index sits strictly below the threshold
         for n in (4, 6, 9):
-            w = check_existence_lower_bound(n, ALL_PARTS, NAT_MULTS)
             table = count_table(n * n, ALL_PARTS)
+            w = check_existence_lower_bound(n, table)
             assert all(table.values[r] < w.threshold for r in range(w.r))
             assert w.witness >= w.threshold
 
     def test_reuses_table(self):
+        # a table past n^2 is read as it is; the search stops at n^2
         table = count_table(100, ALL_PARTS)
-        w = check_existence_lower_bound(4, ALL_PARTS, NAT_MULTS, table=table)
-        assert w.r == 4
+        assert check_existence_lower_bound(4, table) == check_existence_lower_bound(
+            4, count_table(16, ALL_PARTS)
+        )
+
+    def test_rejects_short_table(self):
+        with pytest.raises(ValueError):
+            check_existence_lower_bound(4, count_table(15, ALL_PARTS))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            check_existence_lower_bound(0, ALL_PARTS, NAT_MULTS)
+            check_existence_lower_bound(0, count_table(1, ALL_PARTS))
 
 
 class TestMonotoneLower:
@@ -222,17 +230,11 @@ class TestHarmonic:
 class TestTranscendentalTerms:
     def test_hrr_values(self):
         hp = hrr_leading_term(100)
-        assert hp.digits == DEFAULT_DIGITS
         assert abs(hp.value / 199280893.3497 - 1) < 1e-10
         assert abs(hrr_leading_term(1).value - 1.876670423) < 1e-8
 
     def test_hrr_ratio_near_one(self):
         assert abs(hrr_leading_term(100).value / 190569292 - 1.0457136) < 1e-6
-
-    def test_precision_invariance(self):
-        a = hrr_leading_term(100, 50)
-        b = hrr_leading_term(100, 100)
-        assert mpmath.nstr(a.value, 40) == mpmath.nstr(b.value, 40)
 
     def test_debruijn_leading(self):
         assert abs(debruijn_leading_term(2**10).value - 18.000519) < 1e-5
@@ -256,13 +258,31 @@ class TestTranscendentalTerms:
             slow_growth_closed_form(15)
 
 
-def _within_enclosure(value, builder, digits):
-    """value (an mpf) lies in the enclosure builder() gives at digits,
-    widened by a relative 10^-(digits - 5)."""
+def test_only_the_escalation_step_takes_a_precision():
+    # a certified verdict does not depend on its starting precision, so
+    # values and verdicts are computed at DEFAULT_DIGITS and only the step
+    # the escalation repeats is handed one
+    public = [
+        fn
+        for name, fn in vars(bounds).items()
+        if not name.startswith("_") and callable(fn) and not inspect.isclass(fn)
+        and getattr(fn, "__module__", None) == bounds.__name__
+    ]
+    assert len(public) > 20
+    takes_digits = {
+        fn.__name__ for fn in public if "digits" in inspect.signature(fn).parameters
+    }
+    assert takes_digits == {"interval_endpoints"}
+    assert HighPrecisionReal._fields == ("value",)
+
+
+def _within_enclosure(value, builder):
+    """value (an mpf) lies in the enclosure builder() gives at
+    DEFAULT_DIGITS, widened by a relative 10^-(DEFAULT_DIGITS - 5)."""
     man, exp = value.man_exp
     v = Fraction(man) * Fraction(2) ** exp
-    lo, hi = interval_endpoints(builder, digits)
-    slack = Fraction(1, 10 ** (digits - 5))
+    lo, hi = interval_endpoints(builder, DEFAULT_DIGITS)
+    slack = Fraction(1, 10 ** (DEFAULT_DIGITS - 5))
     return lo - abs(lo) * slack <= v <= hi + abs(hi) * slack
 
 
@@ -275,14 +295,14 @@ _TRANSCENDENTAL_PARTS = {
 }
 _FORMULA_LIMIT = 400
 
-# each transcendental registry bound's public evaluator, which takes the
-# precision, and the formula its enclosure is made from; debruijn_upper's
-# evaluator gives the log of the bound
+# each transcendental registry bound's public evaluator and the formula its
+# enclosure is made from; debruijn_upper's evaluator gives the log of the
+# bound
 _EVALUATORS = {
     "classical_refined": (classical_refined_comparison, classical_refined_term),
     "debruijn_upper": (debruijn_upper_bound, debruijn_log_term),
     "harmonic_chain": (
-        lambda n, digits: harmonic_chain_bound(n, Powers(2), digits),
+        lambda n: harmonic_chain_bound(n, Powers(2)),
         lambda ctx, n: exp_harmonic_term(ctx, harmonic_number(n)),
     ),
     "sqrt_lower": (classical_sqrt_lower, sqrt_lower_term),
@@ -311,33 +331,29 @@ class TestOneFormula:
         table = _formula_table(_TRANSCENDENTAL_PARTS[bid])
         bound = BOUND_REGISTRY[bid]
         assert bound.applies(n, table)
-        value = bound.value(n, table)
-        assert value.digits == DEFAULT_DIGITS
-        shown = value.value
+        shown = bound.value(n, table).value
         if bid == "harmonic_chain":
             # the exact factor n^A(n) is divided out before certification
             with mpmath.workdps(DEFAULT_DIGITS):
                 shown = shown / n ** table.parts.count_leq(n)
-        assert _within_enclosure(shown, lambda: bound.enclosure(n, table), DEFAULT_DIGITS)
+        assert _within_enclosure(shown, lambda: bound.enclosure(n, table))
 
     @pytest.mark.parametrize("bid", sorted(_EVALUATORS))
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, _FORMULA_LIMIT), digits=st.integers(15, 100))
-    def test_evaluator_inside_enclosure(self, bid, n, digits):
+    @given(n=st.integers(1, _FORMULA_LIMIT))
+    def test_evaluator_inside_enclosure(self, bid, n):
         evaluate, term = _EVALUATORS[bid]
-        value = evaluate(n, digits)
-        assert value.digits == digits
-        shown = value.value
+        shown = evaluate(n).value
         if bid == "harmonic_chain":
-            with mpmath.workdps(digits):
+            with mpmath.workdps(DEFAULT_DIGITS):
                 shown = shown / n ** Powers(2).count_leq(n)
-        assert _within_enclosure(shown, lambda: term(iv, n), digits)
+        assert _within_enclosure(shown, lambda: term(iv, n))
 
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(16, 2**80), digits=st.integers(15, 100))
-    def test_slow_growth_inside_enclosure(self, n, digits):
-        value = slow_growth_closed_form(n, digits).value
-        assert _within_enclosure(value, lambda: slow_growth_term(iv, n), digits)
+    @given(n=st.integers(16, 2**80))
+    def test_slow_growth_inside_enclosure(self, n):
+        value = slow_growth_closed_form(n).value
+        assert _within_enclosure(value, lambda: slow_growth_term(iv, n))
 
 
 class TestCertification:
@@ -376,9 +392,19 @@ class TestCertification:
         assert not certified_geq(target, builder)
 
 
-def _pointwise(ns, exact, enclosure, upper, digits=DEFAULT_DIGITS):
+# B(n) = 1000 sqrt(n), which increases
+_SQRT_ENCLOSURE = lambda n: 1000 * iv.sqrt(iv.mpf(n))
+
+
+def _near_sqrt(ns, offsets):
+    """1000 sqrt(n) rounded down to 60 decimals, plus a whole offset: an
+    offset of 0 sits below B(n) by less than 10^-60."""
+    return [Fraction(math.isqrt(10**126 * n), 10**60) + off for n, off in zip(ns, offsets)]
+
+
+def _pointwise(ns, exact, enclosure, upper):
     certify = certified_leq if upper else certified_geq
-    return [certify(e, lambda n=n: enclosure(n), digits) for n, e in zip(ns, exact)]
+    return [certify(e, lambda n=n: enclosure(n)) for n, e in zip(ns, exact)]
 
 
 class TestFamilyCertification:
@@ -390,15 +416,37 @@ class TestFamilyCertification:
         offsets=st.lists(st.integers(-3, 3), min_size=1, max_size=120),
         first=st.integers(1, 10**6),
         upper=st.booleans(),
-        digits=st.sampled_from([10, 50]),
     )
-    def test_matches_pointwise(self, offsets, first, upper, digits):
-        # B(n) = 1000 sqrt(n) increases; exact sits a few units either side
+    def test_matches_pointwise(self, offsets, first, upper):
         ns = list(range(first, first + len(offsets)))
-        exact = [math.isqrt(10**6 * n) + off for n, off in zip(ns, offsets)]
-        enclosure = lambda n: 1000 * iv.sqrt(iv.mpf(n))
-        got = certify_increasing(ns, exact, enclosure, upper, digits)
-        assert got == _pointwise(ns, exact, enclosure, upper, digits)
+        exact = _near_sqrt(ns, offsets)
+        got = certify_increasing(ns, exact, _SQRT_ENCLOSURE, upper)
+        assert got == _pointwise(ns, exact, _SQRT_ENCLOSURE, upper)
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_tight_margins_split_and_escalate(self, monkeypatch, upper):
+        calls = []
+
+        def counted(builder, digits):
+            calls.append(digits)
+            return interval_endpoints(builder, digits)
+
+        # B grows by about 0.5 per step here, so offsets of 3 let some
+        # blocks settle at once; an offset of 0 is within 10^-60 of B, which
+        # the starting precision cannot separate
+        ns = list(range(10**6 + 1, 10**6 + 17))
+        offsets = [-3] * 7 + [0] + [-3] * 6 + [3, -3]
+        if not upper:
+            offsets = [-off for off in offsets]
+        exact = _near_sqrt(ns, offsets)
+        monkeypatch.setattr("partlab.bounds.interval_endpoints", counted)
+        got = certify_increasing(ns, exact, _SQRT_ENCLOSURE, upper)
+        family = calls[:]
+        calls.clear()
+        assert got == _pointwise(ns, exact, _SQRT_ENCLOSURE, upper)
+        # some block settled with one check, and some single n escalated
+        assert family.count(DEFAULT_DIGITS) < len(ns) == calls.count(DEFAULT_DIGITS)
+        assert max(family) > DEFAULT_DIGITS
 
     def test_wide_margin_settles_in_one_check(self, monkeypatch):
         calls = []
@@ -454,7 +502,7 @@ class TestMonotoneRanges:
         assert all(BOUND_REGISTRY[bid].enclosure is not None for bid in declared)
 
     def test_enclosure_needs_a_declared_range(self):
-        applies, value = (lambda n, t: True), (lambda n, t, d: 0)
+        applies, value = (lambda n, t: True), (lambda n, t: 0)
         enclosure = lambda n, t: iv.mpf(n)
         with pytest.raises(TypeError):
             _Bound("upper", applies, value, enclosure=enclosure)
@@ -547,7 +595,7 @@ def _fraction_product(n, parts, mults):
     return out
 
 
-def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
+def _oracle_entry(bid, table, n):
     """The BoundEntry for one bound at one n, from per-n formulas that use
     nothing table-wide: the rational-threshold product, harmonic_number(n),
     and sum, max and a nondecreasing scan over values[: n + 1]."""
@@ -575,18 +623,15 @@ def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
     if bid == "hrr":
         if not classical:
             return BoundEntry(bid, "asymptotic", False)
-        return BoundEntry(bid, "asymptotic", True, hrr_leading_term(n, digits))
+        return BoundEntry(bid, "asymptotic", True, hrr_leading_term(n))
     if bid == "debruijn_upper":
         if not (n >= 2 and n % 2 == 0 and nat and parts == Powers(2)):
             return BoundEntry(bid, "upper", False)
-        with mpmath.workdps(digits):
-            value = HighPrecisionReal(
-                mpmath.exp(debruijn_upper_bound(n // 2, digits).value), digits
-            )
+        with mpmath.workdps(DEFAULT_DIGITS):
+            value = HighPrecisionReal(mpmath.exp(debruijn_upper_bound(n // 2).value))
         ok = certified_leq(
             exact,
             lambda: iv.exp(iv.log(iv.mpf(n + 1)) * iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))),
-            digits,
         )
         return BoundEntry(bid, "upper", True, value, ok)
     if bid == "harmonic_chain":
@@ -596,19 +641,18 @@ def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
         ok = certified_leq(
             Fraction(exact, n ** parts.count_leq(n)),
             lambda: iv.exp(iv.mpf(h.numerator) / iv.mpf(h.denominator)),
-            digits,
         )
-        return BoundEntry(bid, "upper", True, harmonic_chain_bound(n, parts, digits), ok)
+        return BoundEntry(bid, "upper", True, harmonic_chain_bound(n, parts), ok)
     if bid in ("sqrt_lower", "classical_refined"):
         if not classical:
             return BoundEntry(bid, "lower", False)
         if bid == "sqrt_lower":
-            value = classical_sqrt_lower(n, digits)
+            value = classical_sqrt_lower(n)
             builder = lambda: iv.exp(iv.sqrt(iv.mpf(n))) / n
         else:
-            value = classical_refined_comparison(n, digits)
+            value = classical_refined_comparison(n)
             builder = lambda: iv.exp(2 * iv.sqrt(iv.mpf(n))) / (2 * iv.pi * n * n)
-        ok = certified_geq(exact, builder, digits)
+        ok = certified_geq(exact, builder)
         return BoundEntry(bid, "lower", True, value, ok)
     if bid == "padberg":
         if cset is None:
@@ -634,7 +678,7 @@ def _oracle_entry(bid, table, n, digits=DEFAULT_DIGITS):
     assert bid == "slow_growth"
     if n < 16:
         return BoundEntry(bid, "asymptotic", False)
-    return BoundEntry(bid, "asymptotic", True, slow_growth_closed_form(n, digits))
+    return BoundEntry(bid, "asymptotic", True, slow_growth_closed_form(n))
 
 
 ORACLE_PAIRS = [

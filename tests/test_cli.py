@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so coverage tools see it and
 the suite stays fast.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -254,13 +255,13 @@ class TestAnalyze:
             "eventually_positive,true\n"
             "frobenius_threshold,30\n"
             "gcd,1\n"
-            "parts,finite:6,10,15\n"
+            'parts,"finite:6,10,15"\n'
             "strictly_increasing,false\n"
         )
 
     def test_csv_without_coprime_facts(self, capsys):
         _, out, _ = run(capsys, "analyze", "--parts", "ap:4,6", "--format", "csv")
-        assert out == "key,value\neventually_positive,false\ngcd,2\nparts,ap:4,6\n"
+        assert out == 'key,value\neventually_positive,false\ngcd,2\nparts,"ap:4,6"\n'
 
     def test_json(self, capsys):
         _, out, _ = run(
@@ -351,6 +352,26 @@ class TestExplore:
         assert payload["max_index"] == 100
         assert payload["max_count"] == "190569292"
         assert payload["zeros"] == [] and payload["zero_count"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--parts", "finite:6,10,15", "--n", "45"),
+        ("table", "--parts", "finite:2,3", "--upto", "30", "--bounds", ",".join(BOUND_IDS)),
+        ("analyze", "--parts", "finite:6,10,15"),
+        ("analyze", "--parts", "ap:4,6"),
+        ("explore", "--parts", "finite:3,5", "--upto", "20"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_csv_rows_have_the_header_field_count(capsys, argv):
+    # a spec such as finite:6,10,15 in a cell must stay one field
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
 
 
 class TestSparse:
