@@ -20,7 +20,6 @@ from .setspec import (
     IntegerSetSpec,
     InvalidSetError,
     Powers,
-    SparseConstructed,
     WithZero,
 )
 
@@ -77,8 +76,6 @@ def gcd_of_set(spec: IntegerSetSpec) -> int:
     if isinstance(spec, DoublyExponential):
         # gcd(b, b^b, b^(b^2), ...) = b: every element is a multiple of b.
         return spec.base
-    if isinstance(spec, SparseConstructed):
-        return math.gcd(*spec.anchors)
     if isinstance(spec, WithZero):
         raise InvalidSetError("gcd_of_set applies to part sets, not multiplicity sets")
     raise TypeError(f"unknown set variant {type(spec).__name__}")

@@ -22,19 +22,19 @@ from statistics import linear_regression
 import mpmath
 
 from .arith import (
-    FiniteCoprimeSet,
     coprime_prefix,
     eventually_strictly_increasing,
     frobenius_threshold,
     gcd_of_set,
 )
 from .bounds import BOUND_IDS, HighPrecisionReal, bound_report
-from .counting import count_partitions, count_table
+from .counting import count_partitions, count_table, finite_coprime_parts
 from .setspec import (
-    Finite,
+    NAT_MULTS,
     InvalidSetError,
     SpecSyntaxError,
     construct_sparse_set,
+    parse_natural,
     parse_set_spec,
 )
 from .suites import SUITES, run_all, run_suite
@@ -63,12 +63,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def size(text: str) -> int:
-        n = int(text)  # a ValueError becomes argparse's "invalid value" error
+        # ASCII digits only, as in a spec; the SpecSyntaxError (a ValueError)
+        # becomes argparse's "invalid value" error
+        n = parse_natural(text)
         if not 0 <= n <= MAX_N:
             raise argparse.ArgumentTypeError(f"must be between 0 and {MAX_N}, got {n}")
         return n
 
-    def common(p, parts=False, mults=False, n=False, upto=False):
+    def common(
+        p, parts=False, mults=False, n=False, upto=False, formats=("table", "csv", "json")
+    ):
         if parts:
             p.add_argument("--parts", required=True, help="part-set spec")
         if mults:
@@ -77,7 +81,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--n", type=size, required=True)
         if upto:
             p.add_argument("--upto", type=size, required=True)
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("count", help="exact p(n; parts, mults)")
@@ -91,7 +95,7 @@ def _build_parser() -> _Parser:
     common(p, parts=True)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    common(p, formats=("table", "json"))
     p.add_argument("--suite", help="suite name, or 'all' (default)")
     p.add_argument("--list", action="store_true", help="list suites and parameters")
 
@@ -100,7 +104,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sparse", help="build a sparse anchors file from a step table")
     p.add_argument("epsilon_file", help="lines 'threshold value', ascending")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", help="anchors file to write (default stdout)")
 
     return parser
@@ -243,8 +247,8 @@ def cmd_analyze(args) -> int:
             "gcd_trace": list(trace.gcds),
             "length": trace.prefix_length,
         }
-    if isinstance(parts, Finite) and g == 1:
-        fc = FiniteCoprimeSet(parts.elements)
+    fc = finite_coprime_parts(parts, NAT_MULTS)
+    if fc is not None:
         info["frobenius_threshold"] = frobenius_threshold(fc)
         info["strictly_increasing"] = eventually_strictly_increasing(fc)
 
@@ -395,14 +399,14 @@ def cmd_sparse(args) -> int:
                 f"{args.epsilon_file}:{i}: expected integers, got {text!r}"
             ) from None
     sset = construct_sparse_set(entries, source=args.out)
-    anchor_lines = "\n".join(str(a) for a in sset.anchors) + "\n"
+    anchor_lines = "\n".join(str(a) for a in sset.elements) + "\n"
     if args.out:
         _emit(anchor_lines, args.out)
         if args.format == "json":
             sys.stdout.write(
                 _json(
                     {
-                        "anchors": list(sset.anchors),
+                        "anchors": list(sset.elements),
                         "out": args.out,
                         "spec": sset.spec_string(),
                     }
@@ -410,12 +414,12 @@ def cmd_sparse(args) -> int:
             )
         else:
             sys.stdout.write(
-                f"{len(sset.anchors)} anchors -> {args.out} "
-                f"(use --parts sparse:@{args.out})\n"
+                f"{len(sset.elements)} anchors -> {args.out} "
+                f"(use --parts {sset})\n"
             )
     else:
         if args.format == "json":
-            sys.stdout.write(_json({"anchors": list(sset.anchors), "out": None}))
+            sys.stdout.write(_json({"anchors": list(sset.elements), "out": None}))
         else:
             sys.stdout.write(anchor_lines)
     return 0

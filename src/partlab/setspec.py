@@ -16,7 +16,12 @@ Spec mini-language (ASCII, no whitespace):
     dexp:B         {B^(B^j) : j >= 0}                (B >= 2)
     nat            all nonnegative integers          (multiplicity sets)
     zero|SPEC      {0} union SPEC                    (multiplicity sets)
-    sparse:@FILE   anchors from FILE, one integer per line, ascending
+    sparse:@FILE   the finite set listed in FILE, one integer per line,
+                   ascending; the same set as finite: with those elements
+
+Integers are ASCII digits only, here and wherever partlab reads one from
+outside (parse_natural).  A finite set is one Finite however it is
+written: finite:, sparse:@FILE, or construct_sparse_set's result.
 
 Counting thresholds are integers: elements are integers, so a rational
 threshold such as M(n/a) is exactly M(n // a), and no floating point is
@@ -59,8 +64,9 @@ class IntegerSetSpec:
         raise NotImplementedError
 
     def count_leq(self, x: int) -> int:
-        """|{s in set : s <= x}|; a rational x counts as floor(x)."""
-        raise NotImplementedError
+        """|{s in set : s <= x}|; a rational x counts as floor(x).  Sets
+        with a closed form override this enumeration."""
+        return len(self.elements_upto(x))
 
     def spec_string(self) -> str:
         """Canonical text form, parseable by parse_set_spec."""
@@ -86,17 +92,18 @@ class IntegerSetSpec:
         return out
 
     def __str__(self) -> str:
-        """The spec string.  Only a sparse set built in memory has none; it
-        is finite, so it prints as all its elements, e.g. anchors:0,2,5,11."""
-        try:
-            return self.spec_string()
-        except InvalidSetError:
-            return "anchors:" + ",".join(str(a) for a in self.iter_elements())
+        return self.spec_string()
 
 
 @dataclass(frozen=True)
 class Finite(IntegerSetSpec):
+    """An explicit finite set, however it was written: finite:A,B,..,
+    sparse:@FILE or construct_sparse_set.  A set listed in a file keeps the
+    path as its source, which only its spec string uses and which does not
+    take part in equality."""
+
     elements: tuple[int, ...]
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(set(int(e) for e in self.elements)))
@@ -113,6 +120,8 @@ class Finite(IntegerSetSpec):
         return bisect_right(self.elements, x)
 
     def spec_string(self):
+        if self.source is not None:
+            return f"sparse:@{self.source}"
         return "finite:" + ",".join(str(e) for e in self.elements)
 
 
@@ -171,14 +180,6 @@ class Powers(IntegerSetSpec):
             yield v
             v *= self.base
 
-    def count_leq(self, x):
-        n = 0
-        v = 1
-        while v <= x:
-            n += 1
-            v *= self.base
-        return n
-
     def spec_string(self):
         return f"pow:{self.base}"
 
@@ -198,14 +199,6 @@ class DoublyExponential(IntegerSetSpec):
         while True:
             yield v
             v = v**self.base
-
-    def count_leq(self, x):
-        n = 0
-        v = self.base
-        while v <= x:
-            n += 1
-            v = v**self.base
-        return n
 
     def spec_string(self):
         return f"dexp:{self.base}"
@@ -234,36 +227,6 @@ class WithZero(IntegerSetSpec):
         if self.inner == AllFrom(1):
             return "nat"
         return "zero|" + self.inner.spec_string()
-
-
-@dataclass(frozen=True)
-class SparseConstructed(IntegerSetSpec):
-    """A finite anchor list produced by construct_sparse_set or loaded from file.
-
-    The source path is bookkeeping only and does not take part in equality.
-    """
-
-    anchors: tuple[int, ...]
-    source: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        anchors = tuple(int(a) for a in self.anchors)
-        if not anchors:
-            raise InvalidSetError("sparse set must have at least one anchor")
-        if anchors[0] < 1 or any(b <= a for a, b in zip(anchors, anchors[1:])):
-            raise InvalidSetError("anchors must be strictly increasing positive integers")
-        object.__setattr__(self, "anchors", anchors)
-
-    def iter_elements(self):
-        return iter(self.anchors)
-
-    def count_leq(self, x):
-        return bisect_right(self.anchors, x)
-
-    def spec_string(self):
-        if self.source is None:
-            raise InvalidSetError("sparse set has no source file; save anchors first")
-        return f"sparse:@{self.source}"
 
 
 ALL_PARTS = AllFrom(1)
@@ -311,17 +274,29 @@ def _parse_int_list(text: str, pos: int) -> tuple[list[int], int]:
     return values, pos
 
 
-def _load_anchor_file(path: str) -> SparseConstructed:
+def parse_natural(text: str) -> int:
+    """A whole string of ASCII digits as an integer, the rule of the spec
+    language for integers read from outside the program; raises
+    SpecSyntaxError for anything else (signs, underscores, other digits)."""
+    value, end = _parse_int(text, 0)
+    if end != len(text):
+        raise SpecSyntaxError(f"trailing input {text[end:]!r}", end)
+    return value
+
+
+def _load_anchor_file(path: str) -> Finite:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSetError(f"cannot read anchors file {path}: {exc}") from exc
     try:
-        anchors = [int(ln) for ln in lines]
+        anchors = [parse_natural(ln) for ln in lines]
     except ValueError as exc:
         raise InvalidSetError(f"anchors file {path} must hold one integer per line") from exc
-    return SparseConstructed(tuple(anchors), source=path)
+    if any(b <= a for a, b in zip([0, *anchors], anchors)):
+        raise InvalidSetError("anchors must be strictly increasing positive integers")
+    return Finite(tuple(anchors), source=path)
 
 
 def _parse(text: str, pos: int) -> tuple[IntegerSetSpec, int]:
@@ -395,7 +370,7 @@ def validate_step_table(table: list[tuple[int, int]]) -> None:
 
 def construct_sparse_set(
     epsilon: list[tuple[int, int]], source: str | None = None
-) -> SparseConstructed:
+) -> Finite:
     """Build anchors a_1 < a_2 < ... with a_i the least x > a_{i-1} where
     epsilon(x) >= i + 1.
 
@@ -419,4 +394,4 @@ def construct_sparse_set(
         prev = anchors[-1]
     if not anchors:
         raise InvalidSetError("epsilon table never reaches 2; no anchors exist")
-    return SparseConstructed(tuple(anchors), source=source)
+    return Finite(tuple(anchors), source=source)

@@ -504,15 +504,15 @@ def suite_sparse_construction() -> SuiteResult:
     res = SuiteResult("sparse-construction")
     eps_table = BUILTIN_EPSILON_TABLE
     sset = construct_sparse_set(eps_table)
-    res.extras["anchors"] = ",".join(str(a) for a in sset.anchors)
+    res.extras["anchors"] = ",".join(str(a) for a in sset.elements)
     limit = eps_table[-1][0]
-    a1 = sset.anchors[0]
+    a1 = sset.elements[0]
     for n in range(a1, limit + 1):
         eps = step_function_value(eps_table, n)
         count = sset.count_leq(n)
         res.check(
             count + 1 <= eps,
-            {"parts": "anchors:" + res.extras["anchors"], "n": n},
+            {"parts": str(sset), "n": n},
             f"A(n)+1 <= {eps}",
             f"A(n)={count}",
         )
@@ -521,7 +521,7 @@ def suite_sparse_construction() -> SuiteResult:
         eps = step_function_value(eps_table, n)
         res.check(
             table.values[n] <= n**eps,
-            {"parts": "anchors:" + res.extras["anchors"], "mults": "nat", "n": n},
+            {"parts": str(sset), "mults": "nat", "n": n},
             f"<= n^{eps}",
             str(table.values[n]),
         )

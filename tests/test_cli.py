@@ -101,6 +101,27 @@ class TestExitCodes:
         code, _, _ = run(capsys, "count", "--parts", "all", "--n", "-3")
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", "+10", " 10", "\u00b2"])
+    @pytest.mark.parametrize("flag", ["--n", "--upto"])
+    def test_size_takes_ascii_digits_only(self, capsys, flag, text):
+        # the rule of the spec language: finite:\u0661\u0660 is refused as well
+        command = "count" if flag == "--n" else "table"
+        code, out, err = run(capsys, command, "--parts", "all", flag, text)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: invalid size value" in err
+
+    @pytest.mark.parametrize("argv", [("verify", "--suite", "eq4"), ("verify", "--list"),
+                                      ("sparse", "EPS")], ids=["verify", "list", "sparse"])
+    def test_csv_is_not_a_format_of_verify_or_sparse(self, capsys, tmp_path, argv):
+        eps = tmp_path / "eps.txt"
+        eps.write_text("4 1\n16 2\n")
+        argv = [str(eps) if a == "EPS" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "argument --format: invalid choice: 'csv'" in err
+
     @pytest.mark.parametrize("size", [MAX_N + 1, 10**19])
     @pytest.mark.parametrize(
         "command,flag", [("count", "--n"), ("table", "--upto"), ("explore", "--upto")]
@@ -444,6 +465,14 @@ class TestSparse:
         assert out == ""
         assert "cannot read" in err
 
+    def test_non_ascii_anchor_line_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "anchors.txt"
+        bad.write_text("\u0661\u0666\n", encoding="utf-8")
+        code, out, err = run(capsys, "count", "--parts", f"sparse:@{bad}", "--n", "16")
+        assert code == 2
+        assert out == ""
+        assert "must hold one integer per line" in err
+
     def test_non_utf8_anchors_file_is_two(self, capsys, tmp_path):
         bad = tmp_path / "anchors.txt"
         bad.write_bytes(NON_UTF8)
@@ -482,6 +511,47 @@ class TestOutFile:
         assert code == 1
         assert out == ""
         assert f"cannot write {out_path}" in err
+
+
+# -- a finite set gives the same output however it is written ---------------
+
+def test_sparse_spelling_of_finite_2_3_matches_the_snapshot(capsys, tmp_path):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("2\n3\n")
+    code, out, _ = run(
+        capsys,
+        "table", "--parts", f"sparse:@{anchors}", "--upto", "60",
+        "--bounds", ",".join(BOUND_IDS), "--format", "csv",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_BOUNDS_CSV_SHA256["finite:2,3"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    elements=st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True).map(sorted),
+    upto=st.integers(0, 40),
+)
+def test_finite_and_sparse_spellings_agree(tmp_path_factory, elements, upto):
+    anchors = tmp_path_factory.mktemp("sparse") / "anchors.txt"
+    anchors.write_text("".join(f"{e}\n" for e in elements))
+    spellings = ("finite:" + ",".join(map(str, elements)), f"sparse:@{anchors}")
+
+    def output(*argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+
+    tables = [
+        output("table", "--parts", parts, "--upto", str(upto),
+               "--bounds", ",".join(BOUND_IDS), "--format", "csv")
+        for parts in spellings
+    ]
+    assert tables[0] == tables[1]
+    analyses = [output("analyze", "--parts", parts).split("\n") for parts in spellings]
+    assert [lines[0] for lines in analyses] == [f"parts: {p}" for p in spellings]
+    assert analyses[0][1:] == analyses[1][1:]
 
 
 # -- the contract on generated argv: exit 0/1/2/3, never an exception --------

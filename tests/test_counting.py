@@ -29,7 +29,6 @@ from partlab.setspec import (
     Finite,
     InvalidSetError,
     Powers,
-    SparseConstructed,
     WithZero,
     parse_set_spec,
 )
@@ -258,8 +257,8 @@ _positive_sets = st.one_of(
     st.builds(ArithmeticProgression, st.integers(1, 9), st.integers(1, 9)),
     st.integers(2, 5).map(Powers),
     st.integers(2, 3).map(DoublyExponential),
-    st.lists(st.integers(1, 60), min_size=1, max_size=5, unique=True).map(
-        lambda xs: SparseConstructed(tuple(sorted(xs)))
+    st.lists(st.integers(1, 60), min_size=1, max_size=5).map(
+        lambda xs: Finite(tuple(xs), source="anchors.txt")
     ),
 )
 _mult_sets = st.one_of(
@@ -307,7 +306,7 @@ class TestDispatch:
         ],
     )
     def test_sparse_then_dense_matches_oracle(self, monkeypatch, parts, mults, upto, goes_dense):
-        parts = (SparseConstructed((16, 256, 65536)) if parts == "anchors"
+        parts = (Finite((16, 256, 65536), source="anchors.txt") if parts == "anchors"
                  else parse_set_spec(parts, "parts"))
         mults = parse_set_spec(mults, "mults")
         calls = {"sparse": 0, "dense": 0}

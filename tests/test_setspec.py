@@ -16,10 +16,10 @@ from partlab.setspec import (
     Finite,
     InvalidSetError,
     Powers,
-    SparseConstructed,
     SpecSyntaxError,
     WithZero,
     construct_sparse_set,
+    parse_natural,
     parse_set_spec,
     step_function_value,
     validate_step_table,
@@ -36,7 +36,7 @@ VARIANTS = [
     DoublyExponential(2),
     WithZero(DoublyExponential(2)),
     WithZero(AllFrom(1)),
-    SparseConstructed((16, 256, 65536)),
+    Finite((16, 256, 65536), source="anchors.txt"),
 ]
 
 
@@ -58,14 +58,6 @@ SPEC_TEXTS = st.one_of(
 )
 
 
-def _variant_id(spec):
-    # sourceless sparse sets have no spec string, fall back to the type
-    try:
-        return spec.spec_string()
-    except InvalidSetError:
-        return type(spec).__name__
-
-
 class TestCountLeq:
     def test_powers_of_two(self):
         assert Powers(2).count_leq(Fraction(10)) == 4  # {1, 2, 4, 8}
@@ -82,14 +74,14 @@ class TestCountLeq:
         assert s.count_leq(Fraction(5, 2)) == 2
         assert s.count_leq(Fraction(3)) == 3
 
-    @pytest.mark.parametrize("spec", VARIANTS, ids=_variant_id)
+    @pytest.mark.parametrize("spec", VARIANTS, ids=str)
     @pytest.mark.parametrize("bound", [0, 1, 2, 7, 16, 100, 65536])
     def test_matches_enumeration(self, spec, bound):
         elems = spec.elements_upto(bound)
         assert spec.count_leq(Fraction(bound)) == len(elems)
         assert elems == sorted(set(elems))
 
-    @pytest.mark.parametrize("spec", VARIANTS, ids=_variant_id)
+    @pytest.mark.parametrize("spec", VARIANTS, ids=str)
     def test_nondecreasing_in_x(self, spec):
         counts = [spec.count_leq(Fraction(x, 2)) for x in range(0, 60)]
         assert counts == sorted(counts)
@@ -136,14 +128,20 @@ class TestValidation:
         with pytest.raises(InvalidSetError):
             WithZero(Finite((0, 2)))
 
-    def test_sparse_anchors_must_increase(self):
-        with pytest.raises(InvalidSetError):
-            SparseConstructed((16, 16))
+    def test_sparse_anchors_must_increase(self, tmp_path):
+        # Finite sorts and merges its elements; a file must list them so
+        for text in ("16\n16\n", "256\n16\n", "0\n16\n"):
+            path = tmp_path / "anchors.txt"
+            path.write_text(text)
+            with pytest.raises(InvalidSetError, match="strictly increasing"):
+                parse_set_spec(f"sparse:@{path}", "parts")
 
     def test_sparse_source_excluded_from_equality(self):
-        a = SparseConstructed((2, 5), source="a.txt")
-        b = SparseConstructed((2, 5), source="b.txt")
-        assert a == b
+        a = Finite((2, 5), source="a.txt")
+        b = Finite((2, 5), source="b.txt")
+        assert a == b == Finite((2, 5))
+        assert hash(a) == hash(Finite((2, 5)))
+        assert a.spec_string() == "sparse:@a.txt"
 
 
 class TestParser:
@@ -228,12 +226,31 @@ class TestParser:
         path = tmp_path / "anchors.txt"
         path.write_text("16\n256\n65536\n")
         spec = parse_set_spec(f"sparse:@{path}", "parts")
-        assert spec.anchors == (16, 256, 65536)
+        assert spec == Finite((16, 256, 65536))
+        assert spec.spec_string() == f"sparse:@{path}"
         assert parse_set_spec(spec.spec_string(), "parts") == spec
 
     def test_sparse_missing_file(self, tmp_path):
         with pytest.raises(InvalidSetError):
             parse_set_spec(f"sparse:@{tmp_path}/nope.txt", "parts")
+
+    @pytest.mark.parametrize("line", ["\u0661\u0666", "1_6", "+16", "-16", "16.0", "0x10"])
+    def test_anchor_lines_take_ascii_digits_only(self, tmp_path, line):
+        # the spec language's rule: finite:\u0661\u0666 is a syntax error too
+        path = tmp_path / "anchors.txt"
+        path.write_text(f"2\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidSetError, match="one integer per line"):
+            parse_set_spec(f"sparse:@{path}", "parts")
+
+    def test_empty_anchors_file(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        path.write_text("\n")
+        with pytest.raises(InvalidSetError, match="nonempty"):
+            parse_set_spec(f"sparse:@{path}", "parts")
+
+    @pytest.mark.parametrize("text,value", [("0", 0), ("10", 10), ("007", 7)])
+    def test_parse_natural(self, text, value):
+        assert parse_natural(text) == value
 
 
 class TestDoublyExponentialCounting:
@@ -252,16 +269,16 @@ class TestSparseConstruction:
         # anchor i is the first x with epsilon(x) >= i + 1, so the identity
         # table over 1..8 yields one anchor per target 2..8
         sset = construct_sparse_set([(i, i) for i in range(1, 9)])
-        assert sset.anchors == (2, 3, 4, 5, 6, 7, 8)
+        assert sset.elements == (2, 3, 4, 5, 6, 7, 8)
 
     def test_builtin_table(self):
         sset = construct_sparse_set([(4, 1), (16, 2), (256, 3), (65536, 4)])
-        assert sset.anchors == (16, 256, 65536)
+        assert sset.elements == (16, 256, 65536)
 
     def test_counting_gap_invariant(self):
         table = [(4, 1), (16, 2), (256, 3), (65536, 4)]
         sset = construct_sparse_set(table)
-        for n in range(sset.anchors[0], 65537):
+        for n in range(sset.elements[0], 65537):
             assert sset.count_leq(n) + 1 <= step_function_value(table, n)
 
     def test_empty_table(self):
@@ -286,19 +303,14 @@ class TestSpecStrings:
         assert str(AllFrom(2)) == "all-from:2"
         assert str(WithZero(Powers(2))) == "zero|pow:2"
 
-    def test_sparse_without_source(self):
-        with pytest.raises(InvalidSetError):
-            SparseConstructed((16,)).spec_string()
-
     def test_str_is_total_on_corpus(self):
-        # a set with no spec string prints as its elements, the text that
+        # every set prints as a spec that parses back to it, the text that
         # suite failure records carry
         for pair in CORPUS:
-            for spec in (pair.parts, pair.mults):
-                try:
-                    assert str(spec) == spec.spec_string()
-                except InvalidSetError:
-                    assert str(spec).startswith("anchors:")
-        assert str(CORPUS_BY_LABEL["sparse-parts"].parts) == "anchors:16,256,65536"
-        assert str(CORPUS_BY_LABEL["sparse-mults"].mults) == "anchors:0,2,5,11"
-        assert str(SparseConstructed((5, 2 * 10**9))) == "anchors:5,2000000000"
+            for spec, kind in ((pair.parts, "parts"), (pair.mults, "mults")):
+                assert str(spec) == spec.spec_string()
+                assert parse_set_spec(str(spec), kind) == spec
+        # a sparse set built in memory has no file and prints as finite:
+        assert str(CORPUS_BY_LABEL["sparse-parts"].parts) == "finite:16,256,65536"
+        assert str(construct_sparse_set([(5, 2), (2 * 10**9, 3)])) == "finite:5,2000000000"
+        assert str(construct_sparse_set([(5, 2)], source="a.txt")) == "sparse:@a.txt"
