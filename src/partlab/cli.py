@@ -393,8 +393,8 @@ def cmd_sparse(args) -> int:
                 f"{args.epsilon_file}:{i}: expected 'threshold value', got {text!r}"
             )
         try:
-            entries.append((int(fields[0]), int(fields[1])))
-        except ValueError:
+            entries.append((parse_natural(fields[0]), parse_natural(fields[1])))
+        except SpecSyntaxError:
             raise UsageError(
                 f"{args.epsilon_file}:{i}: expected integers, got {text!r}"
             ) from None

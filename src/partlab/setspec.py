@@ -261,7 +261,10 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
         end += 1
     if end == pos:
         raise SpecSyntaxError("expected an integer", pos)
-    return int(text[pos:end]), end
+    try:
+        return int(text[pos:end]), end
+    except ValueError:  # past int()'s limit on the digits it converts
+        raise SpecSyntaxError(f"integer of {end - pos} digits is too long", pos) from None
 
 
 def _parse_int_list(text: str, pos: int) -> tuple[list[int], int]:

@@ -8,16 +8,22 @@ and certification escalates past it by itself.  Suites collect failures
 instead of raising; every failure carries the inputs needed to reproduce
 it.
 
+A case is recorded one way, SuiteResult.check(ok, failure): it counts the
+case and, only when ok is false, calls failure() for the (inputs,
+expected, got) of the record it keeps.  A passing case renders no text.
+slow-growth alone counts cases in bulk: the zero odd entries of its 2^20
+table.
+
 Every suite that checks a registry bound over a range of n (eq4,
 monotone-lb, harmonic-chain, padberg, eq10, refined, sqrt-lower,
 debruijn) does it through _scan, which reads the bound's verdict column
-from bounds.verdict_column and, for a failure only, its value column; the
-comparison itself is made in bounds alone.  Each applicable n in the
-asserted range is one checked case.  An asymptotic property is asserted on
-the tail of its range, and its empirical onset is reported by one rule
-(_onset) over the whole column: the least applicable n from which the
-bound holds to the end of the column.  Other properties are ratio checks
-at fixed n with wide documented tolerances.
+from bounds.verdict_column and checks each applicable n in the asserted
+range as one case; only a failure reads the value column for its text.
+The comparison itself is made in bounds alone.  An asymptotic property is
+asserted on the tail of its range, and its empirical onset is reported by
+one rule (_onset) over the whole column: the least applicable n from which
+the bound holds to the end of the column.  Other properties are ratio
+checks at fixed n with wide documented tolerances.
 
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, islice
@@ -70,10 +77,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, inputs: dict, expected: str, got: str) -> None:
+    def check(self, ok: bool, failure: Callable[[], tuple[dict, str, str]]) -> None:
+        """Count one case; if it failed, record failure() = (inputs, expected, got)."""
         self.cases += 1
         if not ok:
-            self.failures.append(SuiteFailure(inputs, expected, got))
+            self.failures.append(SuiteFailure(*failure()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,12 +128,12 @@ def _scan(
     verdicts = bounds.verdict_column(bound_id, table)
     op = "<=" if bounds.BOUND_REGISTRY[bound_id].direction == "upper" else ">="
     for n, ok in enumerate(verdicts[start:], start):
-        if ok is None:
-            continue
-        res.cases += 1
-        if not ok:
-            text = expected or f"{op} {bounds.value_column(bound_id, table)[n]}"
-            res.failures.append(SuiteFailure(inputs(n), text, str((got or table.values)[n])))
+        if ok is not None:
+            res.check(ok, lambda: (
+                inputs(n),
+                expected or f"{op} {bounds.value_column(bound_id, table)[n]}",
+                str((got or table.values)[n]),
+            ))
     return _onset(verdicts)
 
 
@@ -158,11 +166,13 @@ def suite_average_witness() -> SuiteResult:
         for n in range(1, EQ5_N_LIMIT + 1):
             try:
                 w = bounds.check_existence_lower_bound(n, table)
-                ok = w.r <= n * n and w.witness >= w.threshold
-                got = f"r={w.r}, p(r)={w.witness}"
             except LookupError as exc:
-                ok, got = False, str(exc)
-            res.check(ok, _inputs(pair, n), f"witness r <= {n * n}", got)
+                w, missing = None, str(exc)
+            ok = w is not None and w.r <= n * n and w.witness >= w.threshold
+            res.check(ok, lambda: (
+                _inputs(pair, n), f"witness r <= {n * n}",
+                f"r={w.r}, p(r)={w.witness}" if w else missing,
+            ))
     return res
 
 
@@ -198,28 +208,25 @@ def suite_polynomial_ratio() -> SuiteResult:
         ratio = Fraction(t123.values[n]) / bounds.schur_asymptotic(n, s123)
         deviations.append(abs(ratio - 1))
         res.extras[f"ratio_123_at_{n}"] = f"{float(ratio):.6f}"
-    res.check(
-        deviations[-1] <= Fraction(1, 100),
+    res.check(deviations[-1] <= Fraction(1, 100), lambda: (
         {"parts": "finite:1,2,3", "n": 2000},
         "|exact/asymptotic - 1| <= 1/100",
         res.extras["ratio_123_at_2000"],
-    )
-    res.check(
-        deviations[0] >= deviations[1] >= deviations[2],
+    ))
+    res.check(deviations[0] >= deviations[1] >= deviations[2], lambda: (
         {"parts": "finite:1,2,3", "n": "500,1000,2000"},
         "deviation from 1 nonincreasing",
         ",".join(f"{float(d):.6f}" for d in deviations),
-    )
+    ))
     s357 = FiniteCoprimeSet((3, 5, 7))
     t357 = count_table(5000, Finite((3, 5, 7)))
     ratio = Fraction(t357.values[5000]) / bounds.schur_asymptotic(5000, s357)
     res.extras["ratio_357_at_5000"] = f"{float(ratio):.6f}"
-    res.check(
-        Fraction(9, 10) <= ratio <= Fraction(11, 10),
+    res.check(Fraction(9, 10) <= ratio <= Fraction(11, 10), lambda: (
         {"parts": "finite:3,5,7", "n": 5000},
         "ratio in [9/10, 11/10]",
         res.extras["ratio_357_at_5000"],
-    )
+    ))
     return res
 
 
@@ -236,21 +243,17 @@ def suite_exponential_ratio() -> SuiteResult:
         lo, hi = mpmath.mpf("0.9"), mpmath.mpf("1.0")
         for n in range(HRR_RANGE[0], HRR_RANGE[1] + 1):
             ratio = mpmath.mpf(table.values[n]) / bounds.hrr_leading_term(n).value
-            res.check(
-                lo <= ratio <= hi,
-                {"parts": "all", "n": n},
-                "ratio in [0.9, 1.0]",
-                _nstr(ratio),
-            )
+            res.check(lo <= ratio <= hi, lambda: (
+                {"parts": "all", "n": n}, "ratio in [0.9, 1.0]", _nstr(ratio),
+            ))
             if n in (200, 300, 500):
                 probes[n] = ratio
                 res.extras[f"ratio_at_{n}"] = _nstr(ratio)
-        res.check(
-            probes[200] < probes[300] < probes[500],
+        res.check(probes[200] < probes[300] < probes[500], lambda: (
             {"parts": "all", "n": "200,300,500"},
             "ratio strictly increasing",
             ",".join(_nstr(probes[n]) for n in (200, 300, 500)),
-        )
+        ))
     return res
 
 
@@ -275,12 +278,11 @@ def suite_binary_log_ceiling() -> SuiteResult:
         ratio = log_count / lead
         ok = mpmath.mpf("0.3") <= ratio <= mpmath.mpf("1.5")
     res.extras["log_ratio_at_pow16"] = _nstr(ratio)
-    res.check(
-        ok,
+    res.check(ok, lambda: (
         {"parts": "pow:2", "mults": "nat", "n": 2 * DEBRUIJN_RATIO_POINT},
         "log p / leading term in [0.3, 1.5]",
         res.extras["log_ratio_at_pow16"],
-    )
+    ))
     return res
 
 
@@ -318,12 +320,9 @@ def suite_cumulative_floor() -> SuiteResult:
         if table.finite_coprime.elements == (1,):
             floors = bounds.value_column("padberg", table)
             for n, floor in enumerate(floors):
-                res.check(
-                    cumulative[n] == floor,
-                    _inputs(pair, n),
-                    f"equality {floor}",
-                    str(cumulative[n]),
-                )
+                res.check(cumulative[n] == floor, lambda: (
+                    _inputs(pair, n), f"equality {floor}", str(cumulative[n]),
+                ))
     return res
 
 
@@ -409,17 +408,17 @@ def suite_slow_growth() -> SuiteResult:
     table = count_table(SLOW_GROWTH_LIMIT, parts, mults)
     vals = table.values
     # Only ~1400 of the 2^20 entries are nonzero: both scans below visit
-    # the nonzero entries alone (compress and islice run in C).
+    # the nonzero entries alone (compress and islice run in C), so the zero
+    # odd entries pass in bulk and each nonzero one is a failed case.
     odd = range(1, SLOW_GROWTH_LIMIT + 1, 2)
-    res.cases += len(odd)
-    for n in compress(odd, islice(vals, 1, None, 2)):
-        res.failures.append(
-            SuiteFailure(
-                {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
-                "0 (gcd of parts is 2)",
-                str(vals[n]),
-            )
-        )
+    nonzero = list(compress(odd, islice(vals, 1, None, 2)))
+    res.cases += len(odd) - len(nonzero)
+    for n in nonzero:
+        res.check(False, lambda: (
+            {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
+            "0 (gcd of parts is 2)",
+            str(vals[n]),
+        ))
     # records: n = SLOW_GROWTH_FROM, then every strict increase of the
     # running maximum (necessarily at a nonzero entry)
     best = vals[SLOW_GROWTH_FROM]
@@ -435,12 +434,11 @@ def suite_slow_growth() -> SuiteResult:
             ok = bounds.certified_leq(
                 vals[n], lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n)
             )
-            res.check(
-                ok,
+            res.check(ok, lambda: (
                 {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
                 f"<= {SLOW_GROWTH_SLACK} (lg n)(lg lg n)^(lg lg n)",
                 str(vals[n]),
-            )
+            ))
             ratio = vals[n] / bounds.slow_growth_closed_form(n).value
             if ratio > slack:
                 slack = ratio
@@ -468,18 +466,15 @@ def suite_increase_criterion() -> SuiteResult:
             cset = FiniteCoprimeSet(elems)
             verdict = eventually_strictly_increasing(cset)
             vals = count_table(CRITERION_LIMIT, Finite(elems)).values
-            last_flat = 0
-            for n in range(1, CRITERION_LIMIT + 1):
-                if vals[n] <= vals[n - 1]:
-                    last_flat = n
+            last_flat = next(
+                (n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0
+            )
             empirical = last_flat <= CRITERION_LIMIT - CRITERION_TAIL
-            label = "finite:" + ",".join(str(e) for e in elems)
-            res.check(
-                verdict == empirical,
-                {"parts": label},
+            res.check(verdict == empirical, lambda: (
+                {"parts": "finite:" + ",".join(str(e) for e in elems)},
                 f"criterion {verdict}",
                 f"empirical {empirical} (last non-increase at n={last_flat})",
-            )
+            ))
             if elems == (2, 3):
                 # surface a concrete descent for the reference false case
                 start = frobenius_threshold(cset)
@@ -510,21 +505,15 @@ def suite_sparse_construction() -> SuiteResult:
     for n in range(a1, limit + 1):
         eps = step_function_value(eps_table, n)
         count = sset.count_leq(n)
-        res.check(
-            count + 1 <= eps,
-            {"parts": str(sset), "n": n},
-            f"A(n)+1 <= {eps}",
-            f"A(n)={count}",
-        )
+        res.check(count + 1 <= eps, lambda: (
+            {"parts": str(sset), "n": n}, f"A(n)+1 <= {eps}", f"A(n)={count}",
+        ))
     table = count_table(limit, sset, NAT_MULTS)
     for n in range(SLOW_GROWTH_FROM, limit + 1):
         eps = step_function_value(eps_table, n)
-        res.check(
-            table.values[n] <= n**eps,
-            {"parts": str(sset), "mults": "nat", "n": n},
-            f"<= n^{eps}",
-            str(table.values[n]),
-        )
+        res.check(table.values[n] <= n**eps, lambda: (
+            {"parts": str(sset), "mults": "nat", "n": n}, f"<= n^{eps}", str(table.values[n]),
+        ))
     return res
 
 

@@ -68,6 +68,16 @@ class TestExitCodes:
         assert out == ""
         assert "expected an integer" in err
 
+    # a digit run past int()'s 4300-digit limit is a syntax error
+    @pytest.mark.parametrize("spec", ["finite:", "finite:2,", "pow:", "ap:1,"])
+    def test_overlong_spec_integer_is_one(self, capsys, spec):
+        code, out, err = run(capsys, "count", "--parts", spec + "9" * 5000, "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"partlab: error: integer of 5000 digits is too long (at position {len(spec)})\n"
+        )
+
     def test_unknown_bound_id_is_one(self, capsys):
         code, _, err = run(
             capsys, "table", "--parts", "all", "--upto", "5", "--bounds", "bogus"
@@ -101,7 +111,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "count", "--parts", "all", "--n", "-3")
         assert code == 1
 
-    @pytest.mark.parametrize("text", ["\u0661\u0660", "1_0", "+10", " 10", "\u00b2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661\u0660", "1_0", "+10", " 10", "\u00b2",
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
     @pytest.mark.parametrize("flag", ["--n", "--upto"])
     def test_size_takes_ascii_digits_only(self, capsys, flag, text):
         # the rule of the spec language: finite:\u0661\u0660 is refused as well
@@ -325,8 +339,8 @@ class TestVerify:
         def planted():
             res = SuiteResult("planted", onsets={"x": 5}, extras={"k": "v"})
             for n in range(23):
-                res.check(False, {"label": "p", "n": n}, f"<= {n}", str(n + 1))
-            res.check(True, {"n": 23}, "", "")
+                res.check(False, lambda: ({"label": "p", "n": n}, f"<= {n}", str(n + 1)))
+            res.check(True, lambda: ({"n": 23}, "", ""))
             return res
 
         monkeypatch.setitem(suites.SUITES, "planted", (planted, "planted", "none"))
@@ -449,6 +463,16 @@ class TestSparse:
         bad.write_text("4 one\n")
         assert run(capsys, "sparse", str(bad))[0] == 1
 
+    @pytest.mark.parametrize("line", ["\u0661\u0666 2", "1_6 2", "+16 2", "16 \u0662", "16 +2"])
+    def test_fields_take_ascii_digits_only(self, capsys, tmp_path, line):
+        # int() would read each of these as threshold 16, value 2
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"4 1\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "sparse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"partlab: error: {bad}:2: expected integers, got {line!r}\n"
+
     def test_decreasing_values_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("4 2\n16 1\n")
@@ -556,23 +580,31 @@ def test_finite_and_sparse_spellings_agree(tmp_path_factory, elements, upto):
 
 # -- the contract on generated argv: exit 0/1/2/3, never an exception --------
 
+# Each {} is an integer slot.
 _PARTS = [
-    "all", "finite:2,3", "finite:6,10,15", "pow:2", "dexp:2", "ap:3,4",
-    "all-from:2", "sparse:@ANCHORS",
+    "all", "finite:{},{}", "finite:6,10,15", "pow:{}", "dexp:2", "ap:{},{}",
+    "all-from:{}", "sparse:@ANCHORS",
 ]
-_MULTS = ["nat", "finite:0,1", "zero|finite:1", "zero|dexp:2", "zero|pow:2"]
+_MULTS = ["nat", "finite:0,{}", "zero|finite:{}", "zero|dexp:2", "zero|pow:{}"]
 _BAD_SPECS = [
     "", "fnite:2,3", "finite:", "finite:1,,2", "finite:0,3", "finite:1,2",
     "finite:\u00b2", "ap:3", "ap:0,1", "pow:1", "dexp:0", "all-from:0",
     "zero|", "zero|nat", "all2", "sparse:@", "sparse:@MISSING",
     "sparse:@NON_UTF8",
 ]
+# Integer text the program refuses: a digit run past int()'s 4300-digit
+# limit, and decimal digits other than ASCII (which int() would read).
+_OVERLONG = st.integers(4301, 4400).map(lambda k: "9" * k)
+_OTHER_DIGITS = st.text(
+    st.characters(categories=["Nd"], exclude_characters="0123456789"), min_size=1, max_size=3
+)
 
 
 @st.composite
 def _argv(draw):
-    """argv over a small vocabulary.  Each argument is only now and then
-    malformed or left out, so that many runs get past the parser."""
+    """argv over a small vocabulary, and the anchors and epsilon files it
+    may name.  Each argument is only now and then malformed or left out,
+    so that many runs get past the parser."""
 
     def odd_one_out():
         return draw(st.integers(0, 4)) == 4
@@ -580,10 +612,24 @@ def _argv(draw):
     def pick(good, bad):
         return draw(st.sampled_from(bad if odd_one_out() else good))
 
+    def slot(value):
+        """An integer slot holding value, once in ten times a bad integer."""
+        if draw(st.integers(0, 9)) == 9:
+            return draw(_OVERLONG | _OTHER_DIGITS | st.sampled_from(["-1", "+1", "1_0"]))
+        return str(value)
+
+    def spec(good):
+        template = pick(good, _BAD_SPECS)
+        slots = [slot(draw(st.integers(1, 12))) for _ in range(template.count("{}"))]
+        return template.format(*slots)
+
     def size():
         if odd_one_out():
-            return draw(st.sampled_from(["-1", "", "x", "1e3"]))
+            return draw(st.sampled_from(["-1", "", "x", "1e3"]) | _OVERLONG | _OTHER_DIGITS)
         return str(draw(st.integers(0, 200)))
+
+    def ascending():
+        return sorted(draw(st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True)))
 
     command = draw(
         st.sampled_from(["count", "table", "analyze", "verify", "explore", "sparse"])
@@ -594,9 +640,9 @@ def _argv(draw):
     elif command == "sparse":
         argv.append(pick(["EPS"], ["BAD_EPS", "MISSING", "NON_UTF8"]))
     elif not odd_one_out():
-        argv += ["--parts", pick(_PARTS, _BAD_SPECS)]
+        argv += ["--parts", spec(_PARTS)]
     if command in ("count", "table", "explore") and draw(st.booleans()):
-        argv += ["--mults", pick(_MULTS, _BAD_SPECS)]
+        argv += ["--mults", spec(_MULTS)]
     if command == "count" and not odd_one_out():
         argv += ["--n", size()]
     if command in ("table", "explore") and not odd_one_out():
@@ -610,15 +656,17 @@ def _argv(draw):
         argv += ["--format", pick(["table", "csv", "json"], ["xml"])]
     if draw(st.booleans()):
         argv += ["--out", pick(["WRITABLE"], ["MISSING_DIR", "DIRECTORY"])]
-    return argv
+    files = {
+        "ANCHORS": "".join(f"{slot(a)}\n" for a in ascending()),
+        "EPS": "".join(f"{slot(t)} {slot(v)}\n" for v, t in enumerate(ascending(), 1)),
+    }
+    return argv, files
 
 
 @pytest.fixture(scope="module")
 def contract_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
-    (root / "anchors.txt").write_text("16\n256\n")
     (root / "non_utf8.txt").write_bytes(NON_UTF8)
-    (root / "eps.txt").write_text("4 1\n16 2\n256 3\n")
     (root / "bad_eps.txt").write_text("4 one\n")
     return {
         "ANCHORS": root / "anchors.txt",
@@ -633,8 +681,12 @@ def contract_paths(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=_argv())
-def test_cli_contract_on_generated_argv(contract_paths, argv):
+@given(case=_argv())
+def test_cli_contract_on_generated_argv(contract_paths, case):
+    argv, files = case
+    for name, text in files.items():
+        contract_paths[name].write_text(text, encoding="utf-8")
+
     def resolve(arg):
         for name, path in contract_paths.items():
             arg = arg.replace(f"@{name}", f"@{path}")

@@ -234,7 +234,11 @@ class TestParser:
         with pytest.raises(InvalidSetError):
             parse_set_spec(f"sparse:@{tmp_path}/nope.txt", "parts")
 
-    @pytest.mark.parametrize("line", ["\u0661\u0666", "1_6", "+16", "-16", "16.0", "0x10"])
+    @pytest.mark.parametrize(
+        "line",
+        ["\u0661\u0666", "1_6", "+16", "-16", "16.0", "0x10",
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
     def test_anchor_lines_take_ascii_digits_only(self, tmp_path, line):
         # the spec language's rule: finite:\u0661\u0666 is a syntax error too
         path = tmp_path / "anchors.txt"
@@ -251,6 +255,15 @@ class TestParser:
     @pytest.mark.parametrize("text,value", [("0", 0), ("10", 10), ("007", 7)])
     def test_parse_natural(self, text, value):
         assert parse_natural(text) == value
+
+    @pytest.mark.parametrize("prefix", ["", "finite:", "finite:2,", "ap:1,"])
+    def test_integer_past_the_conversion_limit_is_a_syntax_error(self, prefix):
+        # int() refuses more than 4300 digits; the parser says where the run starts
+        text = prefix + "9" * 5000
+        parse = parse_natural if not prefix else lambda t: parse_set_spec(t, "parts")
+        with pytest.raises(SpecSyntaxError, match="5000 digits") as info:
+            parse(text)
+        assert info.value.position == len(prefix)
 
 
 class TestDoublyExponentialCounting:

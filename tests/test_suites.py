@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from partlab import bounds, counting, suites
+from partlab import bounds, counting, setspec, suites
 from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
@@ -191,19 +191,26 @@ PLANTED_REPORT_SHA256 = {
 }
 
 
-def _planted_report(monkeypatch, case):
-    name, upto, parts_spec, plant, _, _ = PLANTED[case]
+def _run_planted(monkeypatch, name, upto, plants):
+    """run_suite(name) where each table to upto whose parts spec is a key of
+    plants (the key None: every such table) is changed by that plant."""
 
     def planted(n, parts, mults=suites.NAT_MULTS):
         table = counting.count_table(n, parts, mults)
-        if n != upto or parts_spec not in (None, str(parts)):
+        plant = plants.get(str(parts), plants.get(None)) if n == upto else None
+        if plant is None:
             return table
         vals = list(table.values)
         plant(vals)
         return CountTable(parts, mults, tuple(vals))
 
     monkeypatch.setattr(suites, "count_table", planted)
-    return run_suite(name).to_json_dict()
+    return run_suite(name)
+
+
+def _planted_report(monkeypatch, case):
+    name, upto, parts_spec, plant, _, _ = PLANTED[case]
+    return _run_planted(monkeypatch, name, upto, {parts_spec: plant}).to_json_dict()
 
 
 @pytest.mark.parametrize("case", sorted(PLANTED))
@@ -218,3 +225,81 @@ def test_block_certification_matches_pointwise_on_planted_failures(monkeypatch, 
     assert blocks["onsets"] == onsets
     digest = hashlib.sha256(json.dumps(blocks, sort_keys=True).encode()).hexdigest()
     assert digest == PLANTED_REPORT_SHA256[case]
+
+
+# -- suites that record cases through SuiteResult.check ----------------------
+
+def _scale(n, by):
+    def plant(vals):
+        vals[n] *= by
+    return plant
+
+
+def _flat_at(n):
+    """p(n) = p(n - 1): a non-increase at n."""
+    def plant(vals):
+        vals[n] = vals[n - 1]
+    return plant
+
+
+def _strictly_increasing(vals):
+    vals[:] = range(1, len(vals) + 1)
+
+
+# The sparse-construction plant lowers the step table that eps(n) is read
+# from, at n in [1000, 1009], while the anchors stay those of the real table.
+_LOWERED_EPSILON = ((4, 1), (16, 2), (256, 3), (1000, 2), (1010, 3), (65536, 4))
+
+# Each case: suite, table size, {parts spec (None: every table): plant},
+# whether eps(n) is read from _LOWERED_EPSILON, and the number of failures.
+# The padberg equality check for {1} is pinned by "padberg-singleton" above.
+CHECKED_PLANTED = {
+    "eq5": ("eq5", suites.EQ5_TABLE_LIMIT, {"finite:2,3": _set(range(101), 0)}, False, 10),
+    "hrr": (
+        "hrr", suites.HRR_RANGE[1], {"all": _plants(_set((250,), 1), _scale(300, 2))}, False, 3,
+    ),
+    "monotonicity-criterion": (
+        "monotonicity-criterion", suites.CRITERION_LIMIT,
+        {"finite:3,4,5": _flat_at(1900), "finite:2,3": _strictly_increasing}, False, 2,
+    ),
+    "sparse-construction": (
+        "sparse-construction", 2**16,
+        {"finite:16,256,65536": _plants(_scale(40000, 40000**3), _set((2**16,), 2**64 + 1))},
+        True, 12,
+    ),
+}
+
+# sha256 of each planted result (its JSON dict with the extras, json.dumps
+# with sorted keys), recorded when check took ready-made failure texts.
+CHECKED_PLANTED_SHA256 = {
+    "eq5": "f2516b5603818055417ae0b29cef092d862197f0bc7b010e2aa8554556d4a441",
+    "hrr": "17764dd03c8018d5abb4c5e8a13fbfb79559a60a0754b20631ec3d6512cea2fb",
+    "monotonicity-criterion": "ee1a62592b5288229b34aa5ce896da7acfe204919dedcb7378f2728d4dacfad8",
+    "sparse-construction": "b5a3a1ce2b62c8e46688f27c0255c1dbfb772b8f818b27a848badec04483afaa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_PLANTED))
+def test_checked_suites_keep_their_failure_records(monkeypatch, case):
+    name, upto, plants, lowered, failures = CHECKED_PLANTED[case]
+    if lowered:
+        anchors = suites.construct_sparse_set(suites.BUILTIN_EPSILON_TABLE)
+        monkeypatch.setattr(suites, "construct_sparse_set", lambda table: anchors)
+        monkeypatch.setattr(suites, "BUILTIN_EPSILON_TABLE", _LOWERED_EPSILON)
+    res = _run_planted(monkeypatch, name, upto, plants)
+    assert len(res.failures) == failures
+    report = {**res.to_json_dict(), "extras": res.extras}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == CHECKED_PLANTED_SHA256[case]
+
+
+def test_passing_sparse_construction_renders_no_spec(monkeypatch):
+    # 131,042 passing cases; a failure alone would print the part set
+    calls = []
+    spec_string = setspec.Finite.spec_string
+    monkeypatch.setattr(
+        setspec.Finite, "spec_string", lambda self: calls.append(1) or spec_string(self)
+    )
+    res = run_suite("sparse-construction")
+    assert res.passed and res.cases == 131042
+    assert len(calls) == 0
