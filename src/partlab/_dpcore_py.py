@@ -1,24 +1,46 @@
-"""The DP kernels: pure Python, run by count_table once a table is dense.
+"""The dense DP layers, run by count_table once a table is dense and no
+generating-function identity builds it.
 
-Both kernels update one rolling array of exact integer counts in place,
-adding one part's layer to the table.  Keep the loop bodies free of any
-abstraction: this is the hot path of every dense table build.
+Both layers update one rolling array of exact integer counts in place,
+adding one part's layer to the table.  The big-integer additions run in
+C-level passes (accumulate, map over slices); the Python loops around them
+only walk windows or blocks, never single entries.
 """
 
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add
 
 BACKEND = "python"
 
+# Entries per residue class that one window of unbounded_layer covers.  A
+# pass holds this many new integers beside the old ones, so short windows
+# keep the peak memory of a dense build at that of the in-place loop.
+CHUNK = 512
+
 
 def unbounded_layer(values: list, a: int) -> None:
-    """Fold in a part with unrestricted multiplicity (classical recurrence).
+    """Fold in a part with unrestricted multiplicity (classical recurrence):
+    the new values[v] is values[v] + new values[v - a].
 
-    Ascending order makes values[v - a] the already-updated entry, which
-    is exactly the unbounded reuse.
+    Along each residue class mod a the new row is the running sum of the
+    old one.  With a * a <= len(values) each class is long, so the row is
+    walked in windows of a * CHUNK indices and every class gets one
+    accumulate pass per window, started from its last entry below the
+    window.  Otherwise the classes are short, and the row is walked in
+    blocks of a indices instead: each block adds the already-updated block
+    before it.
     """
-    for v in range(a, len(values)):
-        values[v] += values[v - a]
+    n = len(values)
+    if a * a > n:
+        for lo in range(a, n, a):
+            values[lo : lo + a] = map(add, values[lo : lo + a], values[lo - a : lo])
+        return
+    step = a * CHUNK
+    for lo in range(a, n, step):
+        hi = min(lo + step, n)
+        for r in range(lo, min(lo + a, hi)):
+            values[r] += values[r - a]
+            values[r:hi:a] = accumulate(values[r:hi:a])
 
 
 def restricted_layer(values: list, offsets: list) -> None:

@@ -1,25 +1,34 @@
 """Exact partition counting: p(n; S, M), plus independent oracles
 (explicit enumeration, Euler's pentagonal recurrence).
 
-count_table picks the cheapest exact method from the pair it is given:
+count_table builds a pair's table from its generating-function identity
+when one covers the pair, and one layer per part otherwise:
 
-- The classical pair (all parts, all multiplicities) is Euler's pentagonal
-  recurrence, O(n^1.5) additions instead of the DP's O(n^2).
-- Otherwise the table is built one layer per part a <= n.  A layer folds
-  in the part's admissible positive multiples m*a (all of a, 2a, 3a, ...
-  when multiplicities are unrestricted).  While the table is sparse, a
-  layer pushes each nonzero entry to its shifted targets, costing (support
-  size) x (number of multiples) additions; doubly exponential and other
-  thin sets never leave this mode.  Once that product exceeds a quarter of
-  the row length the rest of the table runs on the dense kernel: the
-  classical ascending in-place recurrence for unrestricted
-  multiplicities, otherwise one pass per multiple over the whole row.
+- All parts with multiplicities {0, ..., m-1} below upto (the classical
+  pair is m = upto + 1): Glaisher's P(x) E(x^m), where 1/P = E is Euler's
+  pentagonal series, so the pentagonal recurrence seeded with E(x^m) gives
+  the table in O(n^1.5) additions instead of the DP's O(n^2).
+- Powers of B with all multiplicities: Mahler's F(x) = F(x^B) / (1 - x)
+  (de Bruijn's binary partitions for B = 2), a few running-sum passes.
+- all-from:s with all multiplicities, s small against upto: P(x) times
+  (1 - x^a) for each a < s, so the pentagonal table followed by s - 1
+  removal passes new[v] = old[v] - old[v - a].
+- Otherwise a layer per part a <= n folds in the part's admissible
+  positive multiples m*a (all of a, 2a, 3a, ... when multiplicities are
+  unrestricted).  While the table is sparse, a layer pushes each nonzero
+  entry to its shifted targets, costing (support size) x (number of
+  multiples) additions; doubly exponential and other thin sets never
+  leave this mode.  Once that product exceeds a quarter of the row length
+  the rest of the table runs on the dense layers of _dpcore_py
+  (KERNEL_BACKEND is always "python").
 
-Either way a table to N costs one rolling array of N+1 exact integers.
-The dense layers are the pure-Python kernel in _dpcore_py (KERNEL_BACKEND
-is always "python").  Passing kernel=K skips every shortcut and runs the
-plain dense DP with kernel K; the tests use count_table(...,
-kernel=_dpcore_py) as the oracle of the other methods.
+A table to N holds at most two arrays of N+1 exact integers, whatever the
+method.  Passing kernel=K skips every identity and sparse layer and runs the
+plain dense DP with kernel K.  The tests check each path against an oracle
+that shares no code with it: brute force to n = 40 for every path, the
+dense DP on a test-local one-entry-at-a-time kernel for the identities and
+the sparse layers, the pentagonal recurrence and that kernel for
+_dpcore_py's layers.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import sub
 
 from .arith import FiniteCoprimeSet
 from .setspec import (
@@ -36,6 +46,7 @@ from .setspec import (
     Finite,
     IntegerSetSpec,
     NAT_MULTS,
+    Powers,
     WithZero,
     validate_kind,
 )
@@ -142,9 +153,11 @@ def count_table(
     validate_kind(mults, "mults")
     if upto < 0:
         raise ValueError("upto must be nonnegative")
+    if kernel is None:
+        values = _identity_table(upto, parts, mults)
+        if values is not None:
+            return CountTable(parts, mults, tuple(values))
     unrestricted = has_all_multiplicities(mults)
-    if kernel is None and unrestricted and parts == ALL_PARTS:
-        return CountTable(parts, mults, tuple(pentagonal_table(upto)))
     k = kernel if kernel is not None else _kernel
     values = [0] * (upto + 1)
     values[0] = 1
@@ -166,6 +179,44 @@ def count_table(
         else:
             k.restricted_layer(values, offsets)
     return CountTable(parts, mults, tuple(values))
+
+
+def _identity_table(
+    upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec
+) -> list[int] | None:
+    """p(0..upto) from the pair's generating-function identity, or None
+    when no identity covers the pair (see the module docstring)."""
+    if parts == ALL_PARTS:
+        # the multiplicities that fit below upto are {0, ..., m-1} exactly
+        m = mults.count_leq(upto)
+        return pentagonal_table(upto, m) if mults.count_leq(m - 1) == m else None
+    if not has_all_multiplicities(mults):
+        return None
+    if isinstance(parts, Powers):
+        return _mahler_table(upto, parts.base)
+    # s - 1 removal passes are cheaper than the upto - s + 1 layers
+    if isinstance(parts, AllFrom) and 2 * parts.start <= upto + 2:
+        values = pentagonal_table(upto)
+        for a in range(1, parts.start):
+            values[a:] = list(map(sub, values[a:], values[:-a]))
+        return values
+    return None
+
+
+def _mahler_table(upto: int, base: int) -> list[int]:
+    """p(0..upto) for the powers of base with unrestricted multiplicities.
+
+    Mahler's equation F(x) = F(x^B) / (1 - x) gives p(n) = s(n // B), where
+    s(k) = p(0) + ... + p(k) = s(k - 1) + s(k // B).  So the table to upto
+    repeats each running sum of the table to upto // B B times: log_B(upto)
+    C-level passes instead of one dense layer per power.
+    """
+    if upto == 0:
+        return [1]
+    sums = list(accumulate(_mahler_table(upto // base, base)))
+    values = list(chain.from_iterable(zip(*[sums] * base)))
+    del values[upto + 1 :]
+    return values
 
 
 def _sparse_layer(values: list, support: list, offsets) -> list:
@@ -225,32 +276,38 @@ def brute_force_count(
     return walk(0, n)
 
 
-def cumulative_count(n: int, parts: FiniteCoprimeSet) -> int:
-    """r'(n) = sum of p(j; parts, all multiplicities) for j <= n."""
-    table = count_table(n, Finite(parts.elements), NAT_MULTS)
-    return sum(table.values)
+def pentagonal_table(upto: int, m: int | None = None) -> list[int]:
+    """q(0..upto) for all parts and multiplicities {0, ..., m-1}, by Euler's
+    pentagonal-number recurrence; without m, the classical p(0..upto).
 
-
-def pentagonal_table(upto: int) -> list[int]:
-    """Classical p(0..upto) via Euler's pentagonal-number recurrence.
-
-    Independent oracle for parts = all positive integers, multiplicities
-    unrestricted: p(n) = sum_k (-1)^(k-1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
+    Euler's series E(x) = sum over all integers k of (-1)^k x^(k(3k-1)/2)
+    is 1/P(x), and Glaisher's identity makes the generating function
+    P(x) E(x^m).  So q E = E(x^m), that is q(n) = [x^n] E(x^m) + sum over
+    k >= 1 of (-1)^(k-1) [q(n - k(3k-1)/2) + q(n - k(3k+1)/2)].  For m > upto
+    the seed E(x^m) is 1 to upto and q is p.
     """
-    p = [0] * (upto + 1)
-    p[0] = 1
+    q = [0] * (upto + 1)
+    q[0] = 1
+    if m is not None:
+        # the seed E(x^m): (-1)^k at m k(3k-1)/2 and m k(3k+1)/2
+        k = 1
+        while (g := m * k * (3 * k - 1) // 2) <= upto:
+            q[g] = -1 if k % 2 else 1
+            if g + m * k <= upto:
+                q[g + m * k] = q[g]
+            k += 1
     for n in range(1, upto + 1):
-        total = 0
+        total = q[n]
         k = 1
         while True:
             g1 = n - k * (3 * k - 1) // 2
             if g1 < 0:
                 break
-            term = p[g1]
+            term = q[g1]
             g2 = n - k * (3 * k + 1) // 2
             if g2 >= 0:
-                term += p[g2]
+                term += q[g2]
             total += term if k % 2 else -term
             k += 1
-        p[n] = total
-    return p
+        q[n] = total
+    return q

@@ -15,7 +15,6 @@ from partlab.counting import (
     brute_force_count,
     count_partitions,
     count_table,
-    cumulative_count,
     finite_coprime_parts,
     pentagonal_table,
 )
@@ -181,18 +180,18 @@ class TestValidation:
 
 
 class TestCumulative:
+    # the cumulative count r'(n) = p(0) + ... + p(n) is prefix_sums[n]
     def test_examples(self):
-        assert cumulative_count(10, FiniteCoprimeSet((2, 3))) == 14
-        assert cumulative_count(0, FiniteCoprimeSet((2, 3))) == 1
-        assert cumulative_count(5, FiniteCoprimeSet((1,))) == 6
+        assert count_table(10, Finite((2, 3))).prefix_sums[10] == 14
+        assert count_table(0, Finite((2, 3))).prefix_sums[0] == 1
+        assert count_table(5, Finite((1,))).prefix_sums[5] == 6
 
     def test_matches_prefix_sums(self):
         values = count_table(50, Finite((3, 5))).values
         total = 0
-        cset = FiniteCoprimeSet((3, 5))
         for n in range(51):
             total += values[n]
-            assert cumulative_count(n, cset) == total
+            assert count_table(n, Finite((3, 5))).prefix_sums[n] == total
 
 
 class TestKernels:
@@ -249,7 +248,35 @@ class TestKernels:
             )
 
 
-# -- method dispatch: pentagonal, sparse support, dense kernel ---------------
+# -- method dispatch: identities, sparse support, dense kernel ---------------
+
+def _naive_restricted(values, offsets):
+    """new[v] = old[v] + sum of old[v - off] over offsets off <= v, from two arrays."""
+    old = list(values)
+    new = list(values)
+    for v in range(len(values)):
+        for off in offsets:
+            if off <= v:
+                new[v] += old[v - off]
+    return new
+
+
+def _naive_unbounded(values, a):
+    """values[v] += values[v - a] in ascending v, one entry at a time."""
+    for v in range(a, len(values)):
+        values[v] += values[v - a]
+
+
+class _NaiveKernel:
+    """The plain dense DP one entry at a time: the oracle kernel, sharing no
+    code with _dpcore_py."""
+
+    unbounded_layer = staticmethod(_naive_unbounded)
+
+    @staticmethod
+    def restricted_layer(values, offsets):
+        values[:] = _naive_restricted(values, offsets)
+
 
 _positive_sets = st.one_of(
     st.lists(st.integers(1, 60), min_size=1, max_size=5).map(Finite),
@@ -261,11 +288,23 @@ _positive_sets = st.one_of(
         lambda xs: Finite(tuple(xs), source="anchors.txt")
     ),
 )
+# {0, ..., m-1}, the multiplicities of Glaisher's identity, in both spellings
+_below_m = st.one_of(
+    st.integers(1, 8).map(lambda m: Finite(tuple(range(m)))),
+    st.integers(2, 8).map(lambda m: WithZero(Finite(tuple(range(1, m))))),
+)
 _mult_sets = st.one_of(
     _positive_sets.map(WithZero),
     st.lists(st.integers(1, 12), max_size=4).map(lambda xs: Finite((0, *xs))),
+    _below_m,
 )
-_pairs = st.tuples(_positive_sets, _mult_sets)
+# the pairs that a generating-function identity builds without layers
+_identity_pairs = st.one_of(
+    st.tuples(st.just(ALL_PARTS), _below_m),
+    st.tuples(st.integers(2, 5).map(Powers), st.just(NAT_MULTS)),
+    st.tuples(st.integers(2, 8).map(AllFrom), st.just(NAT_MULTS)),
+)
+_pairs = st.one_of(st.tuples(_positive_sets, _mult_sets), _identity_pairs)
 
 # brute force walks every partial multiplicity assignment; keep it to n
 # where the counts up to n stay small
@@ -273,7 +312,7 @@ _BRUTE_BUDGET = 3000
 
 
 def _dense(upto, parts, mults):
-    return count_table(upto, parts, mults, kernel=_dpcore_py).values
+    return count_table(upto, parts, mults, kernel=_NaiveKernel).values
 
 
 class TestDispatch:
@@ -301,7 +340,7 @@ class TestDispatch:
         [
             ("dexp:2", "zero|dexp:2", 2**16, False),
             ("anchors", "nat", 2**16, True),
-            ("all", "zero|finite:1", 1500, True),
+            ("ap:1,2", "zero|finite:1", 1500, True),
             ("finite:7", "zero|finite:1,3,100", 2000, False),
         ],
     )
@@ -331,22 +370,73 @@ class TestDispatch:
         monkeypatch.setattr(counting, "_kernel", None)
         assert count_table(300, ALL_PARTS).values == tuple(pentagonal_table(300))
 
+    @pytest.mark.parametrize(
+        "parts,mults,upto",
+        [
+            # Mahler: F(x) = F(x^B) / (1 - x)
+            ("pow:2", "nat", 3000),
+            ("pow:3", "nat", 2000),
+            ("pow:7", "nat", 700),
+            # the pentagonal table with the parts below s removed
+            ("all-from:2", "nat", 600),
+            ("all-from:5", "nat", 400),
+            # Glaisher: P(x) E(x^m), both spellings of {0, ..., m-1}
+            ("all", "finite:0,1", 800),
+            ("all", "zero|finite:1", 800),
+            ("all", "finite:0,1,2,3", 500),
+            ("all", "zero|finite:1,2,3", 500),
+            ("all", "finite:0", 50),
+            # {0, 1, 2, 5} meets [0, 4] in {0, 1, 2}
+            ("all", "finite:0,1,2,5", 4),
+        ],
+    )
+    def test_identity_paths_use_no_layers(self, monkeypatch, parts, mults, upto):
+        parts = parse_set_spec(parts, "parts")
+        mults = parse_set_spec(mults, "mults")
+        expected = _dense(upto, parts, mults)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+
+        monkeypatch.setattr(counting, "_sparse_layer", spy)
+        for layer in ("unbounded_layer", "restricted_layer"):
+            monkeypatch.setattr(counting._kernel, layer, spy)
+        values = count_table(upto, parts, mults).values
+        assert calls == []
+        assert values == expected
+
+    @pytest.mark.parametrize(
+        "parts,mults,upto",
+        [
+            # {0, 1, 2, 5} reaches 5 below upto: restricted layers, not Glaisher
+            ("all", "finite:0,1,2,5", 60),
+            # all-from:s with s - 1 removal passes above the layer count
+            ("all-from:40", "nat", 60),
+        ],
+    )
+    def test_pairs_outside_the_identities_use_layers(self, monkeypatch, parts, mults, upto):
+        parts = parse_set_spec(parts, "parts")
+        mults = parse_set_spec(mults, "mults")
+        calls = []
+
+        def spy(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(counting, "_sparse_layer", spy(counting._sparse_layer))
+        values = count_table(upto, parts, mults).values
+        assert calls
+        monkeypatch.undo()
+        assert values == _dense(upto, parts, mults)
+
     def test_explicit_kernel_runs_every_layer_dense(self, monkeypatch):
         parts, mults = DoublyExponential(2), WithZero(DoublyExponential(2))
         expected = count_table(2**12, parts, mults).values
         monkeypatch.setattr(counting, "_sparse_layer", None)
         assert count_table(2**12, parts, mults, kernel=_dpcore_py).values == expected
-
-
-def _naive_restricted(values, offsets):
-    """new[v] = old[v] + sum of old[v - off] over offsets off <= v, from two arrays."""
-    old = list(values)
-    new = list(values)
-    for v in range(len(values)):
-        for off in offsets:
-            if off <= v:
-                new[v] += old[v - off]
-    return new
 
 
 class TestPythonKernel:
@@ -376,3 +466,29 @@ class TestPythonKernel:
         values = list(self.ROW)
         _dpcore_py.unbounded_layer(values, 3)
         assert values == _naive_restricted(self.ROW, range(3, len(self.ROW), 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        row=st.lists(st.integers(0, 10**40), max_size=80),
+        a=st.integers(1, 90),
+        chunk=st.sampled_from([1, 2, 3, 5, _dpcore_py.CHUNK]),
+    )
+    def test_unbounded_layer_generated(self, row, a, chunk):
+        # short windows put window edges inside rows of a few dozen entries;
+        # a * a against len(row) picks residue passes or block passes
+        values = list(row)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_dpcore_py, "CHUNK", chunk)
+            _dpcore_py.unbounded_layer(values, a)
+        expected = list(row)
+        _naive_unbounded(expected, a)
+        assert values == expected
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 64, 65, 200])
+    def test_unbounded_layer_across_windows(self, a):
+        # more than two windows of a * CHUNK indices for the residue passes
+        row = [(v * 7919) % 1000 for v in range(3 * 64 * _dpcore_py.CHUNK + 17)]
+        values = list(row)
+        _dpcore_py.unbounded_layer(values, a)
+        _naive_unbounded(row, a)
+        assert values == row
