@@ -6,7 +6,8 @@ Two value families, kept strictly apart:
 * polynomial / factorial bounds evaluate as exact rationals (Fraction),
   so inequality checks are plain integer arithmetic;
 * transcendental bounds are written once each, as a formula over an
-  mpmath context (debruijn_log_term, sqrt_lower_term, ...).  Evaluated
+  mpmath context: a registry bound's _Bound.value(ctx, n, table), built
+  from terms such as debruijn_log_term and sqrt_lower_term.  Evaluated
   under mp, the formula gives the displayed HighPrecisionReal; evaluated
   under iv, it gives an outward-rounded enclosure, and a verdict is
   claimed only when the exact side clears the whole enclosure, so it
@@ -19,23 +20,24 @@ Two value families, kept strictly apart:
 Directions are from the point of view of the exact count: an "upper"
 bound claims exact <= value, a "lower" bound claims exact >= value.  The
 exact side is p(n) unless a bound names another quantity (the cumulative
-count for padberg, p(n) / n^A(n) for harmonic_chain).
+count for padberg).
 
 Whether a registry bound holds is decided in one place, per table.  Each
 bound has two columns over the n of a table, built on first use and kept
 on the table (CountTable.bound_columns, keyed by (kind, bound id)), so
 they belong to its values and not to (parts, mults):
 
-* value_column: _Bound.value at every n the bound applies to, None
-  elsewhere, transcendental values at DEFAULT_DIGITS;
+* value_column: _Bound.value under mp at every n the bound applies to,
+  None elsewhere, transcendental values at DEFAULT_DIGITS;
 * verdict_column: the verdict at every applicable n, None elsewhere and
   for asymptotic reference values.  An exact value is compared with the
-  exact side directly.  An enclosed term never decreases from its
-  _Bound.increasing_from on, so certify_increasing certifies it there by
-  blocks: one interval check settles a whole block of n, and a block that
-  does not settle is halved, down to single n, which get the pointwise
-  certified_leq / certified_geq with their escalation.  Below that n every
-  n is certified pointwise.  Either way each verdict is the pointwise one.
+  exact side directly.  A transcendental value never decreases from its
+  _Bound.increasing_from on, so certify_increasing certifies it there,
+  under iv, by blocks: one interval check settles a whole block of n, and
+  a block that does not settle is halved, down to single n, which get the
+  pointwise certified_leq / certified_geq with their escalation.  Below
+  that n every n is certified pointwise.  Either way each verdict is the
+  pointwise one.
 
 bound_report is a lookup into the two columns, and the verification
 suites scan the same columns over their ranges of n.  The table-wide
@@ -318,11 +320,6 @@ def refined_lower_bound(n: int, parts: IntegerSetSpec) -> Fraction:
     return Fraction((n + 1) ** (j - 1), math.factorial(j) * math.prod(prefix))
 
 
-def harmonic_number(n: int) -> Fraction:
-    """H_n as an exact rational."""
-    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
-
-
 @lru_cache(maxsize=1)
 def harmonic_numbers(upto: int) -> tuple[Fraction, ...]:
     """(H_0, ..., H_upto) as exact rationals, by one running sum; cached
@@ -356,6 +353,11 @@ def exp_harmonic_term(ctx, h: Fraction):
     return ctx.exp(ctx.mpf(h.numerator) / h.denominator)
 
 
+def hrr_term(ctx, n: int):
+    """(1/(4 n sqrt(3))) exp(pi sqrt(2n/3)), the classical leading term."""
+    return ctx.exp(ctx.pi * ctx.sqrt(ctx.mpf(2 * n) / 3)) / (4 * n * ctx.sqrt(3))
+
+
 def slow_growth_term(ctx, n: int):
     """(lg n) (lg lg n)^(lg lg n) with base-2 logs.  log(x, 2) and power
     keep the exact points exact: at n = 2^16 the value is 4096 exactly."""
@@ -365,13 +367,10 @@ def slow_growth_term(ctx, n: int):
 
 
 def hrr_leading_term(n: int) -> HighPrecisionReal:
-    """(1/(4 n sqrt(3))) exp(pi sqrt(2n/3)), the classical leading term."""
+    """hrr_term at DEFAULT_DIGITS."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _hp(
-        lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(mpmath.mpf(2 * n) / 3))
-        / (4 * n * mpmath.sqrt(3))
-    )
+    return _hp(lambda: hrr_term(mp, n))
 
 
 def debruijn_leading_term(n: int) -> HighPrecisionReal:
@@ -384,44 +383,8 @@ def debruijn_leading_term(n: int) -> HighPrecisionReal:
     )
 
 
-def debruijn_upper_bound(n: int) -> HighPrecisionReal:
-    """log(2n+1) * log2(2n), an upper bound for log of the binary-partition
-    count of 2n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _hp(lambda: debruijn_log_term(mp, n))
-
-
-def harmonic_chain_bound(
-    n: int, parts: IntegerSetSpec, h: Fraction | None = None
-) -> HighPrecisionReal:
-    """n^A(n) * e^(H_n) with A(n) the part-counting function; upper bound for
-    p(n; parts, all multiplicities).  h is H_n when the caller has it."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    a_n = parts.count_leq(n)
-    if h is None:
-        h = harmonic_number(n)
-    return _hp(lambda: mpmath.mpf(n) ** a_n * exp_harmonic_term(mp, h))
-
-
-def classical_sqrt_lower(n: int) -> HighPrecisionReal:
-    """e^sqrt(n) / n; holds for the classical p(n) once n is large enough."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _hp(lambda: sqrt_lower_term(mp, n))
-
-
-def classical_refined_comparison(n: int) -> HighPrecisionReal:
-    """e^(2 sqrt(n)) / (2 pi n^2): the refined lower bound specialized to
-    parts = all positive integers."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _hp(lambda: classical_refined_term(mp, n))
-
-
 def slow_growth_closed_form(n: int) -> HighPrecisionReal:
-    """(lg n) (lg lg n)^(lg lg n) with base-2 logs; needs n >= 16."""
+    """slow_growth_term at DEFAULT_DIGITS; needs n >= 16."""
     if n < 16:
         raise ValueError("n must be at least 16")
     return _hp(lambda: slow_growth_term(mp, n))
@@ -450,15 +413,17 @@ class BoundReport:
 class _Bound:
     """One registry bound.
 
-    A bound whose value is transcendental gives, with its enclosure,
-    increasing_from: the least n from which the enclosed term never
-    decreases over the n the bound applies to, so that verdict_column may
-    certify it by blocks.  The two come together.  Proof sketches:
+    value(ctx, n, table) is the bound's one formula.  An exact value (int or
+    Fraction) ignores ctx.  A transcendental value is written over ctx: mp
+    gives the displayed value, iv the enclosure its verdict is certified
+    against.  A transcendental upper or lower bound gives increasing_from,
+    the least n from which its value never decreases over the n the bound
+    applies to, so that verdict_column may certify it by blocks.  Proof
+    sketches:
 
     - debruijn_upper, 2: log(2m+1) and log2(2m) are positive and increasing
       in m = n // 2 for m >= 1, so their product and its exp increase.
-    - harmonic_chain, 1: e^(H_n) increases with H_n; the exact n^A(n) is
-      divided out on the exact side, not enclosed.
+    - harmonic_chain, 1: n^A(n) and e^(H_n) are positive and never decrease.
     - sqrt_lower, 5: log(e^sqrt(n) / n) has derivative 1/(2 sqrt n) - 1/n,
       positive for n > 4.
     - classical_refined, 5: log(e^(2 sqrt n) / (2 pi n^2)) has derivative
@@ -467,17 +432,10 @@ class _Bound:
 
     direction: str  # "upper" | "lower" | "asymptotic"
     applies: Callable  # (n, table) -> bool
-    value: Callable  # (n, table) -> int | Fraction | HighPrecisionReal
-    # (n, table) -> iv enclosure the verdict is certified against; None when
-    # the value is exact and compared directly
-    enclosure: Callable | None = None
+    value: Callable  # (ctx, n, table) -> int | Fraction | ctx.mpf
     # (n, table) -> the quantity the bound is claimed for, when it is not p(n)
     bounded: Callable | None = None
     increasing_from: int | None = None
-
-    def __post_init__(self):
-        if (self.enclosure is None) != (self.increasing_from is None):
-            raise TypeError("an enclosure and its increasing_from come together")
 
 
 def _classical(n: int, table: CountTable) -> bool:
@@ -498,74 +456,69 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     "product_upper": _Bound(
         "upper",
         lambda n, t: True,
-        lambda n, t: product_upper_column(t.upto, t.parts, t.mults)[n],
+        lambda ctx, n, t: product_upper_column(t.upto, t.parts, t.mults)[n],
     ),
     "monotone_lower": _Bound(
         "lower",
         lambda n, t: 1 <= n < t.nondecreasing_prefix,
-        lambda n, t: monotone_lower_bound(n, t.parts, t.mults),
+        lambda ctx, n, t: monotone_lower_bound(n, t.parts, t.mults),
     ),
     "schur": _Bound(
         "asymptotic",
         lambda n, t: t.finite_coprime is not None,
-        lambda n, t: schur_asymptotic(n, t.finite_coprime),
+        lambda ctx, n, t: schur_asymptotic(n, t.finite_coprime),
     ),
     "hrr": _Bound(
         "asymptotic",
         _classical,
-        lambda n, t: hrr_leading_term(n),
+        lambda ctx, n, t: hrr_term(ctx, n),
     ),
     "debruijn_upper": _Bound(
         "upper",
         lambda n, t: n >= 2 and n % 2 == 0 and has_all_multiplicities(t.mults)
         and t.parts == Powers(2),
-        lambda n, t: _hp(lambda: mpmath.exp(debruijn_upper_bound(n // 2).value)),
-        enclosure=lambda n, t: iv.exp(debruijn_log_term(iv, n // 2)),
+        lambda ctx, n, t: ctx.exp(debruijn_log_term(ctx, n // 2)),
         increasing_from=2,
     ),
     "harmonic_chain": _Bound(
         "upper",
         lambda n, t: n >= 1 and has_all_multiplicities(t.mults),
-        lambda n, t: harmonic_chain_bound(n, t.parts, h=harmonic_numbers(t.upto)[n]),
-        # n^A(n) is exact, so it is divided out and only e^(H_n) is enclosed
-        enclosure=lambda n, t: exp_harmonic_term(iv, harmonic_numbers(t.upto)[n]),
-        bounded=lambda n, t: Fraction(t.values[n], n ** t.parts.count_leq(n)),
+        lambda ctx, n, t: ctx.mpf(n) ** t.parts.count_leq(n)
+        * exp_harmonic_term(ctx, harmonic_numbers(t.upto)[n]),
         increasing_from=1,
     ),
     "sqrt_lower": _Bound(
         "lower",
         _classical,
-        lambda n, t: classical_sqrt_lower(n),
-        enclosure=lambda n, t: sqrt_lower_term(iv, n),
+        lambda ctx, n, t: sqrt_lower_term(ctx, n),
         increasing_from=5,
     ),
     "classical_refined": _Bound(
         "lower",
         _classical,
-        lambda n, t: classical_refined_comparison(n),
-        enclosure=lambda n, t: classical_refined_term(iv, n),
+        lambda ctx, n, t: classical_refined_term(ctx, n),
         increasing_from=5,
     ),
     "padberg": _Bound(
         "lower",
         lambda n, t: t.finite_coprime is not None,
-        lambda n, t: padberg_lower(n, t.finite_coprime),
+        lambda ctx, n, t: padberg_lower(n, t.finite_coprime),
         bounded=lambda n, t: t.prefix_sums[n],  # the cumulative count
     ),
     "eq10": _Bound(
         "lower",
         lambda n, t: t.finite_coprime is not None and t.record_flags[n],
-        lambda n, t: schur_style_point_lower(n, t.finite_coprime),
+        lambda ctx, n, t: schur_style_point_lower(n, t.finite_coprime),
     ),
     "refined": _Bound(
         "lower",
         lambda n, t: n >= 1 and has_all_multiplicities(t.mults) and _can_refine(n, t.parts),
-        lambda n, t: refined_lower_bound(n, t.parts),
+        lambda ctx, n, t: refined_lower_bound(n, t.parts),
     ),
     "slow_growth": _Bound(
         "asymptotic",
         lambda n, t: n >= 16,
-        lambda n, t: slow_growth_closed_form(n),
+        lambda ctx, n, t: slow_growth_term(ctx, n),
     ),
 }
 BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
@@ -573,14 +526,19 @@ BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 def value_column(bound_id: str, table: CountTable) -> list:
     """The value of a registry bound at every n of table, None where it
-    does not apply; built on first use and kept on the table."""
+    does not apply, transcendental values under mp at DEFAULT_DIGITS as
+    HighPrecisionReal; built on first use and kept on the table."""
     key = ("value", bound_id)
     columns = table.bound_columns
     if key not in columns:
         b = BOUND_REGISTRY[bound_id]
+        with mp.workdps(DEFAULT_DIGITS):
+            values = [
+                b.value(mp, n, table) if b.applies(n, table) else None
+                for n in range(table.upto + 1)
+            ]
         columns[key] = [
-            b.value(n, table) if b.applies(n, table) else None
-            for n in range(table.upto + 1)
+            HighPrecisionReal(v) if isinstance(v, mpmath.mpf) else v for v in values
         ]
     return columns[key]
 
@@ -588,9 +546,9 @@ def value_column(bound_id: str, table: CountTable) -> list:
 def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
     """The verdict of a registry bound at every n of table, None where it
     does not apply and for asymptotic reference values: an exact value is
-    compared directly, an enclosed term is certified by blocks from the
-    bound's increasing_from on and pointwise below it.  Built on first use
-    and kept on the table."""
+    compared directly; where increasing_from is set, the value under iv is
+    certified by blocks from increasing_from on and pointwise below it.
+    Built on first use and kept on the table."""
     key = ("verdict", bound_id)
     columns = table.bound_columns
     if key in columns:
@@ -599,17 +557,17 @@ def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
     column: list = [None] * (table.upto + 1)
     upper = b.direction == "upper"
     bounded = b.bounded or (lambda n, t: t.values[n])
-    if b.enclosure is not None:
+    if b.increasing_from is not None:
         ns = [n for n in range(table.upto + 1) if b.applies(n, table)]
         exact = [bounded(n, table) for n in ns]
         certify = certified_leq if upper else certified_geq
         start = bisect_left(ns, b.increasing_from)
         verdicts = [
-            certify(e, lambda n=n: b.enclosure(n, table))
+            certify(e, lambda n=n: b.value(iv, n, table))
             for n, e in zip(ns[:start], exact[:start])
         ]
         verdicts += certify_increasing(
-            ns[start:], exact[start:], lambda n: b.enclosure(n, table), upper
+            ns[start:], exact[start:], lambda n: b.value(iv, n, table), upper
         )
         for n, ok in zip(ns, verdicts):
             column[n] = ok

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import mpmath
 
+from partlab import _dpcore_py
 from partlab.arith import FiniteCoprimeSet, frobenius_threshold
 from partlab.bounds import hrr_leading_term
 from partlab.cli import main
@@ -85,7 +86,9 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_pentagonal_cross_check():
-    dp = count_table(500, ALL_PARTS).values
+    # count_table builds all/nat with the pentagonal recurrence itself, so
+    # the independent side is the plain dense DP, one layer per part
+    dp = count_table(500, ALL_PARTS, kernel=_dpcore_py).values
     oracle = pentagonal_table(500)
     ok = list(dp) == oracle and dp[100] == 190569292
     _report(2, "pentagonal recurrence", ok, f"p(100)={dp[100]}")

@@ -28,15 +28,7 @@ from partlab.bounds import (
     certified_leq,
     certify_increasing,
     check_existence_lower_bound,
-    classical_refined_comparison,
-    classical_refined_term,
-    classical_sqrt_lower,
     debruijn_leading_term,
-    debruijn_log_term,
-    debruijn_upper_bound,
-    exp_harmonic_term,
-    harmonic_chain_bound,
-    harmonic_number,
     harmonic_numbers,
     hrr_leading_term,
     interval_endpoints,
@@ -201,29 +193,34 @@ class TestRefined:
         assert refined_lower_bound(n, ALL_PARTS) > fixed
 
 
+def _harmonic(n):
+    """H_n by its own sum of 1/j, apart from harmonic_numbers' running sum."""
+    return sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+
+
+def _registry_value(bid, n, parts):
+    """The displayed value of registry bound bid at n, for parts with all
+    multiplicities."""
+    return value_column(bid, count_table(n, parts))[n].value
+
+
 class TestHarmonic:
     def test_harmonic_number(self):
-        assert harmonic_number(1) == 1
-        assert harmonic_number(4) == Fraction(25, 12)
-        assert harmonic_number(0) == 0
+        assert harmonic_numbers(4) == (0, 1, Fraction(3, 2), Fraction(11, 6), Fraction(25, 12))
 
     def test_harmonic_numbers_running_sum(self):
-        assert harmonic_numbers(40) == tuple(harmonic_number(n) for n in range(41))
+        assert harmonic_numbers(40) == tuple(_harmonic(n) for n in range(41))
         assert harmonic_numbers(0) == (0,)
 
-    def test_chain_value_with_given_harmonic_number(self):
-        assert harmonic_chain_bound(9, Powers(2), h=harmonic_number(9)) == (
-            harmonic_chain_bound(9, Powers(2))
-        )
-
     def test_chain_value(self):
-        hp = harmonic_chain_bound(4, ALL_PARTS)
-        assert abs(hp.value - 2055.9859) < 1e-3
+        # 4^4 e^(25/12)
+        assert abs(_registry_value("harmonic_chain", 4, ALL_PARTS) - 2055.9859) < 1e-3
 
     def test_chain_is_upper_bound(self):
         table = count_table(300, Powers(2))
+        values = value_column("harmonic_chain", table)
         for n in (16, 100, 300):
-            assert table.values[n] <= harmonic_chain_bound(n, Powers(2)).value
+            assert table.values[n] <= values[n].value
 
 
 class TestTranscendentalTerms:
@@ -241,13 +238,12 @@ class TestTranscendentalTerms:
             debruijn_leading_term(2)
 
     def test_debruijn_upper_value(self):
-        # log(17) * log2(16) at n = 8
-        expected = math.log(17) * 4 / math.log(2) * math.log(2)
-        assert abs(debruijn_upper_bound(8).value - math.log(17) * 4) < 1e-10
+        # e^(log(17) * log2(16)) = 17^4 at n = 16
+        assert abs(_registry_value("debruijn_upper", 16, Powers(2)) - 17**4) < 1e-40
 
     def test_sqrt_and_refined_values(self):
-        assert abs(classical_sqrt_lower(100).value - 220.26466) < 1e-4
-        assert abs(classical_refined_comparison(100).value - 7721.6439) < 1e-3
+        assert abs(_registry_value("sqrt_lower", 100, ALL_PARTS) - 220.26466) < 1e-4
+        assert abs(_registry_value("classical_refined", 100, ALL_PARTS) - 7721.6439) < 1e-3
 
     def test_slow_growth_exact_points(self):
         # powers of 2 with power-of-2 exponents give integer values
@@ -294,17 +290,19 @@ _TRANSCENDENTAL_PARTS = {
 }
 _FORMULA_LIMIT = 400
 
-# each transcendental registry bound's public evaluator and the formula its
-# enclosure is made from; debruijn_upper's evaluator gives the log of the
-# bound
+def _chain_over_powers_of_2(n):
+    """n^A(n) e^(H_n) for parts pow:2, where A(n) is the bit length of n."""
+    h = _harmonic(n)
+    return mpmath.mpf(n) ** n.bit_length() * mpmath.exp(mpmath.mpf(h.numerator) / h.denominator)
+
+
+# each transcendental registry bound written out again under mp, apart
+# from the registry's formula; debruijn_upper as (n+1)^(log2 n)
 _EVALUATORS = {
-    "classical_refined": (classical_refined_comparison, classical_refined_term),
-    "debruijn_upper": (debruijn_upper_bound, debruijn_log_term),
-    "harmonic_chain": (
-        lambda n: harmonic_chain_bound(n, Powers(2)),
-        lambda ctx, n: exp_harmonic_term(ctx, harmonic_number(n)),
-    ),
-    "sqrt_lower": (classical_sqrt_lower, sqrt_lower_term),
+    "classical_refined": lambda n: mpmath.exp(2 * mpmath.sqrt(n)) / (2 * mpmath.pi * n**2),
+    "debruijn_upper": lambda n: mpmath.power(n + 1, mpmath.log(n, 2)),
+    "harmonic_chain": _chain_over_powers_of_2,
+    "sqrt_lower": lambda n: mpmath.exp(mpmath.sqrt(n)) / n,
 }
 
 
@@ -319,8 +317,17 @@ class TestOneFormula:
     to the working precision."""
 
     def test_transcendental_bounds_listed(self):
-        with_enclosure = {bid for bid, b in BOUND_REGISTRY.items() if b.enclosure is not None}
-        assert with_enclosure == set(_TRANSCENDENTAL_PARTS)
+        # exactly the bounds with verdicts and transcendental values
+        # declare the range that block certification needs
+        tables = [_formula_table(ALL_PARTS), _formula_table(Powers(2))]
+        transcendental = {
+            bid for bid, b in BOUND_REGISTRY.items()
+            if b.direction != "asymptotic" and any(
+                isinstance(v, HighPrecisionReal) for t in tables for v in value_column(bid, t)
+            )
+        }
+        declared = {bid for bid, b in BOUND_REGISTRY.items() if b.increasing_from is not None}
+        assert transcendental == declared == set(_TRANSCENDENTAL_PARTS)
 
     @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
     @settings(max_examples=25, deadline=None)
@@ -330,23 +337,18 @@ class TestOneFormula:
         table = _formula_table(_TRANSCENDENTAL_PARTS[bid])
         bound = BOUND_REGISTRY[bid]
         assert bound.applies(n, table)
-        shown = bound.value(n, table).value
-        if bid == "harmonic_chain":
-            # the exact factor n^A(n) is divided out before certification
-            with mpmath.workdps(DEFAULT_DIGITS):
-                shown = shown / n ** table.parts.count_leq(n)
-        assert _within_enclosure(shown, lambda: bound.enclosure(n, table))
+        shown = value_column(bid, table)[n].value
+        assert _within_enclosure(shown, lambda: bound.value(iv, n, table))
 
     @pytest.mark.parametrize("bid", sorted(_EVALUATORS))
     @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, _FORMULA_LIMIT))
-    def test_evaluator_inside_enclosure(self, bid, n):
-        evaluate, term = _EVALUATORS[bid]
-        shown = evaluate(n).value
-        if bid == "harmonic_chain":
-            with mpmath.workdps(DEFAULT_DIGITS):
-                shown = shown / n ** Powers(2).count_leq(n)
-        assert _within_enclosure(shown, lambda: term(iv, n))
+    @given(half_n=st.integers(1, _FORMULA_LIMIT // 2))
+    def test_evaluator_inside_enclosure(self, bid, half_n):
+        n = 2 * half_n if bid == "debruijn_upper" else half_n
+        table = _formula_table(_TRANSCENDENTAL_PARTS[bid])
+        with mpmath.workdps(DEFAULT_DIGITS):
+            shown = _EVALUATORS[bid](n)
+        assert _within_enclosure(shown, lambda: BOUND_REGISTRY[bid].value(iv, n, table))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(16, 2**80))
@@ -486,7 +488,7 @@ def _monotone_points(bid):
 
 class TestMonotoneRanges:
     """Block certification rests on each declared range: from
-    increasing_from on, the enclosed term never decreases over the n the
+    increasing_from on, the value under iv never decreases over the n the
     bound applies to."""
 
     def test_declared_ranges(self):
@@ -498,16 +500,19 @@ class TestMonotoneRanges:
         assert declared == {
             "classical_refined": 5, "debruijn_upper": 2, "harmonic_chain": 1, "sqrt_lower": 5,
         }
-        assert all(BOUND_REGISTRY[bid].enclosure is not None for bid in declared)
 
-    def test_enclosure_needs_a_declared_range(self):
-        applies, value = (lambda n, t: True), (lambda n, t: 0)
-        enclosure = lambda n, t: iv.mpf(n)
+    def test_transcendental_value_needs_a_declared_range(self, monkeypatch):
+        # without increasing_from a verdict is an exact comparison, which a
+        # displayed HighPrecisionReal refuses instead of deciding unsoundly
+        applies, value = (lambda n, t: n >= 1), (lambda ctx, n, t: ctx.sqrt(n))
+        monkeypatch.setitem(BOUND_REGISTRY, "planted", _Bound("upper", applies, value))
+        table = CountTable(ALL_PARTS, NAT_MULTS, count_table(10, ALL_PARTS).values)
         with pytest.raises(TypeError):
-            _Bound("upper", applies, value, enclosure=enclosure)
-        with pytest.raises(TypeError):
-            _Bound("upper", applies, value, increasing_from=1)
-        assert _Bound("upper", applies, value, enclosure=enclosure, increasing_from=1)
+            verdict_column("planted", table)
+        monkeypatch.setitem(
+            BOUND_REGISTRY, "planted", _Bound("upper", applies, value, increasing_from=1)
+        )
+        assert verdict_column("planted", table)[1:] == [True] + [False] * 9  # p(1) = sqrt(1)
 
     @pytest.mark.parametrize("bid", sorted(_TRANSCENDENTAL_PARTS))
     @settings(max_examples=30, deadline=None)
@@ -517,8 +522,8 @@ class TestMonotoneRanges:
         i = data.draw(st.integers(0, len(points) - 2))
         n, m = points[i], data.draw(st.sampled_from(points[i + 1 :]))
         b = BOUND_REGISTRY[bid]
-        _, hi_n = interval_endpoints(lambda: b.enclosure(n, table), 50)
-        lo_m, _ = interval_endpoints(lambda: b.enclosure(m, table), 50)
+        _, hi_n = interval_endpoints(lambda: b.value(iv, n, table), 50)
+        lo_m, _ = interval_endpoints(lambda: b.value(iv, m, table), 50)
         assert hi_n <= lo_m
 
 
@@ -596,7 +601,7 @@ def _fraction_product(n, parts, mults):
 
 def _oracle_entry(bid, table, n):
     """The BoundEntry for one bound at one n, from per-n formulas that use
-    nothing table-wide: the rational-threshold product, harmonic_number(n),
+    nothing table-wide: the rational-threshold product, a per-n sum for H_n,
     and sum, max and a nondecreasing scan over values[: n + 1]."""
     parts, mults = table.parts, table.mults
     values = table.values[: n + 1]
@@ -622,37 +627,45 @@ def _oracle_entry(bid, table, n):
     if bid == "hrr":
         if not classical:
             return BoundEntry(bid, "asymptotic", False)
-        return BoundEntry(bid, "asymptotic", True, hrr_leading_term(n))
+        with mpmath.workdps(DEFAULT_DIGITS):
+            value = mpmath.exp(mpmath.pi * mpmath.sqrt(mpmath.mpf(2 * n) / 3))
+            value /= 4 * n * mpmath.sqrt(3)
+        return BoundEntry(bid, "asymptotic", True, HighPrecisionReal(value))
     if bid == "debruijn_upper":
         if not (n >= 2 and n % 2 == 0 and nat and parts == Powers(2)):
             return BoundEntry(bid, "upper", False)
         with mpmath.workdps(DEFAULT_DIGITS):
-            value = HighPrecisionReal(mpmath.exp(debruijn_upper_bound(n // 2).value))
+            value = mpmath.exp(mpmath.log(n + 1) * mpmath.log(n) / mpmath.log(2))
         ok = certified_leq(
             exact,
             lambda: iv.exp(iv.log(iv.mpf(n + 1)) * iv.log(iv.mpf(n)) / iv.log(iv.mpf(2))),
         )
-        return BoundEntry(bid, "upper", True, value, ok)
+        return BoundEntry(bid, "upper", True, HighPrecisionReal(value), ok)
     if bid == "harmonic_chain":
         if not (n >= 1 and nat):
             return BoundEntry(bid, "upper", False)
-        h = harmonic_number(n)
+        h = _harmonic(n)
+        a_n = parts.count_leq(n)
+        with mpmath.workdps(DEFAULT_DIGITS):
+            value = mpmath.mpf(n) ** a_n * mpmath.exp(mpmath.mpf(h.numerator) / h.denominator)
+        # the exact n^A(n) divided out, so only e^(H_n) is enclosed
         ok = certified_leq(
-            Fraction(exact, n ** parts.count_leq(n)),
+            Fraction(exact, n**a_n),
             lambda: iv.exp(iv.mpf(h.numerator) / iv.mpf(h.denominator)),
         )
-        return BoundEntry(bid, "upper", True, harmonic_chain_bound(n, parts), ok)
+        return BoundEntry(bid, "upper", True, HighPrecisionReal(value), ok)
     if bid in ("sqrt_lower", "classical_refined"):
         if not classical:
             return BoundEntry(bid, "lower", False)
-        if bid == "sqrt_lower":
-            value = classical_sqrt_lower(n)
-            builder = lambda: iv.exp(iv.sqrt(iv.mpf(n))) / n
-        else:
-            value = classical_refined_comparison(n)
-            builder = lambda: iv.exp(2 * iv.sqrt(iv.mpf(n))) / (2 * iv.pi * n * n)
+        with mpmath.workdps(DEFAULT_DIGITS):
+            if bid == "sqrt_lower":
+                value = mpmath.exp(mpmath.sqrt(n)) / n
+                builder = lambda: iv.exp(iv.sqrt(iv.mpf(n))) / n
+            else:
+                value = mpmath.exp(2 * mpmath.sqrt(n)) / (2 * mpmath.pi * n * n)
+                builder = lambda: iv.exp(2 * iv.sqrt(iv.mpf(n))) / (2 * iv.pi * n * n)
         ok = certified_geq(exact, builder)
-        return BoundEntry(bid, "lower", True, value, ok)
+        return BoundEntry(bid, "lower", True, HighPrecisionReal(value), ok)
     if bid == "padberg":
         if cset is None:
             return BoundEntry(bid, "lower", False)

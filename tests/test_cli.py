@@ -31,6 +31,15 @@ ALL_BOUNDS_CSV_SHA256 = {
     "pow:2": "0dca194829c22ce685c26f2856131b640ec9d923e4d2b10f4cf5e9d1f5ba7dfc",
 }
 
+# The same at --upto 750, recorded while harmonic_chain was certified as
+# p(n) / n^A(n) <= e^(H_n).  For `all`, n^A(n) reaches 750^750, which an
+# enclosure of the whole bound n^A(n) e^(H_n) must carry without changing
+# a verdict; the upto-60 pins never get near that magnitude.
+ALL_BOUNDS_CSV_750_SHA256 = {
+    "all": "ed7ea4db3a764c430fabbef0b26c6e4b621b0a41b7a1f9417495c8f83821a072",
+    "pow:2": "df486894ded08a6c0d1ccd4c61f8bb624045af7d10c22fa988d659f0df9d0d86",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -243,6 +252,16 @@ class TestTable:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ALL_BOUNDS_CSV_SHA256[parts]
+
+    @pytest.mark.parametrize("parts", sorted(ALL_BOUNDS_CSV_750_SHA256))
+    def test_all_bound_columns_snapshot_to_750(self, capsys, parts):
+        code, out, _ = run(
+            capsys,
+            "table", "--parts", parts, "--upto", "750",
+            "--bounds", ",".join(BOUND_IDS), "--format", "csv",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_BOUNDS_CSV_750_SHA256[parts]
 
     def test_zero_only_multiplicities(self, capsys):
         # multiplicity set {0}: only the empty partition, and a product ceiling of 1

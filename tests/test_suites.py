@@ -4,7 +4,9 @@ acceptance gate; this file checks the result type and registry behave."""
 import hashlib
 import json
 
+import mpmath
 import pytest
+from mpmath import iv, mp
 
 from partlab import bounds, counting, setspec, suites
 from partlab.counting import CountTable
@@ -85,8 +87,8 @@ def test_slow_growth_scans_match_plain_loops(monkeypatch):
 
 def _pointwise_column(bound_id, table):
     """One verdict per applicable n, no blocks and no shared columns: an
-    exact value compared directly, an enclosed term by one certified_leq /
-    certified_geq."""
+    exact value compared directly, a transcendental one (an mpf under mp)
+    by one certified_leq / certified_geq of its value under iv."""
     b = bounds.BOUND_REGISTRY[bound_id]
     upper = b.direction == "upper"
     certify = bounds.certified_leq if upper else bounds.certified_geq
@@ -95,11 +97,11 @@ def _pointwise_column(bound_id, table):
         if b.direction == "asymptotic" or not b.applies(n, table):
             continue
         exact = table.values[n] if b.bounded is None else b.bounded(n, table)
-        if b.enclosure is None:
-            value = b.value(n, table)
-            column[n] = exact <= value if upper else exact >= value
+        value = b.value(mp, n, table)
+        if isinstance(value, mpmath.mpf):
+            column[n] = certify(exact, lambda n=n: b.value(iv, n, table))
         else:
-            column[n] = certify(exact, lambda n=n: b.enclosure(n, table))
+            column[n] = exact <= value if upper else exact >= value
     return column
 
 
