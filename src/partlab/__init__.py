@@ -1,104 +1,80 @@
 """Exact counting and bound verification for partitions with restricted
-parts and multiplicities."""
+parts and multiplicities.
 
-from .setspec import (
-    ALL_PARTS,
-    NAT_MULTS,
-    AllFrom,
-    ArithmeticProgression,
-    DoublyExponential,
-    Finite,
-    IntegerSetSpec,
-    InvalidSetError,
-    Powers,
-    SetSpecError,
-    SpecSyntaxError,
-    WithZero,
-    construct_sparse_set,
-    parse_set_spec,
-)
-from .arith import (
-    FiniteCoprimeSet,
-    PrefixGcdTrace,
-    coprime_prefix,
-    eventually_strictly_increasing,
-    frobenius_threshold,
-    gcd_of_set,
-    is_eventually_positive,
-)
-from .counting import (
-    KERNEL_BACKEND,
-    CountTable,
-    brute_force_count,
-    count_partitions,
-    count_table,
-    pentagonal_table,
-)
-from .bounds import (
-    BoundReport,
-    HighPrecisionReal,
-    bound_report,
-    check_existence_lower_bound,
-    debruijn_leading_term,
-    hrr_leading_term,
-    j_of_n,
-    monotone_lower_bound,
-    padberg_lower,
-    product_upper_bound,
-    refined_lower_bound,
-    schur_asymptotic,
-    schur_style_point_lower,
-    slow_growth_closed_form,
-)
-from .suites import SUITES, SuiteResult, run_all, run_suite
+The public names are resolved on first use (PEP 562), so `import partlab`
+loads no submodule; `bounds`, `suites` and mpmath load only when one of
+their names is asked for.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PARTS",
-    "NAT_MULTS",
-    "AllFrom",
-    "ArithmeticProgression",
-    "BoundReport",
-    "CountTable",
-    "DoublyExponential",
-    "Finite",
-    "FiniteCoprimeSet",
-    "HighPrecisionReal",
-    "IntegerSetSpec",
-    "InvalidSetError",
-    "KERNEL_BACKEND",
-    "Powers",
-    "PrefixGcdTrace",
-    "SUITES",
-    "SetSpecError",
-    "SpecSyntaxError",
-    "SuiteResult",
-    "WithZero",
-    "bound_report",
-    "brute_force_count",
-    "check_existence_lower_bound",
-    "construct_sparse_set",
-    "coprime_prefix",
-    "count_partitions",
-    "count_table",
-    "debruijn_leading_term",
-    "eventually_strictly_increasing",
-    "frobenius_threshold",
-    "gcd_of_set",
-    "hrr_leading_term",
-    "is_eventually_positive",
-    "j_of_n",
-    "monotone_lower_bound",
-    "padberg_lower",
-    "parse_set_spec",
-    "pentagonal_table",
-    "product_upper_bound",
-    "refined_lower_bound",
-    "run_all",
-    "run_suite",
-    "schur_asymptotic",
-    "schur_style_point_lower",
-    "slow_growth_closed_form",
-    "__version__",
-]
+# submodule -> the public names it provides; the one list of the package's surface
+_EXPORTS = {
+    "setspec": (
+        "ALL_PARTS",
+        "NAT_MULTS",
+        "AllFrom",
+        "ArithmeticProgression",
+        "DoublyExponential",
+        "Finite",
+        "IntegerSetSpec",
+        "InvalidSetError",
+        "Powers",
+        "SetSpecError",
+        "SpecSyntaxError",
+        "WithZero",
+        "construct_sparse_set",
+        "parse_set_spec",
+    ),
+    "arith": (
+        "FiniteCoprimeSet",
+        "PrefixGcdTrace",
+        "coprime_prefix",
+        "eventually_strictly_increasing",
+        "frobenius_threshold",
+        "gcd_of_set",
+        "is_eventually_positive",
+    ),
+    "counting": (
+        "KERNEL_BACKEND",
+        "CountTable",
+        "brute_force_count",
+        "count_partitions",
+        "count_table",
+        "pentagonal_table",
+    ),
+    "bounds": (
+        "BoundReport",
+        "HighPrecisionReal",
+        "bound_report",
+        "check_existence_lower_bound",
+        "debruijn_leading_term",
+        "hrr_leading_term",
+        "j_of_n",
+        "monotone_lower_bound",
+        "padberg_lower",
+        "product_upper_bound",
+        "refined_lower_bound",
+        "schur_asymptotic",
+        "schur_style_point_lower",
+        "slow_growth_closed_form",
+    ),
+    "suites": ("SUITES", "SuiteResult", "run_all", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

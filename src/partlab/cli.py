@@ -16,18 +16,15 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
-from statistics import linear_regression
 
-import mpmath
-
+# bounds, suites and mpmath load inside the commands that use them (table
+# --bounds, verify), so count, analyze, explore and sparse never pay for them
 from .arith import (
     coprime_prefix,
     eventually_strictly_increasing,
     frobenius_threshold,
     gcd_of_set,
 )
-from .bounds import BOUND_IDS, HighPrecisionReal, bound_report
 from .counting import count_partitions, count_table, finite_coprime_parts
 from .setspec import (
     NAT_MULTS,
@@ -37,7 +34,6 @@ from .setspec import (
     parse_natural,
     parse_set_spec,
 )
-from .suites import SUITES, run_all, run_suite
 
 DISPLAY_DIGITS = 12
 MAX_HUMAN_FAILURES = 20
@@ -89,7 +85,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="p(0..upto) with optional bound columns")
     common(p, parts=True, mults=True, upto=True)
-    p.add_argument("--bounds", help="comma-separated bound ids; see below")
+    p.add_argument(
+        "--bounds",
+        help="comma-separated bound ids; an unknown id's error lists them all",
+    )
 
     p = sub.add_parser("analyze", help="gcd, coprime prefix, representability")
     common(p, parts=True)
@@ -133,12 +132,22 @@ def _csv(rows) -> str:
     return out.getvalue()
 
 
-def _format_value(v) -> str:
-    if isinstance(v, HighPrecisionReal):
-        return mpmath.nstr(v.value, DISPLAY_DIGITS)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+def _value_formatter(real_type):
+    """The renderer of one bound value: a `real_type` (bounds'
+    HighPrecisionReal) at DISPLAY_DIGITS, a Fraction as num/den, an int in
+    decimal.  Built once per table, so no import runs per cell."""
+    from fractions import Fraction
+
+    import mpmath
+
+    def format_value(v) -> str:
+        if isinstance(v, real_type):
+            return mpmath.nstr(v.value, DISPLAY_DIGITS)
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
+        return str(v)
+
+    return format_value
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +174,28 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _parse_bound_ids(text: str | None) -> list[str]:
-    if not text:
-        return []
+def _parse_bound_ids(text: str, known: tuple[str, ...]) -> list[str]:
     ids = [b.strip() for b in text.split(",") if b.strip()]
     for bid in ids:
-        if bid not in BOUND_IDS:
-            raise UsageError(
-                f"unknown bound id {bid!r}; known: {', '.join(BOUND_IDS)}"
-            )
+        if bid not in known:
+            raise UsageError(f"unknown bound id {bid!r}; known: {', '.join(known)}")
     return ids
 
 
 def cmd_table(args) -> int:
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
-    bound_ids = _parse_bound_ids(args.bounds)
+    bound_ids = []
+    if args.bounds:
+        from . import bounds
+
+        bound_ids = _parse_bound_ids(args.bounds, bounds.BOUND_IDS)
+        format_value = _value_formatter(bounds.HighPrecisionReal)
     table = count_table(args.upto, parts, mults)
+    # bounds.bound_report is looked up per row, so a rebinding of the module
+    # attribute (perfbench's tracer) sees every call
     entries = [
-        bound_report(table, n, bound_ids).entries if bound_ids else ()
+        bounds.bound_report(table, n, bound_ids).entries if bound_ids else ()
         for n in range(args.upto + 1)
     ]
 
@@ -197,7 +209,7 @@ def cmd_table(args) -> int:
                         "applicable": e.applicable,
                         "direction": e.direction,
                         "satisfied": e.satisfied,
-                        "value": _format_value(e.value) if e.applicable else None,
+                        "value": format_value(e.value) if e.applicable else None,
                     }
                     for e in row_entries
                 }
@@ -217,7 +229,7 @@ def cmd_table(args) -> int:
             yield ["n", "count", *bound_ids]
             for n, row_entries in enumerate(entries):
                 yield [str(n), str(table.values[n])] + [
-                    _format_value(e.value) if e.applicable else None for e in row_entries
+                    format_value(e.value) if e.applicable else None for e in row_entries
                 ]
 
         if args.format == "csv":
@@ -281,18 +293,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import suites
+
     if args.list:
         lines = []
-        for name, (_, description, params) in SUITES.items():
+        for name, (_, description, params) in suites.SUITES.items():
             lines.append(f"{name}: {description}")
             lines.append(f"    parameters: {params}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     name = args.suite or "all"
     if name == "all":
-        results = run_all()
-    elif name in SUITES:
-        results = [run_suite(name)]
+        results = suites.run_all()
+    elif name in suites.SUITES:
+        results = [suites.run_suite(name)]
     else:
         raise UsageError(f"unknown suite {name!r}; see 'verify --list'")
 
@@ -319,6 +333,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from statistics import linear_regression
+
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
     table = count_table(args.upto, parts, mults)

@@ -10,7 +10,6 @@ import hashlib
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
 
 import mpmath
 
@@ -18,21 +17,13 @@ from partlab import _dpcore_py
 from partlab.arith import FiniteCoprimeSet, frobenius_threshold
 from partlab.bounds import hrr_leading_term
 from partlab.cli import main
-from partlab.corpus import CORPUS, CORPUS_BY_LABEL
+from partlab.corpus import CORPUS
 from partlab.counting import (
     brute_force_count,
     count_table,
     pentagonal_table,
 )
-from partlab.setspec import (
-    ALL_PARTS,
-    AllFrom,
-    ArithmeticProgression,
-    DoublyExponential,
-    Finite,
-    Powers,
-    WithZero,
-)
+from partlab.setspec import ALL_PARTS, Finite, WithZero
 from partlab.suites import run_suite
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partlab
-from partlab import bounds, counting
+from partlab import bounds, cli, counting, suites
 from partlab.arith import FiniteCoprimeSet
 from partlab.counting import (
     BRUTE_FORCE_LIMIT,
@@ -208,6 +208,27 @@ class TestKernels:
         for parts, mults in PAIRS:
             dense = count_table(300, parts, mults, kernel=_dpcore_py)
             assert dense.values == count_table(300, parts, mults).values
+
+    def test_benchmark_tracer_lookups(self, monkeypatch, capsys):
+        # the tracer rebinds bounds.bound_report and suites.run_suite where
+        # they are defined; cli imports those modules inside the commands,
+        # so it must read the functions off the modules at call time
+        calls = []
+
+        def counting_wrapper(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bounds, "bound_report", counting_wrapper(bounds.bound_report))
+        monkeypatch.setattr(suites, "run_suite", counting_wrapper(suites.run_suite))
+        assert cli.main(["table", "--parts", "all", "--upto", "20", "--bounds", "hrr"]) == 0
+        assert calls == ["bound_report"] * 21
+        assert cli.main(["verify", "--suite", "eq4"]) == 0
+        assert calls[21:] == ["run_suite"]
+        capsys.readouterr()
 
     def test_benchmark_bound_hooks(self):
         # perfbench/tracer.py times as bound evaluation the public bounds
