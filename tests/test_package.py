@@ -55,7 +55,6 @@ def test_each_exported_name_is_its_modules_object():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         partlab.no_such_name  # noqa: B018
-    assert not hasattr(partlab, "bound_ids")
 
 
 def test_submodules_still_import_by_name():
