@@ -46,12 +46,8 @@ _EXPORTS = {
         "pentagonal_table",
     ),
     "bounds": (
-        "BoundReport",
-        "HighPrecisionReal",
         "bound_report",
         "check_existence_lower_bound",
-        "debruijn_leading_term",
-        "hrr_leading_term",
         "j_of_n",
         "monotone_lower_bound",
         "padberg_lower",
@@ -59,7 +55,6 @@ _EXPORTS = {
         "refined_lower_bound",
         "schur_asymptotic",
         "schur_style_point_lower",
-        "slow_growth_closed_form",
     ),
     "suites": ("SUITES", "SuiteResult", "run_all", "run_suite"),
 }

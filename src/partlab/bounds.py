@@ -1,21 +1,21 @@
 """Evaluators for the growth bounds on p(n; S, M), and rigorous comparison
 of exact counts against them.
 
-Two value families, kept strictly apart:
+A bound value is a plain number, of one of two families kept strictly
+apart:
 
-* polynomial / factorial bounds evaluate as exact rationals (Fraction),
-  so inequality checks are plain integer arithmetic;
+* polynomial / factorial bounds are exact (int or Fraction), so
+  inequality checks are plain integer arithmetic;
 * transcendental bounds are written once each, as a formula over an
   mpmath context: a registry bound's _Bound.value(ctx, n, table), built
-  from terms such as debruijn_log_term and sqrt_lower_term.  Evaluated
-  under mp, the formula gives the displayed HighPrecisionReal; evaluated
-  under iv, it gives an outward-rounded enclosure, and a verdict is
-  claimed only when the exact side clears the whole enclosure, so it
-  would survive any amount of extra precision.  When an enclosure is too
-  wide to decide, precision is escalated, from DEFAULT_DIGITS up to
-  MAX_DIGITS.  No function but the escalation step interval_endpoints
-  takes a precision: a verdict does not depend on where it starts, and
-  values are computed at DEFAULT_DIGITS.
+  from terms such as debruijn_log_term and sqrt_lower_term.  Under mp the
+  formula gives the displayed mpmath.mpf, at DEFAULT_DIGITS; under iv it
+  gives an outward-rounded enclosure, and a verdict is claimed only when
+  the exact side clears the whole enclosure, so it would survive any
+  amount of extra precision.  When an enclosure is too wide to decide,
+  precision is escalated, from DEFAULT_DIGITS up to MAX_DIGITS.  No
+  function but that escalation step, interval_endpoints, takes a
+  precision: a verdict does not depend on where it starts.
 
 Directions are from the point of view of the exact count: an "upper"
 bound claims exact <= value, a "lower" bound claims exact >= value.  The
@@ -28,16 +28,13 @@ on the table (CountTable.bound_columns, keyed by (kind, bound id)), so
 they belong to its values and not to (parts, mults):
 
 * value_column: _Bound.value under mp at every n the bound applies to,
-  None elsewhere, transcendental values at DEFAULT_DIGITS;
+  None elsewhere;
 * verdict_column: the verdict at every applicable n, None elsewhere and
   for asymptotic reference values.  An exact value is compared with the
-  exact side directly.  A transcendental value never decreases from its
-  _Bound.increasing_from on, so certify_increasing certifies it there,
-  under iv, by blocks: one interval check settles a whole block of n, and
-  a block that does not settle is halved, down to single n, which get the
-  pointwise certified_leq / certified_geq with their escalation.  Below
-  that n every n is certified pointwise.  Either way each verdict is the
-  pointwise one.
+  exact side directly.  A transcendental value is certified under iv,
+  pointwise below its _Bound.increasing_from and by blocks from there on
+  (certify_increasing), where it never decreases.  Either way each
+  verdict is the pointwise one.
 
 bound_report is a lookup into the two columns, and the verification
 suites scan the same columns over their ranges of n.  The table-wide
@@ -72,15 +69,6 @@ from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
 # enclosure decides it; a starting precision changes neither.
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 3200
-
-
-class HighPrecisionReal(NamedTuple):
-    """An mpmath value computed at DEFAULT_DIGITS."""
-
-    value: mpmath.mpf
-
-    def __str__(self) -> str:
-        return mpmath.nstr(self.value, DEFAULT_DIGITS)
 
 
 class PrecisionError(ArithmeticError):
@@ -180,11 +168,6 @@ def certify_increasing(
             mid = (a + b) // 2
             blocks += [(mid + 1, b), (a, mid)]
     return verdicts
-
-
-def _hp(expr: Callable[[], mpmath.mpf]) -> HighPrecisionReal:
-    with mp.workdps(DEFAULT_DIGITS):
-        return HighPrecisionReal(expr())
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +349,10 @@ def slow_growth_term(ctx, n: int):
     return lg_n * ctx.power(lg_lg, lg_lg)
 
 
-def hrr_leading_term(n: int) -> HighPrecisionReal:
-    """hrr_term at DEFAULT_DIGITS."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _hp(lambda: hrr_term(mp, n))
-
-
-def debruijn_leading_term(n: int) -> HighPrecisionReal:
+def debruijn_leading_term(ctx, n: int):
     """(1/(2 log 2)) (log(n / log n))^2: leading log-asymptotic of binary
-    partitions of 2n.  Needs n >= 3 so log log n > 0."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return _hp(
-        lambda: (mpmath.log(n / mpmath.log(n))) ** 2 / (2 * mpmath.log(2))
-    )
-
-
-def slow_growth_closed_form(n: int) -> HighPrecisionReal:
-    """slow_growth_term at DEFAULT_DIGITS; needs n >= 16."""
-    if n < 16:
-        raise ValueError("n must be at least 16")
-    return _hp(lambda: slow_growth_term(mp, n))
+    partitions of 2n, for n >= 3 (where log log n > 0)."""
+    return ctx.log(n / ctx.log(n)) ** 2 / (2 * ctx.log(2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +363,8 @@ class BoundEntry:
     bound_id: str
     direction: str  # "upper" | "lower" | "asymptotic"
     applicable: bool
-    value: object | None = None  # int | Fraction | HighPrecisionReal
+    value: object | None = None  # int | Fraction | mpmath.mpf
     satisfied: bool | None = None  # None for asymptotic reference values
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    exact: int
-    entries: tuple[BoundEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -433,8 +391,8 @@ class _Bound:
     direction: str  # "upper" | "lower" | "asymptotic"
     applies: Callable  # (n, table) -> bool
     value: Callable  # (ctx, n, table) -> int | Fraction | ctx.mpf
-    # (n, table) -> the quantity the bound is claimed for, when it is not p(n)
-    bounded: Callable | None = None
+    # (n, table) -> the quantity the bound is claimed for: p(n) unless named
+    bounded: Callable = lambda n, t: t.values[n]
     increasing_from: int | None = None
 
 
@@ -526,29 +484,25 @@ BOUND_IDS = tuple(sorted(BOUND_REGISTRY))
 
 def value_column(bound_id: str, table: CountTable) -> list:
     """The value of a registry bound at every n of table, None where it
-    does not apply, transcendental values under mp at DEFAULT_DIGITS as
-    HighPrecisionReal; built on first use and kept on the table."""
+    does not apply, transcendental values as mpf under mp at DEFAULT_DIGITS;
+    built on first use and kept on the table."""
     key = ("value", bound_id)
     columns = table.bound_columns
     if key not in columns:
         b = BOUND_REGISTRY[bound_id]
         with mp.workdps(DEFAULT_DIGITS):
-            values = [
+            columns[key] = [
                 b.value(mp, n, table) if b.applies(n, table) else None
                 for n in range(table.upto + 1)
             ]
-        columns[key] = [
-            HighPrecisionReal(v) if isinstance(v, mpmath.mpf) else v for v in values
-        ]
     return columns[key]
 
 
 def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
-    """The verdict of a registry bound at every n of table, None where it
-    does not apply and for asymptotic reference values: an exact value is
-    compared directly; where increasing_from is set, the value under iv is
-    certified by blocks from increasing_from on and pointwise below it.
-    Built on first use and kept on the table."""
+    """The verdict of a registry bound at every n of table, as the module
+    docstring sets out; built on first use and kept on the table.  A
+    transcendental value without increasing_from raises TypeError rather
+    than be compared at its working precision."""
     key = ("verdict", bound_id)
     columns = table.bound_columns
     if key in columns:
@@ -556,10 +510,9 @@ def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
     b = BOUND_REGISTRY[bound_id]
     column: list = [None] * (table.upto + 1)
     upper = b.direction == "upper"
-    bounded = b.bounded or (lambda n, t: t.values[n])
     if b.increasing_from is not None:
         ns = [n for n in range(table.upto + 1) if b.applies(n, table)]
-        exact = [bounded(n, table) for n in ns]
+        exact = [b.bounded(n, table) for n in ns]
         certify = certified_leq if upper else certified_geq
         start = bisect_left(ns, b.increasing_from)
         verdicts = [
@@ -573,8 +526,12 @@ def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
             column[n] = ok
     elif b.direction != "asymptotic":
         for n, v in enumerate(value_column(bound_id, table)):
+            if isinstance(v, mpmath.mpf):
+                raise TypeError(
+                    f"bound {bound_id!r} has a transcendental value but no increasing_from"
+                )
             if v is not None:
-                exact = bounded(n, table)
+                exact = b.bounded(n, table)
                 column[n] = exact <= v if upper else exact >= v
     columns[key] = column
     return column
@@ -582,18 +539,16 @@ def verdict_column(bound_id: str, table: CountTable) -> list[bool | None]:
 
 def bound_report(
     table: CountTable, n: int, bound_ids: list[str] | None = None
-) -> BoundReport:
+) -> tuple[BoundEntry, ...]:
     """The requested bounds at one n against the exact count, read from
     each bound's value and verdict columns."""
     entries = []
     for bid in BOUND_IDS if bound_ids is None else bound_ids:
         if bid not in BOUND_REGISTRY:
             raise ValueError(f"unknown bound id {bid!r}")
-        direction = BOUND_REGISTRY[bid].direction
         value = value_column(bid, table)[n]
-        if value is None:
-            entries.append(BoundEntry(bid, direction, False))
-        else:
-            verdict = verdict_column(bid, table)[n]
-            entries.append(BoundEntry(bid, direction, True, value, verdict))
-    return BoundReport(n, table.values[n], tuple(entries))
+        verdict = None if value is None else verdict_column(bid, table)[n]
+        entries.append(
+            BoundEntry(bid, BOUND_REGISTRY[bid].direction, value is not None, value, verdict)
+        )
+    return tuple(entries)

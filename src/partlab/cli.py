@@ -33,6 +33,7 @@ from .setspec import (
     construct_sparse_set,
     parse_natural,
     parse_set_spec,
+    read_lines,
 )
 
 DISPLAY_DIGITS = 12
@@ -132,17 +133,17 @@ def _csv(rows) -> str:
     return out.getvalue()
 
 
-def _value_formatter(real_type):
-    """The renderer of one bound value: a `real_type` (bounds'
-    HighPrecisionReal) at DISPLAY_DIGITS, a Fraction as num/den, an int in
-    decimal.  Built once per table, so no import runs per cell."""
+def _value_formatter():
+    """The renderer of one bound value: an mpmath.mpf at DISPLAY_DIGITS, a
+    Fraction as num/den, an int in decimal.  Built once per table, so no
+    import runs per cell."""
     from fractions import Fraction
 
     import mpmath
 
     def format_value(v) -> str:
-        if isinstance(v, real_type):
-            return mpmath.nstr(v.value, DISPLAY_DIGITS)
+        if isinstance(v, mpmath.mpf):
+            return mpmath.nstr(v, DISPLAY_DIGITS)
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}"
         return str(v)
@@ -190,12 +191,12 @@ def cmd_table(args) -> int:
         from . import bounds
 
         bound_ids = _parse_bound_ids(args.bounds, bounds.BOUND_IDS)
-        format_value = _value_formatter(bounds.HighPrecisionReal)
+        format_value = _value_formatter()
     table = count_table(args.upto, parts, mults)
     # bounds.bound_report is looked up per row, so a rebinding of the module
     # attribute (perfbench's tracer) sees every call
     entries = [
-        bounds.bound_report(table, n, bound_ids).entries if bound_ids else ()
+        bounds.bound_report(table, n, bound_ids) if bound_ids else ()
         for n in range(args.upto + 1)
     ]
 
@@ -261,6 +262,11 @@ def cmd_analyze(args) -> int:
         }
     fc = finite_coprime_parts(parts, NAT_MULTS)
     if fc is not None:
+        # Schur: every n >= (a_1 - 1)(a_k - 1) is representable, so the scan
+        # meets its run of a_1 representable integers by this horizon
+        horizon = (fc.elements[0] - 1) * (fc.elements[-1] - 1) + fc.elements[0]
+        if horizon > MAX_N:
+            raise UsageError(f"the Frobenius scan of {parts} passes the limit {MAX_N}")
         info["frobenius_threshold"] = frobenius_threshold(fc)
         info["strictly_increasing"] = eventually_strictly_increasing(fc)
 
@@ -293,6 +299,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.list and (args.suite is not None or args.format == "json"):
+        raise UsageError("--list takes no --suite and no --format json")
     from . import suites
 
     if args.list:
@@ -394,8 +402,7 @@ def cmd_explore(args) -> int:
 
 def cmd_sparse(args) -> int:
     try:
-        with open(args.epsilon_file, encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
+        raw_lines = read_lines(args.epsilon_file)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.epsilon_file}: {exc}") from exc
     entries: list[tuple[int, int]] = []
@@ -418,26 +425,15 @@ def cmd_sparse(args) -> int:
     anchor_lines = "\n".join(str(a) for a in sset.elements) + "\n"
     if args.out:
         _emit(anchor_lines, args.out)
-        if args.format == "json":
-            sys.stdout.write(
-                _json(
-                    {
-                        "anchors": list(sset.elements),
-                        "out": args.out,
-                        "spec": sset.spec_string(),
-                    }
-                )
-            )
-        else:
-            sys.stdout.write(
-                f"{len(sset.elements)} anchors -> {args.out} "
-                f"(use --parts {sset})\n"
-            )
+    if args.format == "json":
+        doc = {"anchors": list(sset.elements), "out": args.out}
+        if args.out:
+            doc["spec"] = sset.spec_string()
+        sys.stdout.write(_json(doc))
+    elif args.out:
+        sys.stdout.write(f"{len(sset.elements)} anchors -> {args.out} (use --parts {sset})\n")
     else:
-        if args.format == "json":
-            sys.stdout.write(_json({"anchors": list(sset.elements), "out": None}))
-        else:
-            sys.stdout.write(anchor_lines)
+        sys.stdout.write(anchor_lines)
     return 0
 
 

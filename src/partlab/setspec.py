@@ -30,6 +30,7 @@ involved.
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -287,10 +288,26 @@ def parse_natural(text: str) -> int:
     return value
 
 
+# Largest anchors or epsilon file read: 2^21 lines of a 7-digit anchor and
+# its newline.  A read stops one byte past it, so a path such as /dev/zero
+# costs no more memory than a file at the cap.
+MAX_FILE_BYTES = 2**21 * 8
+
+
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 file of at most MAX_FILE_BYTES, newlines read
+    as open() reads them.  Raises OSError when the file cannot be read or
+    is larger, UnicodeDecodeError when it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise OSError(f"more than {MAX_FILE_BYTES} bytes")
+    return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+
+
 def _load_anchor_file(path: str) -> Finite:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in read_lines(path) if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSetError(f"cannot read anchors file {path}: {exc}") from exc
     try:

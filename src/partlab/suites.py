@@ -119,20 +119,22 @@ def _onset(verdicts: list) -> int:
 
 def _scan(
     res: SuiteResult, bound_id: str, table, inputs,
-    start: int = 0, expected: str | None = None, got=None,
+    start: int = 0, expected: str | None = None,
 ) -> int:
     """Check registry bound bound_id at every applicable n >= start of
     table, one case each, and return its onset.  A failure records
     inputs(n), the expected text (by default the bound's direction and
-    value) and got[n] (by default p(n))."""
+    value) and the quantity the bound is claimed for (p(n) unless the
+    registry names another)."""
     verdicts = bounds.verdict_column(bound_id, table)
-    op = "<=" if bounds.BOUND_REGISTRY[bound_id].direction == "upper" else ">="
+    b = bounds.BOUND_REGISTRY[bound_id]
+    op = "<=" if b.direction == "upper" else ">="
     for n, ok in enumerate(verdicts[start:], start):
         if ok is not None:
             res.check(ok, lambda: (
                 inputs(n),
                 expected or f"{op} {bounds.value_column(bound_id, table)[n]}",
-                str((got or table.values)[n]),
+                str(b.bounded(n, table)),
             ))
     return _onset(verdicts)
 
@@ -240,7 +242,7 @@ def suite_exponential_ratio() -> SuiteResult:
     with mp.workdps(bounds.DEFAULT_DIGITS):
         lo, hi = mpmath.mpf("0.9"), mpmath.mpf("1.0")
         for n in range(HRR_RANGE[0], HRR_RANGE[1] + 1):
-            ratio = mpmath.mpf(table.values[n]) / bounds.hrr_leading_term(n).value
+            ratio = mpmath.mpf(table.values[n]) / bounds.hrr_term(mp, n)
             res.check(lo <= ratio <= hi, lambda: (
                 {"parts": "all", "n": n}, "ratio in [0.9, 1.0]", _nstr(ratio),
             ))
@@ -272,7 +274,7 @@ def suite_binary_log_ceiling() -> SuiteResult:
     big = count_table(2 * DEBRUIJN_RATIO_POINT, Powers(2))
     with mp.workdps(bounds.DEFAULT_DIGITS):
         log_count = mpmath.log(mpmath.mpf(big.values[2 * DEBRUIJN_RATIO_POINT]))
-        lead = bounds.debruijn_leading_term(DEBRUIJN_RATIO_POINT).value
+        lead = bounds.debruijn_leading_term(mp, DEBRUIJN_RATIO_POINT)
         ratio = log_count / lead
         ok = mpmath.mpf("0.3") <= ratio <= mpmath.mpf("1.5")
     res.extras["log_ratio_at_pow16"] = _nstr(ratio)
@@ -313,9 +315,9 @@ def suite_cumulative_floor() -> SuiteResult:
         if finite_coprime_parts(pair.parts, pair.mults) is None:
             continue
         table = count_table(PADBERG_LIMIT, pair.parts)
-        cumulative = table.prefix_sums
-        _scan(res, "padberg", table, lambda n: _inputs(pair, n), got=cumulative)
+        _scan(res, "padberg", table, lambda n: _inputs(pair, n))
         if table.finite_coprime.elements == (1,):
+            cumulative = table.prefix_sums
             floors = bounds.value_column("padberg", table)
             for n, floor in enumerate(floors):
                 res.check(cumulative[n] == floor, lambda: (
@@ -366,7 +368,7 @@ def suite_prefix_extension_floor() -> SuiteResult:
     forms = bounds.value_column("classical_refined", table)
     with mp.workdps(bounds.DEFAULT_DIGITS):
         ratios = [
-            mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator) / form.value
+            mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator) / form
             for fl, form in zip(floors[REFINED_ASSERT_FROM:], forms[REFINED_ASSERT_FROM:])
         ]
     res.extras["form_ratio_min"] = _nstr(min(ratios))
@@ -437,7 +439,7 @@ def suite_slow_growth() -> SuiteResult:
                 f"<= {SLOW_GROWTH_SLACK} (lg n)(lg lg n)^(lg lg n)",
                 str(vals[n]),
             ))
-            ratio = vals[n] / bounds.slow_growth_closed_form(n).value
+            ratio = vals[n] / bounds.slow_growth_term(mp, n)
             if ratio > slack:
                 slack = ratio
     res.extras["max_count"] = str(best)

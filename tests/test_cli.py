@@ -8,14 +8,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partlab import cli, counting, suites
+from partlab import cli, counting, setspec, suites
 from partlab.bounds import BOUND_IDS
 from partlab.cli import MAX_N, main
 from partlab.suites import SuiteResult
@@ -327,6 +328,29 @@ class TestAnalyze:
         assert payload["frobenius_threshold"] == 30
         assert payload["strictly_increasing"] is False
 
+    @pytest.mark.parametrize(
+        "parts",
+        ["finite:1000000000,1000000001", "finite:100000,100001", f"finite:2,{MAX_N + 1}"],
+    )
+    def test_frobenius_scan_past_the_ceiling_is_one(self, capsys, monkeypatch, parts):
+        # Schur's horizon (a_1 - 1)(a_k - 1) + a_1 exceeds MAX_N: refused
+        # before the scan, whose bytearray would reach past it
+        def no_scan(cset):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(cli, "frobenius_threshold", no_scan)
+        code, out, err = run(capsys, "analyze", "--parts", parts)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and f"passes the limit {MAX_N}" in err
+
+    def test_frobenius_scan_at_the_ceiling_runs(self, capsys, monkeypatch):
+        # horizon (2 - 1)(MAX_N - 2) + 2 = MAX_N; the scan itself is replaced
+        monkeypatch.setattr(cli, "frobenius_threshold", lambda cset: cset.elements[-1] - 1)
+        code, out, _ = run(capsys, "analyze", "--parts", f"finite:2,{MAX_N - 1}")
+        assert code == 0
+        assert f"frobenius-threshold: {MAX_N - 2}" in out
+
 
 class TestVerify:
     def test_list(self, capsys):
@@ -334,6 +358,16 @@ class TestVerify:
         assert code == 0
         for name in ("eq4", "eq5", "schur", "slow-growth", "sparse-construction"):
             assert name in out
+
+    @pytest.mark.parametrize(
+        "extra", [("--format", "json"), ("--suite", "nope"), ("--suite", "eq4")]
+    )
+    def test_list_takes_no_suite_or_json(self, capsys, monkeypatch, extra):
+        monkeypatch.setitem(suites.SUITES, "eq4", (None, "must not run", ""))
+        code, out, err = run(capsys, "verify", "--list", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "partlab: error: --list takes no --suite and no --format json\n"
 
     def test_single_suite_json_schema(self, capsys):
         code, out, _ = run(
@@ -524,6 +558,39 @@ class TestSparse:
         assert out == ""
         assert "cannot read anchors file" in err
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(("count", "--parts", "sparse:@FILE", "--n", "5"), 2), (("sparse", "FILE"), 1)],
+        ids=["anchors", "epsilon"],
+    )
+    def test_file_over_the_cap_is_one_line(self, capsys, monkeypatch, tmp_path, argv, code):
+        # one reader serves both files: 8 bytes are read, 9 are refused
+        monkeypatch.setattr(setspec, "MAX_FILE_BYTES", 8)
+        path = tmp_path / "file.txt"
+        argv = [a.replace("FILE", str(path)) for a in argv]
+        at_cap = "2\n3\n5\n7\n" if argv[0] == "count" else "4 1\n16 2"
+        path.write_text(at_cap)
+        assert run(capsys, *argv)[0] == 0
+        path.write_text(at_cap + "9")
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"cannot read {'anchors file ' * (code == 2)}{path}: more than 8 bytes" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(("count", "--parts", "sparse:@/dev/zero", "--n", "5"), 2), (("sparse", "/dev/zero"), 1)],
+        ids=["anchors", "epsilon"],
+    )
+    def test_endless_file_is_one_line(self, capsys, argv, code):
+        # read up to the cap and refused, instead of filling memory
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1 and "more than" in err
+
 
 class TestOutFile:
     def test_count_to_file(self, capsys, tmp_path):
@@ -599,17 +666,18 @@ def test_finite_and_sparse_spellings_agree(tmp_path_factory, elements, upto):
 
 # -- the contract on generated argv: exit 0/1/2/3, never an exception --------
 
-# Each {} is an integer slot.
+# Each {} is an integer slot.  The large finite: pairs put Schur's horizon
+# for analyze's Frobenius scan far past MAX_N.
 _PARTS = [
     "all", "finite:{},{}", "finite:6,10,15", "pow:{}", "dexp:2", "ap:{},{}",
-    "all-from:{}", "sparse:@ANCHORS",
+    "all-from:{}", "sparse:@ANCHORS", "finite:{}000000,{}000001",
 ]
 _MULTS = ["nat", "finite:0,{}", "zero|finite:{}", "zero|dexp:2", "zero|pow:{}"]
 _BAD_SPECS = [
     "", "fnite:2,3", "finite:", "finite:1,,2", "finite:0,3", "finite:1,2",
     "finite:\u00b2", "ap:3", "ap:0,1", "pow:1", "dexp:0", "all-from:0",
     "zero|", "zero|nat", "all2", "sparse:@", "sparse:@MISSING",
-    "sparse:@NON_UTF8",
+    "sparse:@NON_UTF8", "sparse:@OVER_CAP",
 ]
 # Integer text the program refuses: a digit run past int()'s 4300-digit
 # limit, and decimal digits other than ASCII (which int() would read).
@@ -657,7 +725,7 @@ def _argv(draw):
     if command == "verify":
         argv.append("--list")
     elif command == "sparse":
-        argv.append(pick(["EPS"], ["BAD_EPS", "MISSING", "NON_UTF8"]))
+        argv.append(pick(["EPS"], ["BAD_EPS", "MISSING", "NON_UTF8", "OVER_CAP"]))
     elif not odd_one_out():
         argv += ["--parts", spec(_PARTS)]
     if command in ("count", "table", "explore") and draw(st.booleans()):
@@ -687,12 +755,15 @@ def contract_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
     (root / "non_utf8.txt").write_bytes(NON_UTF8)
     (root / "bad_eps.txt").write_text("4 one\n")
+    with open(root / "over_cap.txt", "wb") as fh:  # one byte over; truncate writes no data
+        fh.truncate(setspec.MAX_FILE_BYTES + 1)
     return {
         "ANCHORS": root / "anchors.txt",
         "NON_UTF8": root / "non_utf8.txt",
         "MISSING": root / "missing.txt",
         "EPS": root / "eps.txt",
         "BAD_EPS": root / "bad_eps.txt",
+        "OVER_CAP": root / "over_cap.txt",
         "WRITABLE": root / "out.txt",
         "MISSING_DIR": root / "missing" / "out.txt",
         "DIRECTORY": root,
@@ -701,6 +772,9 @@ def contract_paths(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(case=_argv())
+@example(case=(["count", "--parts", "sparse:@OVER_CAP", "--n", "5"], {}))
+@example(case=(["sparse", "OVER_CAP"], {}))
+@example(case=(["analyze", "--parts", "finite:1000000000,1000000001"], {}))
 def test_cli_contract_on_generated_argv(contract_paths, case):
     argv, files = case
     for name, text in files.items():

@@ -96,7 +96,7 @@ def _pointwise_column(bound_id, table):
     for n in range(table.upto + 1):
         if b.direction == "asymptotic" or not b.applies(n, table):
             continue
-        exact = table.values[n] if b.bounded is None else b.bounded(n, table)
+        exact = b.bounded(n, table)
         value = b.value(mp, n, table)
         if isinstance(value, mpmath.mpf):
             column[n] = certify(exact, lambda n=n: b.value(iv, n, table))
