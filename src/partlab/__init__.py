@@ -48,11 +48,7 @@ _EXPORTS = {
     "bounds": (
         "bound_report",
         "check_existence_lower_bound",
-        "j_of_n",
-        "monotone_lower_bound",
         "padberg_lower",
-        "product_upper_bound",
-        "refined_lower_bound",
         "schur_asymptotic",
         "schur_style_point_lower",
     ),

@@ -38,12 +38,14 @@ they belong to its values and not to (parts, mults):
 
 bound_report is a lookup into the two columns, and the verification
 suites scan the same columns over their ranges of n.  The table-wide
-facts the bounds need are also computed once per table, not once per n:
+facts the bounds need are computed once per table too, never again per n:
 prefix sums, record flags, the nondecreasing prefix and the finite coprime
-part set live on CountTable; H_0..H_N come from harmonic_numbers(N) and
-the product ceilings for 0..N from product_upper_column, each cached for
-the last table.  Thresholds are integers throughout: set elements are
-integers, so M(n/a) = M(n // a).
+part set live on CountTable; the product ceilings (product_ceilings) and
+the prefix-extension floors (refined_floors) are kept in
+CountTable.bound_columns beside the columns that read them.  H_0..H_N come
+from harmonic_numbers(N), cached on N alone, because many tables share one
+N.  Thresholds are integers throughout: set elements are integers, so
+M(n/a) = M(n // a).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from mpmath import iv, mp
 
 from .arith import FiniteCoprimeSet, gcd_of_set
 from .counting import CountTable, has_all_multiplicities
-from .setspec import ALL_PARTS, IntegerSetSpec, InvalidSetError, Powers
+from .setspec import ALL_PARTS, IntegerSetSpec, Powers
 
 # The working precision is fixed, not an option.  Values are shown at 12
 # digits (cli.DISPLAY_DIGITS), which 50 covers with room to spare, and a
@@ -173,27 +175,40 @@ def certify_increasing(
 # ---------------------------------------------------------------------------
 # Exact rational bounds
 
-def product_upper_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> int:
-    """prod over parts a of M(n/a), truncated where the factor becomes 1.
+def _product_column(upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> list[int]:
+    """prod over parts a of M(n // a) for n = 0..upto, in one pass: the
+    product ceiling of eq. (4), truncated where a factor is 1.
 
-    Elements are integers, so M(n/a) = M(n // a).  A factor is 1 exactly
-    when only multiplicity 0 fits, so only _parts_with_factors contribute.
+    Elements are integers, so M(n/a) = M(n // a).  The factor of part a
+    grows only at n = m * a with m a positive multiplicity, from k to k + 1
+    when m is the k-th smallest one; every other factor is unchanged from
+    n - 1.  So each n costs one exact multiply and divide by the factors
+    that grow there, and a part past upto // (least positive m) never
+    contributes.
     """
-    out = 1
-    for a in _parts_with_factors(n, parts, mults):
-        out *= mults.count_leq(n // a)
-    return out
+    num = [1] * (upto + 1)
+    den = [1] * (upto + 1)
+    positive = [m for m in mults.elements_upto(upto) if m > 0]
+    for a in parts.elements_upto(upto // positive[0]) if positive else ():
+        for k, m in enumerate(positive, start=1):
+            if m * a > upto:
+                break
+            num[m * a] *= k + 1
+            den[m * a] *= k
+    column = [1]
+    for n in range(1, upto + 1):
+        column.append(column[-1] * num[n] // den[n])
+    return column
 
 
-def _parts_with_factors(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> list[int]:
-    """The parts a whose factor M(n // a) exceeds 1, i.e. a * m <= n for
-    the least positive multiplicity m; no part at all when 0 is the only
-    multiplicity."""
-    try:
-        least = mults.min_positive()
-    except InvalidSetError:
-        return []
-    return parts.elements_upto(n // least)
+def product_ceilings(table: CountTable) -> list[int]:
+    """The product ceiling of eq. (4) at every n of table, built on first
+    use and kept on the table."""
+    columns = table.bound_columns
+    key = ("fact", "product")
+    if key not in columns:
+        columns[key] = _product_column(table.upto, table.parts, table.mults)
+    return columns[key]
 
 
 class ExistenceWitness(NamedTuple):
@@ -215,48 +230,12 @@ def check_existence_lower_bound(n: int, table: CountTable) -> ExistenceWitness:
         raise ValueError("n must be positive")
     if table.upto < n * n:
         raise ValueError(f"table reaches {table.upto}; the witness search needs {n * n}")
-    threshold = Fraction(product_upper_bound(n, table.parts, table.mults), n * n + 1)
+    # a column to n, not the table's: the search asks only for its last entry
+    product = _product_column(n, table.parts, table.mults)[n]
     for r in range(n * n + 1):
-        if table.values[r] >= threshold:
-            return ExistenceWitness(r, table.values[r], threshold)
+        if table.values[r] * (n * n + 1) >= product:
+            return ExistenceWitness(r, table.values[r], Fraction(product, n * n + 1))
     raise LookupError(f"no witness r <= {n * n}; counting is inconsistent")
-
-
-def monotone_lower_bound(n: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> Fraction:
-    """(1/(n+1)) prod over parts a of |{mu in M : mu * a <= sqrt(n)}|.
-
-    Exact: mu * a <= sqrt(n) iff mu * a <= isqrt(n) for integers, so the
-    product is product_upper_bound(isqrt(n)).  Meaningful as a lower bound
-    only when p(.; S, M) is nondecreasing.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return Fraction(product_upper_bound(math.isqrt(n), parts, mults), n + 1)
-
-
-@lru_cache(maxsize=1)
-def product_upper_column(
-    upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec
-) -> tuple[int, ...]:
-    """product_upper_bound(n, parts, mults) for n = 0..upto, in one pass.
-
-    The factor M(n // a) of part a grows only at n = m * a with m a positive
-    multiplicity, from k to k + 1 when m is the k-th smallest one; every
-    other factor is unchanged from n - 1.  So each n costs one exact
-    multiply and divide by the factors that grow there.  Cached for the
-    last (upto, parts, mults) asked, which is the table being reported.
-    """
-    num = [1] * (upto + 1)
-    den = [1] * (upto + 1)
-    for a in _parts_with_factors(upto, parts, mults):
-        positive = [m for m in mults.elements_upto(upto // a) if m > 0]
-        for k, m in enumerate(positive, start=1):
-            num[m * a] *= k + 1
-            den[m * a] *= k
-    column = [1]
-    for n in range(1, upto + 1):
-        column.append(column[-1] * num[n] // den[n])
-    return tuple(column)
 
 
 def schur_asymptotic(n: int, cset: FiniteCoprimeSet) -> Fraction:
@@ -278,29 +257,29 @@ def schur_style_point_lower(n: int, cset: FiniteCoprimeSet) -> Fraction:
     return Fraction((n + 1) ** (k - 1), math.factorial(k) * cset.product())
 
 
-def j_of_n(n: int, parts: IntegerSetSpec) -> int:
-    """Least j >= 1 with j * a_j >= n, where a_j is the j-th smallest part."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for j, a in enumerate(parts.iter_elements(), start=1):
-        if j * a >= n:
-            return j
-    raise ValueError("finite part set exhausted before j * a_j reached n")
-
-
-def refined_lower_bound(n: int, parts: IntegerSetSpec) -> Fraction:
-    """(n+1)^(j-1) / (j! a_1 ... a_j) with j = j_of_n(n), the optimized
-    prefix-extension lower bound; requires gcd(parts) = 1."""
-    g = gcd_of_set(parts)
-    if g != 1:
-        raise ValueError(f"part set has gcd {g}; bound needs a coprime set")
-    j = j_of_n(n, parts)
-    prefix = []
-    for a in parts.iter_elements():
-        prefix.append(a)
-        if len(prefix) == j:
-            break
-    return Fraction((n + 1) ** (j - 1), math.factorial(j) * math.prod(prefix))
+def refined_floors(table: CountTable) -> list[Fraction | None]:
+    """The prefix-extension floor (n+1)^(j-1) / (j! a_1 ... a_j) at every n
+    of table, where j = j(n) is the least j >= 1 with j * a_j >= n and a_j
+    the j-th smallest part; None at n = 0, where no such j exists (a finite
+    part set runs out) and everywhere when gcd(parts) != 1.  j(n) never
+    decreases, so one walk over the parts carries the denominator
+    prod i * a_i; built on first use and kept on the table."""
+    key = ("fact", "refined")
+    columns = table.bound_columns
+    if key in columns:
+        return columns[key]
+    floors: list = [None] * (table.upto + 1)
+    if gcd_of_set(table.parts) == 1:
+        n, den = 1, 1
+        for j, a in enumerate(table.parts.iter_elements(), start=1):
+            den *= j * a  # j! a_1 ... a_j
+            while n <= min(j * a, table.upto):  # the n with j(n) = j
+                floors[n] = Fraction((n + 1) ** (j - 1), den)
+                n += 1
+            if n > table.upto:
+                break
+    columns[key] = floors
+    return floors
 
 
 @lru_cache(maxsize=1)
@@ -400,26 +379,17 @@ def _classical(n: int, table: CountTable) -> bool:
     return n >= 1 and has_all_multiplicities(table.mults) and table.parts == ALL_PARTS
 
 
-def _can_refine(n: int, parts: IntegerSetSpec) -> bool:
-    if gcd_of_set(parts) != 1:
-        return False
-    try:
-        j_of_n(n, parts)
-    except ValueError:  # finite set exhausted before j * a_j reached n
-        return False
-    return True
-
-
 BOUND_REGISTRY: dict[str, _Bound] = {
     "product_upper": _Bound(
         "upper",
         lambda n, t: True,
-        lambda ctx, n, t: product_upper_column(t.upto, t.parts, t.mults)[n],
+        lambda ctx, n, t: product_ceilings(t)[n],
     ),
     "monotone_lower": _Bound(
         "lower",
         lambda n, t: 1 <= n < t.nondecreasing_prefix,
-        lambda ctx, n, t: monotone_lower_bound(n, t.parts, t.mults),
+        # mu * a <= sqrt(n) iff mu * a <= isqrt(n) for integers
+        lambda ctx, n, t: Fraction(product_ceilings(t)[math.isqrt(n)], n + 1),
     ),
     "schur": _Bound(
         "asymptotic",
@@ -470,8 +440,8 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     ),
     "refined": _Bound(
         "lower",
-        lambda n, t: n >= 1 and has_all_multiplicities(t.mults) and _can_refine(n, t.parts),
-        lambda ctx, n, t: refined_lower_bound(n, t.parts),
+        lambda n, t: has_all_multiplicities(t.mults) and refined_floors(t)[n] is not None,
+        lambda ctx, n, t: refined_floors(t)[n],
     ),
     "slow_growth": _Bound(
         "asymptotic",

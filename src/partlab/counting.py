@@ -111,8 +111,9 @@ class CountTable:
     @cached_property
     def bound_columns(self) -> dict:
         """The value and verdict columns of registry bounds, keyed by
-        (kind, bound id); bounds fills it on first use, so a column
-        belongs to these values and not to (parts, mults)."""
+        (kind, bound id), and the table-wide facts they read, keyed by
+        ("fact", name); bounds fills it on first use, so a column belongs
+        to these values and not to (parts, mults)."""
         return {}
 
     def record_indices(self) -> list[int]:

@@ -294,28 +294,42 @@ def parse_natural(text: str) -> int:
 MAX_FILE_BYTES = 2**21 * 8
 
 
-def read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 file of at most MAX_FILE_BYTES, newlines read
-    as open() reads them.  Raises OSError when the file cannot be read or
-    is larger, UnicodeDecodeError when it is not UTF-8."""
+def read_lines(path: str) -> io.StringIO:
+    """The lines of a UTF-8 file of at most MAX_FILE_BYTES, to iterate one
+    at a time, newlines read as open() reads them.  Raises OSError when the
+    file cannot be read or is larger, UnicodeDecodeError when it is not
+    UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         raise OSError(f"more than {MAX_FILE_BYTES} bytes")
-    return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    return io.StringIO(data.decode("utf-8"), newline=None)
 
 
 def _load_anchor_file(path: str) -> Finite:
+    """The set listed in an anchors file, parsed one line at a time, so
+    that only the integers are kept."""
     try:
-        lines = [ln.strip() for ln in read_lines(path) if ln.strip()]
+        lines = read_lines(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSetError(f"cannot read anchors file {path}: {exc}") from exc
-    try:
-        anchors = [parse_natural(ln) for ln in lines]
-    except ValueError as exc:
-        raise InvalidSetError(f"anchors file {path} must hold one integer per line") from exc
-    if any(b <= a for a, b in zip([0, *anchors], anchors)):
-        raise InvalidSetError("anchors must be strictly increasing positive integers")
+    anchors = []
+    last = 0
+    with lines:  # closing frees the text before Finite sorts the anchors
+        for line in lines:
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                anchor = parse_natural(text)
+            except ValueError as exc:
+                raise InvalidSetError(
+                    f"anchors file {path} must hold one integer per line"
+                ) from exc
+            if anchor <= last:
+                raise InvalidSetError("anchors must be strictly increasing positive integers")
+            anchors.append(anchor)
+            last = anchor
     return Finite(tuple(anchors), source=path)
 
 

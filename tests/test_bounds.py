@@ -31,12 +31,9 @@ from partlab.bounds import (
     harmonic_numbers,
     hrr_term,
     interval_endpoints,
-    j_of_n,
-    monotone_lower_bound,
     padberg_lower,
-    product_upper_bound,
-    product_upper_column,
-    refined_lower_bound,
+    product_ceilings,
+    refined_floors,
     schur_asymptotic,
     schur_style_point_lower,
     slow_growth_term,
@@ -48,6 +45,7 @@ from partlab.counting import CountTable, count_table
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
+    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -60,11 +58,17 @@ DEXP_PARTS = DoublyExponential(2)
 DEXP_MULTS = WithZero(DoublyExponential(2))
 
 
+def _formula(bid, n, table):
+    """Registry bound bid's formula at n, whether or not it applies there."""
+    with mp.workdps(DEFAULT_DIGITS):
+        return BOUND_REGISTRY[bid].value(mp, n, table)
+
+
 class TestProductUpper:
     def test_small_values(self):
-        assert product_upper_bound(4, ALL_PARTS, NAT_MULTS) == 60
-        assert product_upper_bound(0, ALL_PARTS, NAT_MULTS) == 1
-        assert product_upper_bound(8, DEXP_PARTS, DEXP_MULTS) == 6
+        assert product_ceilings(count_table(4, ALL_PARTS))[4] == 60
+        assert product_ceilings(count_table(0, ALL_PARTS)) == [1]
+        assert product_ceilings(count_table(8, DEXP_PARTS, DEXP_MULTS))[8] == 6
 
     def test_dominates_count(self):
         for parts, mults, top in [
@@ -74,16 +78,16 @@ class TestProductUpper:
             (Powers(2), WithZero(Powers(2)), 300),
         ]:
             table = count_table(top, parts, mults)
-            for n in range(top + 1):
-                assert table.values[n] <= product_upper_bound(n, parts, mults), n
+            for n, ceiling in enumerate(product_ceilings(table)):
+                assert table.values[n] <= ceiling, n
 
     @pytest.mark.parametrize("parts", [ALL_PARTS, Finite((2, 3)), DEXP_PARTS])
     def test_zero_only_multiplicities(self, parts):
         # no positive multiplicity: every factor M(n // a) is 1
-        zero = Finite((0,))
-        assert product_upper_column(5, parts, zero) == (1, 1, 1, 1, 1, 1)
-        assert [product_upper_bound(n, parts, zero) for n in range(6)] == [1] * 6
-        assert [monotone_lower_bound(n, parts, zero) for n in range(1, 6)] == [
+        table = count_table(5, parts, Finite((0,)))
+        assert product_ceilings(table) == [1] * 6
+        assert value_column("product_upper", table) == [1] * 6
+        assert [_formula("monotone_lower", n, table) for n in range(1, 6)] == [
             Fraction(1, n + 1) for n in range(1, 6)
         ]
 
@@ -99,10 +103,12 @@ class TestExistenceWitness:
         assert (w.r, w.threshold) == (0, Fraction(2, 5))
 
     def test_smallest_r(self):
-        # every earlier index sits strictly below the threshold
+        # every earlier index sits strictly below the threshold, which is
+        # the product ceiling at n over n^2 + 1
         for n in (4, 6, 9):
             table = count_table(n * n, ALL_PARTS)
             w = check_existence_lower_bound(n, table)
+            assert w.threshold == Fraction(product_ceilings(table)[n], n * n + 1)
             assert all(table.values[r] < w.threshold for r in range(w.r))
             assert w.witness >= w.threshold
 
@@ -124,20 +130,25 @@ class TestExistenceWitness:
 
 class TestMonotoneLower:
     def test_values(self):
-        assert monotone_lower_bound(100, ALL_PARTS, NAT_MULTS) == Fraction(76032, 101)
-        assert monotone_lower_bound(1, ALL_PARTS, NAT_MULTS) == 1
-        assert monotone_lower_bound(16, DEXP_PARTS, DEXP_MULTS) == Fraction(2, 17)
+        column = value_column("monotone_lower", count_table(100, ALL_PARTS))
+        assert column[100] == Fraction(76032, 101)
+        assert column[1] == 1
+        # p(1) = 0 for dexp:2, so the bound does not apply; its formula still reads
+        assert _formula("monotone_lower", 16, count_table(16, DEXP_PARTS, DEXP_MULTS)) == (
+            Fraction(2, 17)
+        )
 
     def test_holds_for_nondecreasing_table(self):
         table = count_table(400, ALL_PARTS)
         assert table.is_nondecreasing()
-        for n in range(1, 401):
-            assert table.values[n] >= monotone_lower_bound(n, ALL_PARTS, NAT_MULTS)
+        for n, floor in enumerate(value_column("monotone_lower", table)[1:], start=1):
+            assert table.values[n] >= floor
 
     def test_exact_sqrt_threshold(self):
         # isqrt keeps mu*a <= sqrt(n) exact at perfect squares
-        assert monotone_lower_bound(15, Finite((4,)), NAT_MULTS) == Fraction(1, 16)
-        assert monotone_lower_bound(16, Finite((4,)), NAT_MULTS) == Fraction(2, 17)
+        table = count_table(16, Finite((4,)))
+        assert _formula("monotone_lower", 15, table) == Fraction(1, 16)
+        assert _formula("monotone_lower", 16, table) == Fraction(2, 17)
 
 
 class TestPolynomialFamily:
@@ -167,28 +178,42 @@ class TestPolynomialFamily:
 
 class TestRefined:
     def test_j_of_n(self):
-        assert j_of_n(100, ALL_PARTS) == 10
-        assert j_of_n(5, DEXP_PARTS) == 2
-        assert j_of_n(1, ALL_PARTS) == 1
-        with pytest.raises(ValueError):
-            j_of_n(100, Finite((2, 3)))
+        # j(n) is the least j with j * a_j >= n: for pow:2, j * a_j runs
+        # 1, 4, 12, 32, so j(5) = 3 and the floor is 6^2 / (1*1 * 2*2 * 3*4)
+        assert refined_floors(count_table(40, Powers(2)))[5] == Fraction(36, 48)
+        # finite:2,3 reaches j * a_j = 6 and then runs out
+        floors = refined_floors(count_table(10, Finite((2, 3))))
+        assert [n for n, f in enumerate(floors) if f is not None] == [1, 2, 3, 4, 5, 6]
 
     def test_values(self):
-        assert refined_lower_bound(100, ALL_PARTS) == Fraction(
-            101**9, math.factorial(10) ** 2
-        )
-        assert refined_lower_bound(4, ALL_PARTS) == Fraction(5, 4)
-        assert refined_lower_bound(1, ALL_PARTS) == 1
+        column = value_column("refined", count_table(100, ALL_PARTS))
+        assert column[100] == Fraction(101**9, math.factorial(10) ** 2)
+        assert column[4] == Fraction(5, 4)
+        assert column[1] == 1
+        assert column[0] is None
 
     def test_requires_coprime(self):
-        with pytest.raises(ValueError):
-            refined_lower_bound(100, ArithmeticProgression(4, 6))
+        table = count_table(100, ArithmeticProgression(4, 6))
+        assert refined_floors(table) == [None] * 101
+        assert value_column("refined", table) == [None] * 101
 
     def test_improves_on_fixed_prefix(self):
         # at large n the adaptive prefix beats any fixed k-term prefix bound
         n = 2000
         fixed = schur_style_point_lower(n, FiniteCoprimeSet((1, 2, 3)))
-        assert refined_lower_bound(n, ALL_PARTS) > fixed
+        assert refined_floors(count_table(n, ALL_PARTS))[n] > fixed
+
+    @pytest.mark.parametrize("upto", [50, 400])
+    def test_columns_walk_the_parts_a_constant_number_of_times(self, monkeypatch, upto):
+        # the product ceilings and the j walk are table-wide facts, so the
+        # monotone_lower and refined columns do not walk all or nat per n
+        walks = []
+        walk = AllFrom.iter_elements
+        table = count_table(upto, ALL_PARTS)
+        monkeypatch.setattr(AllFrom, "iter_elements", lambda s: walks.append(s) or walk(s))
+        assert value_column("monotone_lower", table)[upto] is not None
+        assert value_column("refined", table)[upto] is not None
+        assert 0 < len(walks) <= 3
 
 
 def _harmonic(n):
@@ -586,25 +611,36 @@ class TestBoundReport:
 
 
 def _fraction_product(n, parts, mults):
-    """The product ceiling with rational thresholds M(n/a), as first written."""
-    mp_min = mults.min_positive()
-    out = 1
-    for a in parts.elements_upto(n // mp_min if n >= mp_min else 0):
-        out *= mults.count_leq(Fraction(n, a))
-    return out
+    """The product ceiling with rational thresholds M(n/a) over every part
+    a <= n, as first written; a factor where only 0 fits is 1."""
+    return math.prod(mults.count_leq(Fraction(n, a)) for a in parts.elements_upto(n))
+
+
+def _prefix_floor(n, parts):
+    """(n+1)^(j-1) / (j! a_1 ... a_j) for the least j with j * a_j >= n, by
+    its own walk over the parts; None when a finite set runs out first."""
+    prefix = []
+    for a in parts.iter_elements():
+        prefix.append(a)
+        if len(prefix) * a >= n:
+            j = len(prefix)
+            return Fraction((n + 1) ** (j - 1), math.factorial(j) * math.prod(prefix))
+    return None
 
 
 def _oracle_entry(bid, table, n):
     """The BoundEntry for one bound at one n, from per-n formulas that use
-    nothing table-wide: the rational-threshold product, a per-n sum for H_n,
-    and sum, max and a nondecreasing scan over values[: n + 1]."""
+    nothing table-wide and no bounds helper but the certifiers: the
+    rational-threshold product, a per-n walk for the prefix floor, a per-n
+    sum for H_n, and sum, max and a nondecreasing scan over
+    values[: n + 1]."""
     parts, mults = table.parts, table.mults
     values = table.values[: n + 1]
     exact = values[n]
     nat = mults == NAT_MULTS
-    cset = None
-    if nat and isinstance(parts, Finite) and math.gcd(*parts.elements) == 1:
-        cset = FiniteCoprimeSet(parts.elements)
+    # a finite coprime part set with nat: k parts of product prod
+    finite = nat and isinstance(parts, Finite) and math.gcd(*parts.elements) == 1
+    k, prod = (len(parts.elements), math.prod(parts.elements)) if finite else (None, None)
     classical = n >= 1 and nat and parts == ALL_PARTS
 
     if bid == "product_upper":
@@ -616,9 +652,10 @@ def _oracle_entry(bid, table, n):
         value = Fraction(_fraction_product(math.isqrt(n), parts, mults), n + 1)
         return BoundEntry(bid, "lower", True, value, exact >= value)
     if bid == "schur":
-        if cset is None:
+        if not finite:
             return BoundEntry(bid, "asymptotic", False)
-        return BoundEntry(bid, "asymptotic", True, schur_asymptotic(n, cset))
+        value = Fraction(n ** (k - 1), math.factorial(k - 1) * prod)
+        return BoundEntry(bid, "asymptotic", True, value)
     if bid == "hrr":
         if not classical:
             return BoundEntry(bid, "asymptotic", False)
@@ -662,25 +699,19 @@ def _oracle_entry(bid, table, n):
         ok = certified_geq(exact, builder)
         return BoundEntry(bid, "lower", True, value, ok)
     if bid == "padberg":
-        if cset is None:
+        if not finite:
             return BoundEntry(bid, "lower", False)
-        value = padberg_lower(n, cset)
+        value = Fraction((n + 1) ** k, math.factorial(k) * prod)
         return BoundEntry(bid, "lower", True, value, sum(values) >= value)
     if bid == "eq10":
-        if cset is None or exact != max(values):
+        if not finite or exact != max(values):
             return BoundEntry(bid, "lower", False)
-        value = schur_style_point_lower(n, cset)
+        value = Fraction((n + 1) ** (k - 1), math.factorial(k) * prod)
         return BoundEntry(bid, "lower", True, value, exact >= value)
     if bid == "refined":
-        try:
-            refinable = (
-                n >= 1 and nat and gcd_of_set(parts) == 1 and j_of_n(n, parts) >= 1
-            )
-        except ValueError:  # finite part set exhausted
-            refinable = False
-        if not refinable:
+        value = _prefix_floor(n, parts) if n >= 1 and nat and gcd_of_set(parts) == 1 else None
+        if value is None:
             return BoundEntry(bid, "lower", False)
-        value = refined_lower_bound(n, parts)
         return BoundEntry(bid, "lower", True, value, exact >= value)
     assert bid == "slow_growth"
     if n < 16:
@@ -715,10 +746,30 @@ class TestTableScaleReport:
         ids=[f"{p}/{m}" for p, m in ORACLE_PAIRS] + ["sparse/nat"],
     )
     def test_report_matches_per_n_oracle(self, parts, mults):
-        table = count_table(ORACLE_LIMIT, parts, mults)
-        for n in range(ORACLE_LIMIT + 1):
-            expected = tuple(_oracle_entry(bid, table, n) for bid in BOUND_IDS)
-            assert bound_report(table, n, BOUND_IDS) == expected, n
+        _assert_report_matches_oracle(count_table(ORACLE_LIMIT, parts, mults))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        parts=st.one_of(
+            st.lists(st.integers(1, 30), min_size=1, max_size=4).map(
+                lambda xs: Finite(tuple(xs))
+            ),
+            st.builds(ArithmeticProgression, st.integers(1, 6), st.integers(1, 6)),
+            st.builds(Powers, st.integers(2, 5)),
+        ),
+        mults=st.one_of(
+            st.just(NAT_MULTS),
+            st.lists(st.integers(1, 12), max_size=4).map(lambda xs: Finite((0, *xs))),
+            st.builds(
+                lambda first, step: WithZero(ArithmeticProgression(first, step)),
+                st.integers(1, 4),
+                st.integers(1, 4),
+            ),
+        ),
+        upto=st.integers(0, ORACLE_LIMIT),
+    )
+    def test_report_matches_per_n_oracle_on_generated_pairs(self, parts, mults, upto):
+        _assert_report_matches_oracle(count_table(upto, parts, mults))
 
     def test_product_column_matches_per_n_products(self):
         for parts, mults in [
@@ -726,8 +777,11 @@ class TestTableScaleReport:
             (Finite((3, 5)), WithZero(Finite((2, 7)))),
             (Powers(3), WithZero(ArithmeticProgression(2, 3))),
         ]:
-            column = product_upper_column(200, parts, mults)
-            assert column == tuple(
-                _fraction_product(n, parts, mults) for n in range(201)
-            )
-            assert column == tuple(product_upper_bound(n, parts, mults) for n in range(201))
+            column = product_ceilings(count_table(200, parts, mults))
+            assert column == [_fraction_product(n, parts, mults) for n in range(201)]
+
+
+def _assert_report_matches_oracle(table):
+    for n in range(table.upto + 1):
+        expected = tuple(_oracle_entry(bid, table, n) for bid in BOUND_IDS)
+        assert bound_report(table, n, BOUND_IDS) == expected, n

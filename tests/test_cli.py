@@ -10,6 +10,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -591,6 +593,36 @@ class TestSparse:
         assert out == ""
         assert err.count("\n") == 1 and "more than" in err
 
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4")
+    def test_anchors_file_is_parsed_as_it_is_read(self, tmp_path):
+        # 2^19 seven-digit anchors (4 MiB): the lines are parsed one at a
+        # time, so the child's peak holds the ints, not a list of lines
+        path = tmp_path / "anchors.txt"
+        path.write_text("".join(f"{10**6 + 4 * i}\n" for i in range(2**19)))
+        src = os.path.dirname(os.path.dirname(setspec.__file__))
+        argv = ["count", "--parts", f"sparse:@{path}", "--n", "5"]
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_OF_CHILD, sys.executable, "-m", "partlab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        )
+        code, out, peak_kib = json.loads(done.stdout)
+        assert (code, out) == (0, "0\n")
+        assert peak_kib / 1024 < 90, peak_kib / 1024
+
+
+# Runs argv[1:] as a child and prints [exit code, stdout, ru_maxrss in KiB]
+# from os.wait4.  A child's ru_maxrss starts from the high-water mark of
+# the process that spawned it, so the test spawns this small launcher
+# rather than the command, whose peak would then count the test runner's.
+_PEAK_OF_CHILD = """
+import json, os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, text=True)
+out = child.stdout.read()
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = code = os.waitstatus_to_exitcode(status)
+scale = 1024 if sys.platform == "darwin" else 1  # bytes on macOS
+print(json.dumps([code, out, usage.ru_maxrss // scale]))
+"""
 
 class TestOutFile:
     def test_count_to_file(self, capsys, tmp_path):
