@@ -29,13 +29,10 @@ _EXPORTS = {
         "parse_set_spec",
     ),
     "arith": (
-        "FiniteCoprimeSet",
-        "PrefixGcdTrace",
         "coprime_prefix",
         "eventually_strictly_increasing",
         "frobenius_threshold",
         "gcd_of_set",
-        "is_eventually_positive",
     ),
     "counting": (
         "KERNEL_BACKEND",

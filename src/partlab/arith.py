@@ -10,7 +10,6 @@ sets with unrestricted multiplicities checks coprimality of every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .setspec import (
     AllFrom,
@@ -22,45 +21,6 @@ from .setspec import (
     Powers,
     WithZero,
 )
-
-
-@dataclass(frozen=True)
-class FiniteCoprimeSet:
-    """Sorted distinct positive integers a_1 < ... < a_k with gcd 1."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = tuple(sorted(set(int(e) for e in self.elements)))
-        if not elems or elems[0] < 1:
-            raise InvalidSetError("need at least one positive element")
-        if math.gcd(*elems) != 1:
-            raise InvalidSetError(f"gcd is {math.gcd(*elems)}, not 1")
-        object.__setattr__(self, "elements", elems)
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
-    def product(self) -> int:
-        return math.prod(self.elements)
-
-
-@dataclass(frozen=True)
-class PrefixGcdTrace:
-    """g_i = gcd(a_1, ..., a_i) for the shortest prefix reaching gcd 1."""
-
-    gcds: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.gcds or self.gcds[-1] != 1:
-            raise InvalidSetError("trace must end at gcd 1")
-        if any(b > a for a, b in zip(self.gcds, self.gcds[1:])):
-            raise InvalidSetError("prefix gcds must be nonincreasing")
-
-    @property
-    def prefix_length(self) -> int:
-        return len(self.gcds)
 
 
 def gcd_of_set(spec: IntegerSetSpec) -> int:
@@ -81,13 +41,9 @@ def gcd_of_set(spec: IntegerSetSpec) -> int:
     raise TypeError(f"unknown set variant {type(spec).__name__}")
 
 
-def is_eventually_positive(spec: IntegerSetSpec) -> bool:
-    """True iff p(n; spec, all multiplicities) > 0 for all large n, i.e. gcd 1."""
-    return gcd_of_set(spec) == 1
-
-
-def coprime_prefix(spec: IntegerSetSpec) -> tuple[FiniteCoprimeSet, PrefixGcdTrace]:
-    """Shortest initial segment with gcd 1, plus the full prefix-gcd trace."""
+def coprime_prefix(spec: IntegerSetSpec) -> tuple[Finite, tuple[int, ...]]:
+    """Shortest initial segment with gcd 1, and its prefix gcds
+    g_i = gcd(a_1, ..., a_i), nonincreasing and ending at 1."""
     g = gcd_of_set(spec)
     if g != 1:
         raise InvalidSetError(f"set has gcd {g}; it contains no coprime subset")
@@ -99,21 +55,23 @@ def coprime_prefix(spec: IntegerSetSpec) -> tuple[FiniteCoprimeSet, PrefixGcdTra
         prefix.append(a)
         gcds.append(acc)
         if acc == 1:
-            return FiniteCoprimeSet(tuple(prefix)), PrefixGcdTrace(tuple(gcds))
+            return Finite(tuple(prefix)), tuple(gcds)
     raise InvalidSetError("finite set exhausted before reaching gcd 1")
 
 
-def frobenius_threshold(cset: FiniteCoprimeSet) -> int:
+def frobenius_threshold(parts: Finite) -> int:
     """Least N such that every n >= N is a nonnegative combination of the
-    elements.
+    elements, which must be positive with gcd 1 (else no such N exists).
 
     Scans reachability with growing horizon and stops at the first run of
     a_1 consecutive representable integers: from its start t on, every n
     is representable by adding copies of a_1, and t is least with that
     property.
     """
-    elems = cset.elements
+    elems = parts.elements
     a1 = elems[0]
+    if a1 < 1 or math.gcd(*elems) != 1:
+        raise InvalidSetError("need positive elements with gcd 1")
     if a1 == 1:
         return 0
     limit = 2 * max(elems) + a1
@@ -132,7 +90,7 @@ def frobenius_threshold(cset: FiniteCoprimeSet) -> int:
         limit *= 2
 
 
-def eventually_strictly_increasing(cset: FiniteCoprimeSet) -> bool:
+def eventually_strictly_increasing(parts: Finite) -> bool:
     """Criterion for p(n; A, all multiplicities) to be strictly increasing
     from some point on: no prime divides all but one of the elements,
     i.e. every (k-1)-subset is coprime.
@@ -140,10 +98,11 @@ def eventually_strictly_increasing(cset: FiniteCoprimeSet) -> bool:
     For k = 1 the empty subset has gcd 0, so the answer is False; p is
     eventually constant there.
     """
-    if cset.k == 1:
+    elems = parts.elements
+    if len(elems) == 1:
         return False
-    for i in range(cset.k):
-        rest = cset.elements[:i] + cset.elements[i + 1 :]
+    for i in range(len(elems)):
+        rest = elems[:i] + elems[i + 1 :]
         if math.gcd(*rest) != 1:
             return False
     return True

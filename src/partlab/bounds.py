@@ -61,9 +61,9 @@ from typing import Callable, NamedTuple
 import mpmath
 from mpmath import iv, mp
 
-from .arith import FiniteCoprimeSet, gcd_of_set
+from .arith import gcd_of_set
 from .counting import CountTable, has_all_multiplicities
-from .setspec import ALL_PARTS, IntegerSetSpec, Powers
+from .setspec import ALL_PARTS, Finite, IntegerSetSpec, Powers
 
 # The working precision is fixed, not an option.  Values are shown at 12
 # digits (cli.DISPLAY_DIGITS), which 50 covers with room to spare, and a
@@ -238,23 +238,23 @@ def check_existence_lower_bound(n: int, table: CountTable) -> ExistenceWitness:
     raise LookupError(f"no witness r <= {n * n}; counting is inconsistent")
 
 
-def schur_asymptotic(n: int, cset: FiniteCoprimeSet) -> Fraction:
+def schur_asymptotic(n: int, parts: Finite) -> Fraction:
     """n^(k-1) / ((k-1)! a_1 ... a_k), the polynomial growth law for finite
     coprime part sets."""
-    k = cset.k
-    return Fraction(n ** (k - 1), math.factorial(k - 1) * cset.product())
+    k = len(parts.elements)
+    return Fraction(n ** (k - 1), math.factorial(k - 1) * math.prod(parts.elements))
 
 
-def padberg_lower(n: int, cset: FiniteCoprimeSet) -> Fraction:
+def padberg_lower(n: int, parts: Finite) -> Fraction:
     """(n+1)^k / (k! a_1 ... a_k), a lower bound for the cumulative count r'(n)."""
-    k = cset.k
-    return Fraction((n + 1) ** k, math.factorial(k) * cset.product())
+    k = len(parts.elements)
+    return Fraction((n + 1) ** k, math.factorial(k) * math.prod(parts.elements))
 
 
-def schur_style_point_lower(n: int, cset: FiniteCoprimeSet) -> Fraction:
+def schur_style_point_lower(n: int, parts: Finite) -> Fraction:
     """(n+1)^(k-1) / (k! a_1 ... a_k); valid at record indices of p(.; A)."""
-    k = cset.k
-    return Fraction((n + 1) ** (k - 1), math.factorial(k) * cset.product())
+    k = len(parts.elements)
+    return Fraction((n + 1) ** (k - 1), math.factorial(k) * math.prod(parts.elements))
 
 
 def refined_floors(table: CountTable) -> list[Fraction | None]:

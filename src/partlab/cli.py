@@ -254,11 +254,11 @@ def cmd_analyze(args) -> int:
         "parts": parts.spec_string(),
     }
     if g == 1:
-        cset, trace = coprime_prefix(parts)
+        prefix, gcds = coprime_prefix(parts)
         info["coprime_prefix"] = {
-            "elements": list(cset.elements),
-            "gcd_trace": list(trace.gcds),
-            "length": trace.prefix_length,
+            "elements": list(prefix.elements),
+            "gcd_trace": list(gcds),
+            "length": len(gcds),
         }
     fc = finite_coprime_parts(parts, NAT_MULTS)
     if fc is not None:

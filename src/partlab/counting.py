@@ -39,7 +39,6 @@ from functools import cached_property
 from itertools import accumulate, chain
 from operator import sub
 
-from .arith import FiniteCoprimeSet
 from .setspec import (
     ALL_PARTS,
     AllFrom,
@@ -103,7 +102,7 @@ class CountTable:
         return len(values)
 
     @cached_property
-    def finite_coprime(self) -> FiniteCoprimeSet | None:
+    def finite_coprime(self) -> Finite | None:
         """finite_coprime_parts(parts, mults), asked at every n by the
         polynomial-growth bounds."""
         return finite_coprime_parts(self.parts, self.mults)
@@ -131,15 +130,13 @@ def has_all_multiplicities(mults: IntegerSetSpec) -> bool:
 
 def finite_coprime_parts(
     parts: IntegerSetSpec, mults: IntegerSetSpec
-) -> FiniteCoprimeSet | None:
-    """The part set as a FiniteCoprimeSet when it is finite with gcd 1 and
+) -> Finite | None:
+    """The part set itself when it is finite with gcd 1 and
     multiplicities are unrestricted (the setting of the polynomial-growth
     bounds); None otherwise."""
     if not isinstance(parts, Finite) or not has_all_multiplicities(mults):
         return None
-    if math.gcd(*parts.elements) != 1:
-        return None
-    return FiniteCoprimeSet(parts.elements)
+    return parts if math.gcd(*parts.elements) == 1 else None
 
 
 def count_table(

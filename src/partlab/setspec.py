@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import count as _count
+from itertools import count as _count, islice
 from typing import Iterator
 
 
@@ -76,13 +77,6 @@ class IntegerSetSpec:
     def contains_zero(self) -> bool:
         return self.count_leq(0) >= 1
 
-    def min_positive(self) -> int:
-        """Smallest positive element."""
-        for e in self.iter_elements():
-            if e > 0:
-                return e
-        raise InvalidSetError("set has no positive element")
-
     def elements_upto(self, bound: int) -> list[int]:
         """All members <= bound, ascending."""
         out = []
@@ -107,12 +101,20 @@ class Finite(IntegerSetSpec):
     source: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        elems = tuple(sorted(set(int(e) for e in self.elements)))
+        elems = self.elements
+        # a tuple of strictly increasing ints, such as a checked anchors
+        # file, is kept as it is; anything else is sorted and de-duplicated
+        if not (
+            type(elems) is tuple
+            and all(type(e) is int for e in elems)
+            and all(map(operator.lt, elems, islice(elems, 1, None)))
+        ):
+            elems = tuple(sorted(set(int(e) for e in elems)))
+            object.__setattr__(self, "elements", elems)
         if not elems:
             raise InvalidSetError("finite set must be nonempty")
         if elems[0] < 0:
             raise InvalidSetError("set elements must be nonnegative")
-        object.__setattr__(self, "elements", elems)
 
     def iter_elements(self):
         return iter(self.elements)
@@ -315,7 +317,7 @@ def _load_anchor_file(path: str) -> Finite:
         raise InvalidSetError(f"cannot read anchors file {path}: {exc}") from exc
     anchors = []
     last = 0
-    with lines:  # closing frees the text before Finite sorts the anchors
+    with lines:  # closing frees the text before the anchors become a tuple
         for line in lines:
             text = line.strip()
             if not text:

@@ -42,7 +42,7 @@ import mpmath
 from mpmath import iv, mp
 
 from . import bounds
-from .arith import FiniteCoprimeSet, eventually_strictly_increasing, frobenius_threshold
+from .arith import eventually_strictly_increasing, frobenius_threshold
 from .corpus import BUILTIN_EPSILON_TABLE, CORPUS, CorpusPair
 from .counting import count_table, finite_coprime_parts, has_all_multiplicities
 from .setspec import (
@@ -201,8 +201,8 @@ def suite_polynomial_ratio() -> SuiteResult:
     """Finite coprime part sets grow like n^(k-1)/((k-1)! prod a): exact
     ratio checks at fixed n, all in rational arithmetic."""
     res = SuiteResult("schur")
-    s123 = FiniteCoprimeSet((1, 2, 3))
-    t123 = count_table(2000, Finite((1, 2, 3)))
+    s123 = Finite((1, 2, 3))
+    t123 = count_table(2000, s123)
     deviations = []
     for n in (500, 1000, 2000):
         ratio = Fraction(t123.values[n]) / bounds.schur_asymptotic(n, s123)
@@ -218,8 +218,8 @@ def suite_polynomial_ratio() -> SuiteResult:
         "deviation from 1 nonincreasing",
         ",".join(f"{float(d):.6f}" for d in deviations),
     ))
-    s357 = FiniteCoprimeSet((3, 5, 7))
-    t357 = count_table(5000, Finite((3, 5, 7)))
+    s357 = Finite((3, 5, 7))
+    t357 = count_table(5000, s357)
     ratio = Fraction(t357.values[5000]) / bounds.schur_asymptotic(5000, s357)
     res.extras["ratio_357_at_5000"] = f"{float(ratio):.6f}"
     res.check(Fraction(9, 10) <= ratio <= Fraction(11, 10), lambda: (
@@ -463,9 +463,9 @@ def suite_increase_criterion() -> SuiteResult:
         for elems in combinations(range(1, CRITERION_MAX_ELEMENT + 1), k):
             if math.gcd(*elems) != 1:
                 continue
-            cset = FiniteCoprimeSet(elems)
-            verdict = eventually_strictly_increasing(cset)
-            vals = count_table(CRITERION_LIMIT, Finite(elems)).values
+            parts = Finite(elems)
+            verdict = eventually_strictly_increasing(parts)
+            vals = count_table(CRITERION_LIMIT, parts).values
             last_flat = next(
                 (n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0
             )
@@ -477,7 +477,7 @@ def suite_increase_criterion() -> SuiteResult:
             ))
             if elems == (2, 3):
                 # surface a concrete descent for the reference false case
-                start = frobenius_threshold(cset)
+                start = frobenius_threshold(parts)
                 for n in range(start, CRITERION_LIMIT):
                     if vals[n] > vals[n + 1]:
                         res.extras["counterexample_2_3"] = (

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 
 from partlab import _dpcore_py
-from partlab.arith import FiniteCoprimeSet, frobenius_threshold
+from partlab.arith import frobenius_threshold
 from partlab.bounds import hrr_term
 from partlab.cli import main
 from partlab.corpus import CORPUS
@@ -168,15 +168,15 @@ def test_criterion_10_slow_growth():
 
 def test_criterion_11_frobenius():
     failures = []
-    if frobenius_threshold(FiniteCoprimeSet((3, 5))) != 8:
+    if frobenius_threshold(Finite((3, 5))) != 8:
         failures.append("{3,5}")
-    if frobenius_threshold(FiniteCoprimeSet((6, 10, 15))) != 30:
+    if frobenius_threshold(Finite((6, 10, 15))) != 30:
         failures.append("{6,10,15}")
     for a in range(2, 31):
         for b in range(a + 1, 31):
             if math.gcd(a, b) != 1:
                 continue
-            if frobenius_threshold(FiniteCoprimeSet((a, b))) != a * b - a - b + 1:
+            if frobenius_threshold(Finite((a, b))) != a * b - a - b + 1:
                 failures.append(f"{{{a},{b}}}")
     _report(11, "representability thresholds", not failures, f"failures={failures}")
 
@@ -190,8 +190,8 @@ def test_criterion_12_monotonicity_criterion():
     ok = (
         r.extras["counterexample_2_3"] == "p(6)=2 > p(7)=1"
         and r.extras["window_3_4_5"].startswith("W=62")
-        and not eventually_strictly_increasing(FiniteCoprimeSet((2, 3)))
-        and eventually_strictly_increasing(FiniteCoprimeSet((3, 4, 5)))
+        and not eventually_strictly_increasing(Finite((2, 3)))
+        and eventually_strictly_increasing(Finite((3, 4, 5)))
     )
     _report(12, "criterion extras and verdicts", ok, str(r.extras))
 

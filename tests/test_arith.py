@@ -2,18 +2,18 @@
 criterion, and their consistency with the counting engine."""
 
 import math
+import signal
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlab.arith import (
-    FiniteCoprimeSet,
-    PrefixGcdTrace,
     coprime_prefix,
     eventually_strictly_increasing,
     frobenius_threshold,
     gcd_of_set,
-    is_eventually_positive,
 )
 from partlab.counting import count_table
 from partlab.setspec import (
@@ -62,17 +62,28 @@ class TestGcdOfSet:
             gcd_of_set(WithZero(Powers(2)))
 
 
+# part sets with gcd 1, finite and infinite
+_coprime_specs = st.one_of(
+    st.lists(st.integers(1, 60), min_size=1, max_size=6)
+    .filter(lambda elems: math.gcd(*elems) == 1)
+    .map(lambda elems: Finite(tuple(elems))),
+    st.builds(AllFrom, st.integers(1, 50)),
+    st.builds(ArithmeticProgression, st.integers(1, 50), st.integers(1, 50))
+    .filter(lambda ap: math.gcd(ap.first, ap.step) == 1),
+    st.builds(Powers, st.integers(2, 10)),
+)
+
+
 class TestCoprimePrefix:
     def test_chicken_set(self):
-        cset, trace = coprime_prefix(Finite((6, 10, 15)))
-        assert cset.elements == (6, 10, 15)
-        assert trace.gcds == (6, 2, 1)
-        assert trace.prefix_length == 3
+        prefix, gcds = coprime_prefix(Finite((6, 10, 15)))
+        assert prefix == Finite((6, 10, 15))
+        assert gcds == (6, 2, 1)
 
     def test_all(self):
-        cset, trace = coprime_prefix(AllFrom(1))
-        assert cset.elements == (1,)
-        assert trace.gcds == (1,)
+        prefix, gcds = coprime_prefix(AllFrom(1))
+        assert prefix.elements == (1,)
+        assert gcds == (1,)
 
     def test_gcd_two_errors(self):
         with pytest.raises(InvalidSetError):
@@ -81,34 +92,20 @@ class TestCoprimePrefix:
     def test_minimality(self):
         # every proper prefix of the trace stays above 1
         for spec in [Finite((6, 10, 15)), ArithmeticProgression(9, 5), Powers(2)]:
-            _, trace = coprime_prefix(spec)
-            assert all(g > 1 for g in trace.gcds[:-1])
-            assert trace.gcds[-1] == 1
+            _, gcds = coprime_prefix(spec)
+            assert all(g > 1 for g in gcds[:-1])
+            assert gcds[-1] == 1
 
-    def test_trace_validation(self):
-        with pytest.raises(InvalidSetError):
-            PrefixGcdTrace((2, 3, 1))  # not nonincreasing
-        with pytest.raises(InvalidSetError):
-            PrefixGcdTrace((4, 2))  # does not end at 1
-
-
-class TestEventuallyPositive:
-    def test_examples(self):
-        assert is_eventually_positive(Finite((3, 5)))
-        assert not is_eventually_positive(DoublyExponential(2))
-        assert is_eventually_positive(ArithmeticProgression(3, 7))
-
-
-class TestFiniteCoprimeSet:
-    def test_requires_gcd_one(self):
-        with pytest.raises(InvalidSetError):
-            FiniteCoprimeSet((4, 6))
-
-    def test_normalizes(self):
-        cset = FiniteCoprimeSet((5, 3, 3))
-        assert cset.elements == (3, 5)
-        assert cset.k == 2
-        assert cset.product() == 15
+    @settings(max_examples=200, deadline=None)
+    @given(_coprime_specs)
+    def test_gcds_trace_the_prefix(self, spec):
+        # g_i = gcd(a_1, ..., a_i): nonincreasing, ending at 1, one per element
+        prefix, gcds = coprime_prefix(spec)
+        assert prefix.elements == tuple(spec.elements_upto(prefix.elements[-1]))
+        assert len(gcds) == len(prefix.elements)
+        assert all(b <= a for a, b in zip(gcds, gcds[1:]))
+        assert gcds[-1] == 1
+        assert gcds[0] == prefix.elements[0]
 
 
 class TestFrobeniusThreshold:
@@ -117,7 +114,26 @@ class TestFrobeniusThreshold:
         [((3, 5), 8), ((1,), 0), ((6, 10, 15), 30), ((2, 3), 2), ((3, 4, 5), 3)],
     )
     def test_known_values(self, elems, expected):
-        assert frobenius_threshold(FiniteCoprimeSet(elems)) == expected
+        assert frobenius_threshold(Finite(elems)) == expected
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+    @pytest.mark.parametrize("elems", [(4, 6), (0, 1), (0,)])
+    def test_requires_positive_elements_with_gcd_one(self, elems):
+        # no threshold exists, so without the check the scan never ends;
+        # the alarm turns that into a failure instead of a hang
+        def stop(*_):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(10)
+        try:
+            with pytest.raises(InvalidSetError):
+                frobenius_threshold(Finite(elems))
+        except TimeoutError:
+            pytest.fail("the scan did not stop", pytrace=False)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_two_element_formula(self):
         # classical closed form (a-1)(b-1) = ab - a - b + 1 as oracle
@@ -125,13 +141,11 @@ class TestFrobeniusThreshold:
             for b in range(a + 1, 31):
                 if math.gcd(a, b) != 1:
                     continue
-                cset = FiniteCoprimeSet((a, b))
-                assert frobenius_threshold(cset) == a * b - a - b + 1
+                assert frobenius_threshold(Finite((a, b))) == a * b - a - b + 1
 
     @pytest.mark.parametrize("elems", [(3, 5), (6, 10, 15), (2, 3), (3, 4, 5)])
     def test_consistency_with_counting(self, elems):
-        cset = FiniteCoprimeSet(elems)
-        t = frobenius_threshold(cset)
+        t = frobenius_threshold(Finite(elems))
         top = t + 2 * max(elems)
         table = count_table(max(top, t + 100), Finite(elems), NAT_MULTS)
         if t > 0:
@@ -145,13 +159,13 @@ class TestFrobeniusThreshold:
 
 class TestStrictlyIncreasingCriterion:
     def test_examples(self):
-        assert not eventually_strictly_increasing(FiniteCoprimeSet((2, 3)))
-        assert eventually_strictly_increasing(FiniteCoprimeSet((3, 4, 5)))
-        assert not eventually_strictly_increasing(FiniteCoprimeSet((2, 4, 5)))
+        assert not eventually_strictly_increasing(Finite((2, 3)))
+        assert eventually_strictly_increasing(Finite((3, 4, 5)))
+        assert not eventually_strictly_increasing(Finite((2, 4, 5)))
 
     def test_singleton_is_false(self):
         # p is eventually constant for {1}, not strictly increasing
-        assert not eventually_strictly_increasing(FiniteCoprimeSet((1,)))
+        assert not eventually_strictly_increasing(Finite((1,)))
 
     def test_matches_subset_definition(self):
         # criterion == every (k-1)-subset has gcd 1, with empty-set gcd 0
@@ -164,5 +178,5 @@ class TestStrictlyIncreasingCriterion:
                     for sub in combinations(elems, k - 1)
                     if sub
                 ) and k > 1
-                got = eventually_strictly_increasing(FiniteCoprimeSet(elems))
+                got = eventually_strictly_increasing(Finite(elems))
                 assert got == expected, elems

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 
 from partlab import bounds
-from partlab.arith import FiniteCoprimeSet, gcd_of_set
+from partlab.arith import gcd_of_set
 from partlab.bounds import (
     BOUND_IDS,
     BOUND_REGISTRY,
@@ -153,17 +153,17 @@ class TestMonotoneLower:
 
 class TestPolynomialFamily:
     def test_schur_values(self):
-        assert schur_asymptotic(1000, FiniteCoprimeSet((1, 2, 3))) == Fraction(
+        assert schur_asymptotic(1000, Finite((1, 2, 3))) == Fraction(
             10**6, 12
         )
-        assert schur_asymptotic(77, FiniteCoprimeSet((1,))) == 1
+        assert schur_asymptotic(77, Finite((1,))) == 1
 
     def test_padberg_values(self):
-        assert padberg_lower(10, FiniteCoprimeSet((2, 3))) == Fraction(121, 12)
-        assert padberg_lower(0, FiniteCoprimeSet((3, 5))) == Fraction(1, 30)
+        assert padberg_lower(10, Finite((2, 3))) == Fraction(121, 12)
+        assert padberg_lower(0, Finite((3, 5))) == Fraction(1, 30)
 
     def test_point_lower_value(self):
-        assert schur_style_point_lower(10, FiniteCoprimeSet((2, 3))) == Fraction(
+        assert schur_style_point_lower(10, Finite((2, 3))) == Fraction(
             11, 12
         )
 
@@ -171,9 +171,8 @@ class TestPolynomialFamily:
         table = count_table(10, Finite((2, 3)))
         records = table.record_indices()
         assert 10 in records and 7 not in records
-        cset = FiniteCoprimeSet((2, 3))
         for n in records:
-            assert table.values[n] >= schur_style_point_lower(n, cset)
+            assert table.values[n] >= schur_style_point_lower(n, table.parts)
 
 
 class TestRefined:
@@ -200,7 +199,7 @@ class TestRefined:
     def test_improves_on_fixed_prefix(self):
         # at large n the adaptive prefix beats any fixed k-term prefix bound
         n = 2000
-        fixed = schur_style_point_lower(n, FiniteCoprimeSet((1, 2, 3)))
+        fixed = schur_style_point_lower(n, Finite((1, 2, 3)))
         assert refined_floors(count_table(n, ALL_PARTS))[n] > fixed
 
     @pytest.mark.parametrize("upto", [50, 400])

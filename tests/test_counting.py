@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import partlab
 from partlab import bounds, cli, counting, suites
-from partlab.arith import FiniteCoprimeSet
 from partlab.counting import (
     BRUTE_FORCE_LIMIT,
     KERNEL_BACKEND,
@@ -153,7 +152,9 @@ class TestStructuralLaws:
 
 class TestFiniteCoprimeParts:
     def test_finite_coprime_with_all_multiplicities(self):
-        assert finite_coprime_parts(Finite((3, 2)), NAT_MULTS) == FiniteCoprimeSet((2, 3))
+        parts = Finite((3, 2))
+        assert finite_coprime_parts(parts, NAT_MULTS) is parts
+        assert parts.elements == (2, 3)
 
     def test_other_settings_give_none(self):
         assert finite_coprime_parts(Finite((2, 4)), NAT_MULTS) is None
@@ -161,7 +162,9 @@ class TestFiniteCoprimeParts:
         assert finite_coprime_parts(Finite((2, 3)), Finite((0, 1))) is None
 
     def test_finite_coprime_is_a_table_fact(self):
-        assert count_table(5, Finite((3, 2))).finite_coprime == FiniteCoprimeSet((2, 3))
+        table = count_table(5, Finite((3, 2)))
+        assert table.finite_coprime is table.parts
+        assert table.parts == Finite((2, 3))
         assert count_table(5, ALL_PARTS).finite_coprime is None
 
 

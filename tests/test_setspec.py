@@ -1,5 +1,6 @@
 """Set-spec variants, the mini-language parser, and sparse construction."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,19 +99,31 @@ class TestElementsUpto:
         assert Finite((3, 5)).elements_upto(2) == []
 
 
-class TestMinPositive:
-    def test_with_zero(self):
-        assert WithZero(DoublyExponential(2)).min_positive() == 2
+class TestFiniteElements:
+    def test_increasing_int_tuple_is_kept(self):
+        # a checked anchors file is not copied, sorted or de-duplicated again
+        elems = tuple(range(10**6, 10**6 + 1000, 3))
+        assert Finite(elems).elements is elems
 
-    def test_all(self):
-        assert AllFrom(1).min_positive() == 1
+    def test_normalizes(self):
+        spec = Finite((5, 3, 3))
+        assert spec.elements == (3, 5)
+        assert len(spec.elements) == 2
+        assert math.prod(spec.elements) == 15
 
-    def test_finite_skips_zero(self):
-        assert Finite((0, 4, 9)).min_positive() == 4
+    @pytest.mark.parametrize(
+        "given,kept",
+        [([2, 3], (2, 3)), ((3, 2), (2, 3)), ((2, 2, 3), (2, 3)), ((True, 3), (1, 3))],
+    )
+    def test_anything_else_is_sorted_and_deduplicated(self, given, kept):
+        elements = Finite(given).elements
+        assert elements == kept and elements is not given
+        assert all(type(e) is int for e in elements)
 
-    def test_zero_only_set(self):
-        with pytest.raises(InvalidSetError):
-            Finite((0,)).min_positive()
+    def test_checks_hold_on_either_path(self):
+        for elems in [(), (-1, 2), (2, -1), [-1]]:
+            with pytest.raises(InvalidSetError):
+                Finite(elems)
 
 
 class TestValidation:
