@@ -15,7 +15,6 @@ _EXPORTS = {
     "setspec": (
         "ALL_PARTS",
         "NAT_MULTS",
-        "AllFrom",
         "ArithmeticProgression",
         "DoublyExponential",
         "Finite",

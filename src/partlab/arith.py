@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .setspec import (
-    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -27,8 +26,6 @@ def gcd_of_set(spec: IntegerSetSpec) -> int:
     """gcd of all elements, computed analytically per variant."""
     if isinstance(spec, Finite):
         return math.gcd(*spec.elements)
-    if isinstance(spec, AllFrom):
-        return 1
     if isinstance(spec, ArithmeticProgression):
         return math.gcd(spec.first, spec.step)
     if isinstance(spec, Powers):

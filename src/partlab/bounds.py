@@ -62,8 +62,8 @@ import mpmath
 from mpmath import iv, mp
 
 from .arith import gcd_of_set
-from .counting import CountTable, has_all_multiplicities
-from .setspec import ALL_PARTS, Finite, IntegerSetSpec, Powers
+from .counting import CountTable
+from .setspec import ALL_PARTS, NAT_MULTS, Finite, IntegerSetSpec, Powers
 
 # The working precision is fixed, not an option.  Values are shown at 12
 # digits (cli.DISPLAY_DIGITS), which 50 covers with room to spare, and a
@@ -376,7 +376,7 @@ class _Bound:
 
 
 def _classical(n: int, table: CountTable) -> bool:
-    return n >= 1 and has_all_multiplicities(table.mults) and table.parts == ALL_PARTS
+    return n >= 1 and table.mults == NAT_MULTS and table.parts == ALL_PARTS
 
 
 BOUND_REGISTRY: dict[str, _Bound] = {
@@ -403,14 +403,14 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     ),
     "debruijn_upper": _Bound(
         "upper",
-        lambda n, t: n >= 2 and n % 2 == 0 and has_all_multiplicities(t.mults)
+        lambda n, t: n >= 2 and n % 2 == 0 and t.mults == NAT_MULTS
         and t.parts == Powers(2),
         lambda ctx, n, t: ctx.exp(debruijn_log_term(ctx, n // 2)),
         increasing_from=2,
     ),
     "harmonic_chain": _Bound(
         "upper",
-        lambda n, t: n >= 1 and has_all_multiplicities(t.mults),
+        lambda n, t: n >= 1 and t.mults == NAT_MULTS,
         lambda ctx, n, t: ctx.mpf(n) ** t.parts.count_leq(n)
         * exp_harmonic_term(ctx, harmonic_numbers(t.upto)[n]),
         increasing_from=1,
@@ -440,7 +440,7 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     ),
     "refined": _Bound(
         "lower",
-        lambda n, t: has_all_multiplicities(t.mults) and refined_floors(t)[n] is not None,
+        lambda n, t: t.mults == NAT_MULTS and refined_floors(t)[n] is not None,
         lambda ctx, n, t: refined_floors(t)[n],
     ),
     "slow_growth": _Bound(

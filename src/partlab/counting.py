@@ -10,9 +10,9 @@ when one covers the pair, and one layer per part otherwise:
   the table in O(n^1.5) additions instead of the DP's O(n^2).
 - Powers of B with all multiplicities: Mahler's F(x) = F(x^B) / (1 - x)
   (de Bruijn's binary partitions for B = 2), a few running-sum passes.
-- all-from:s with all multiplicities, s small against upto: P(x) times
-  (1 - x^a) for each a < s, so the pentagonal table followed by s - 1
-  removal passes new[v] = old[v] - old[v - a].
+- all-from:s (ap:s,1) with all multiplicities, s small against upto:
+  P(x) times (1 - x^a) for each a < s, so the pentagonal table followed
+  by s - 1 removal passes new[v] = old[v] - old[v - a].
 - Otherwise a layer per part a <= n folds in the part's admissible
   positive multiples m*a (all of a, 2a, 3a, ... when multiplicities are
   unrestricted).  While the table is sparse, a layer pushes each nonzero
@@ -41,12 +41,11 @@ from operator import sub
 
 from .setspec import (
     ALL_PARTS,
-    AllFrom,
+    ArithmeticProgression,
     Finite,
     IntegerSetSpec,
     NAT_MULTS,
     Powers,
-    WithZero,
     validate_kind,
 )
 
@@ -115,18 +114,6 @@ class CountTable:
         to these values and not to (parts, mults)."""
         return {}
 
-    def record_indices(self) -> list[int]:
-        """Indices n where p(n) equals the maximum of p over [0, n]."""
-        return [n for n, record in enumerate(self.record_flags) if record]
-
-    def is_nondecreasing(self) -> bool:
-        return self.nondecreasing_prefix == len(self.values)
-
-
-def has_all_multiplicities(mults: IntegerSetSpec) -> bool:
-    """True for the full multiplicity set {0, 1, 2, ...}."""
-    return isinstance(mults, WithZero) and mults.inner == AllFrom(1)
-
 
 def finite_coprime_parts(
     parts: IntegerSetSpec, mults: IntegerSetSpec
@@ -134,7 +121,7 @@ def finite_coprime_parts(
     """The part set itself when it is finite with gcd 1 and
     multiplicities are unrestricted (the setting of the polynomial-growth
     bounds); None otherwise."""
-    if not isinstance(parts, Finite) or not has_all_multiplicities(mults):
+    if not isinstance(parts, Finite) or mults != NAT_MULTS:
         return None
     return parts if math.gcd(*parts.elements) == 1 else None
 
@@ -155,7 +142,7 @@ def count_table(
         values = _identity_table(upto, parts, mults)
         if values is not None:
             return CountTable(parts, mults, tuple(values))
-    unrestricted = has_all_multiplicities(mults)
+    unrestricted = mults == NAT_MULTS
     k = kernel if kernel is not None else _kernel
     values = [0] * (upto + 1)
     values[0] = 1
@@ -188,14 +175,18 @@ def _identity_table(
         # the multiplicities that fit below upto are {0, ..., m-1} exactly
         m = mults.count_leq(upto)
         return pentagonal_table(upto, m) if mults.count_leq(m - 1) == m else None
-    if not has_all_multiplicities(mults):
+    if mults != NAT_MULTS:
         return None
     if isinstance(parts, Powers):
         return _mahler_table(upto, parts.base)
     # s - 1 removal passes are cheaper than the upto - s + 1 layers
-    if isinstance(parts, AllFrom) and 2 * parts.start <= upto + 2:
+    if (
+        isinstance(parts, ArithmeticProgression)
+        and parts.step == 1
+        and 2 * parts.first <= upto + 2
+    ):
         values = pentagonal_table(upto)
-        for a in range(1, parts.start):
+        for a in range(1, parts.first):
             values[a:] = list(map(sub, values[a:], values[:-a]))
         return values
     return None

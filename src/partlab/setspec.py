@@ -8,8 +8,8 @@ order, so infinite sets are first-class.
 
 Spec mini-language (ASCII, no whitespace):
 
-    all            every positive integer            (part sets)
-    all-from:K     {K, K+1, K+2, ...}
+    all            every positive integer, ap:1,1    (part sets)
+    all-from:K     {K, K+1, K+2, ...}, ap:K,1
     finite:A,B,..  explicit finite set
     ap:A,D         arithmetic progression {A, A+D, A+2D, ...}
     pow:B          {B^j : j >= 0}, includes 1        (B >= 2)
@@ -21,7 +21,10 @@ Spec mini-language (ASCII, no whitespace):
 
 Integers are ASCII digits only, here and wherever partlab reads one from
 outside (parse_natural).  A finite set is one Finite however it is
-written: finite:, sparse:@FILE, or construct_sparse_set's result.
+written: finite:, sparse:@FILE, or construct_sparse_set's result.  A
+progression is one ArithmeticProgression however it is written: all,
+all-from:K or ap:A,D, printed as all for (1, 1), all-from:K for step 1
+and ap:A,D otherwise.
 
 Counting thresholds are integers: elements are integers, so a rational
 threshold such as M(n/a) is exactly M(n // a), and no floating point is
@@ -31,7 +34,6 @@ involved.
 from __future__ import annotations
 
 import io
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -129,26 +131,6 @@ class Finite(IntegerSetSpec):
 
 
 @dataclass(frozen=True)
-class AllFrom(IntegerSetSpec):
-    start: int = 1
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise InvalidSetError("all-from start must be positive")
-
-    def iter_elements(self):
-        return _count(self.start)
-
-    def count_leq(self, x):
-        if x < self.start:
-            return 0
-        return math.floor(x) - self.start + 1
-
-    def spec_string(self):
-        return "all" if self.start == 1 else f"all-from:{self.start}"
-
-
-@dataclass(frozen=True)
 class ArithmeticProgression(IntegerSetSpec):
     first: int
     step: int
@@ -166,7 +148,9 @@ class ArithmeticProgression(IntegerSetSpec):
         return (x - self.first) // self.step + 1
 
     def spec_string(self):
-        return f"ap:{self.first},{self.step}"
+        if self.step != 1:
+            return f"ap:{self.first},{self.step}"
+        return "all" if self.first == 1 else f"all-from:{self.first}"
 
 
 @dataclass(frozen=True)
@@ -227,13 +211,13 @@ class WithZero(IntegerSetSpec):
         return 1 + self.inner.count_leq(x)
 
     def spec_string(self):
-        if self.inner == AllFrom(1):
+        if self == NAT_MULTS:
             return "nat"
         return "zero|" + self.inner.spec_string()
 
 
-ALL_PARTS = AllFrom(1)
-NAT_MULTS = WithZero(AllFrom(1))
+ALL_PARTS = ArithmeticProgression(1, 1)
+NAT_MULTS = WithZero(ALL_PARTS)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +322,18 @@ def _load_anchor_file(path: str) -> Finite:
 def _parse(text: str, pos: int) -> tuple[IntegerSetSpec, int]:
     rest = text[pos:]
     if rest.startswith("zero|"):
+        # a nested zero| holds 0 already; rejected here, without recursing
+        if text.startswith("zero|", pos + 5):
+            raise InvalidSetError("inner set of zero| already contains 0")
         inner, end = _parse(text, pos + 5)
         return WithZero(inner), end
     if rest.startswith("all-from:"):
         start, end = _parse_int(text, pos + 9)
-        return AllFrom(start), end
+        return ArithmeticProgression(start, 1), end
     if rest.startswith("all"):
-        return AllFrom(1), pos + 3
+        return ALL_PARTS, pos + 3
     if rest.startswith("nat"):
-        return WithZero(AllFrom(1)), pos + 3
+        return NAT_MULTS, pos + 3
     if rest.startswith("finite:"):
         values, end = _parse_int_list(text, pos + 7)
         return Finite(tuple(values)), end

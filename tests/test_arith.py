@@ -17,7 +17,6 @@ from partlab.arith import (
 )
 from partlab.counting import count_table
 from partlab.setspec import (
-    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -34,7 +33,7 @@ class TestGcdOfSet:
         [
             (Finite((6, 10, 15)), 1),
             (Finite((4, 6)), 2),
-            (AllFrom(5), 1),
+            (ArithmeticProgression(5, 1), 1),
             (ArithmeticProgression(4, 6), 2),
             (ArithmeticProgression(3, 7), 1),
             (Powers(3), 1),
@@ -52,7 +51,7 @@ class TestGcdOfSet:
             ArithmeticProgression(4, 6),
             Powers(2),
             DoublyExponential(2),
-            AllFrom(3),
+            ArithmeticProgression(3, 1),
         ]:
             prefix = spec.elements_upto(10**6)
             assert gcd_of_set(spec) == math.gcd(*prefix)
@@ -67,7 +66,7 @@ _coprime_specs = st.one_of(
     st.lists(st.integers(1, 60), min_size=1, max_size=6)
     .filter(lambda elems: math.gcd(*elems) == 1)
     .map(lambda elems: Finite(tuple(elems))),
-    st.builds(AllFrom, st.integers(1, 50)),
+    st.builds(ArithmeticProgression, st.integers(1, 50), st.just(1)),
     st.builds(ArithmeticProgression, st.integers(1, 50), st.integers(1, 50))
     .filter(lambda ap: math.gcd(ap.first, ap.step) == 1),
     st.builds(Powers, st.integers(2, 10)),
@@ -81,7 +80,7 @@ class TestCoprimePrefix:
         assert gcds == (6, 2, 1)
 
     def test_all(self):
-        prefix, gcds = coprime_prefix(AllFrom(1))
+        prefix, gcds = coprime_prefix(ArithmeticProgression(1, 1))
         assert prefix.elements == (1,)
         assert gcds == (1,)
 

@@ -45,7 +45,6 @@ from partlab.counting import CountTable, count_table
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
-    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -140,7 +139,7 @@ class TestMonotoneLower:
 
     def test_holds_for_nondecreasing_table(self):
         table = count_table(400, ALL_PARTS)
-        assert table.is_nondecreasing()
+        assert table.nondecreasing_prefix == 401
         for n, floor in enumerate(value_column("monotone_lower", table)[1:], start=1):
             assert table.values[n] >= floor
 
@@ -169,7 +168,7 @@ class TestPolynomialFamily:
 
     def test_point_lower_at_records(self):
         table = count_table(10, Finite((2, 3)))
-        records = table.record_indices()
+        records = [n for n, r in enumerate(table.record_flags) if r]
         assert 10 in records and 7 not in records
         for n in records:
             assert table.values[n] >= schur_style_point_lower(n, table.parts)
@@ -207,9 +206,9 @@ class TestRefined:
         # the product ceilings and the j walk are table-wide facts, so the
         # monotone_lower and refined columns do not walk all or nat per n
         walks = []
-        walk = AllFrom.iter_elements
+        walk = ArithmeticProgression.iter_elements
         table = count_table(upto, ALL_PARTS)
-        monkeypatch.setattr(AllFrom, "iter_elements", lambda s: walks.append(s) or walk(s))
+        monkeypatch.setattr(ArithmeticProgression, "iter_elements", lambda s: walks.append(s) or walk(s))
         assert value_column("monotone_lower", table)[upto] is not None
         assert value_column("refined", table)[upto] is not None
         assert 0 < len(walks) <= 3
@@ -600,8 +599,8 @@ class TestBoundReport:
             assert value_column(bid, table) is value_column(bid, table)
             assert verdict_column(bid, table) is verdict_column(bid, table)
         values, verdicts = value_column("eq10", table), verdict_column("eq10", table)
-        assert [n for n, v in enumerate(values) if v is not None] == table.record_indices()
-        assert [n for n, ok in enumerate(verdicts) if ok is not None] == table.record_indices()
+        assert [v is not None for v in values] == list(table.record_flags)
+        assert [ok is not None for ok in verdicts] == list(table.record_flags)
         assert verdict_column("schur", table) == [None] * 51  # asymptotic: no verdicts
 
     def test_monotone_applicability_tracks_data(self):

@@ -67,6 +67,14 @@ class TestExitCodes:
         assert code == 2
         assert "invalid set" in err
 
+    def test_nested_zero_is_two(self, capsys):
+        # 5000 levels once ended in a RecursionError traceback
+        mults = "zero|" * 5000 + "all"
+        code, out, err = run(capsys, "count", "--parts", "all", "--mults", mults, "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "partlab: invalid set: inner set of zero| already contains 0\n"
+
     def test_mults_missing_zero_is_two(self, capsys):
         code, _, _ = run(
             capsys, "count", "--parts", "all", "--mults", "finite:1,2", "--n", "5"
@@ -657,6 +665,13 @@ class TestOutFile:
 
 # -- a finite set gives the same output however it is written ---------------
 
+def _output(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
 def test_sparse_spelling_of_finite_2_3_matches_the_snapshot(capsys, tmp_path):
     anchors = tmp_path / "anchors.txt"
     anchors.write_text("2\n3\n")
@@ -678,22 +693,36 @@ def test_finite_and_sparse_spellings_agree(tmp_path_factory, elements, upto):
     anchors = tmp_path_factory.mktemp("sparse") / "anchors.txt"
     anchors.write_text("".join(f"{e}\n" for e in elements))
     spellings = ("finite:" + ",".join(map(str, elements)), f"sparse:@{anchors}")
-
-    def output(*argv):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(list(argv)) == 0
-        return out.getvalue()
-
     tables = [
-        output("table", "--parts", parts, "--upto", str(upto),
-               "--bounds", ",".join(BOUND_IDS), "--format", "csv")
+        _output("table", "--parts", parts, "--upto", str(upto),
+                "--bounds", ",".join(BOUND_IDS), "--format", "csv")
         for parts in spellings
     ]
     assert tables[0] == tables[1]
-    analyses = [output("analyze", "--parts", parts).split("\n") for parts in spellings]
+    analyses = [_output("analyze", "--parts", parts).split("\n") for parts in spellings]
     assert [lines[0] for lines in analyses] == [f"parts: {p}" for p in spellings]
     assert analyses[0][1:] == analyses[1][1:]
+
+
+# -- a progression gives the same output however it is written --------------
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_ap_and_all_from_spellings_agree(k):
+    tables = [
+        _output("table", "--parts", parts, "--upto", "60",
+                "--bounds", ",".join(BOUND_IDS), "--format", "csv")
+        for parts in (f"ap:{k},1", f"all-from:{k}", *(("all",) if k == 1 else ()))
+    ]
+    assert len(set(tables)) == 1
+
+
+@pytest.mark.parametrize("parts", ["all", "finite:2,3", "pow:2"])
+def test_zero_ap_1_1_is_nat(parts):
+    for argv in (
+        ("table", "--parts", parts, "--upto", "60", "--bounds", ",".join(BOUND_IDS), "--format", "csv"),
+        ("count", "--parts", parts, "--n", "60", "--format", "json"),
+    ):
+        assert _output(*argv, "--mults", "zero|ap:1,1") == _output(*argv, "--mults", "nat")
 
 
 # -- the contract on generated argv: exit 0/1/2/3, never an exception --------

@@ -21,7 +21,6 @@ from partlab import _dpcore_py
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
-    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -33,7 +32,7 @@ from partlab.setspec import (
 
 PAIRS = [
     (ALL_PARTS, NAT_MULTS),
-    (AllFrom(2), NAT_MULTS),
+    (ArithmeticProgression(2, 1), NAT_MULTS),
     (Finite((2, 3)), NAT_MULTS),
     (Finite((6, 10, 15)), NAT_MULTS),
     (ArithmeticProgression(3, 4), NAT_MULTS),
@@ -100,7 +99,7 @@ class TestKnownValues:
 class TestStructuralLaws:
     def test_monotone_in_parts(self):
         # a larger part set never loses partitions
-        small = count_table(200, AllFrom(2)).values
+        small = count_table(200, ArithmeticProgression(2, 1)).values
         big = count_table(200, ALL_PARTS).values
         assert all(s <= b for s, b in zip(small, big))
         small = count_table(200, Finite((3, 5))).values
@@ -132,12 +131,12 @@ class TestStructuralLaws:
 
     def test_record_indices(self):
         t = count_table(10, Finite((2, 3)))
-        assert t.record_indices() == [0, 2, 3, 4, 5, 6, 8, 9, 10]
-        assert count_table(30, ALL_PARTS).record_indices() == list(range(31))
+        assert [n for n, r in enumerate(t.record_flags) if r] == [0, 2, 3, 4, 5, 6, 8, 9, 10]
+        assert all(count_table(30, ALL_PARTS).record_flags)
 
     def test_is_nondecreasing(self):
-        assert count_table(300, ALL_PARTS).is_nondecreasing()
-        assert not count_table(10, Finite((2, 3))).is_nondecreasing()
+        assert count_table(300, ALL_PARTS).nondecreasing_prefix == 301
+        assert count_table(10, Finite((2, 3))).nondecreasing_prefix < 11
 
     @pytest.mark.parametrize("parts,mults", PAIRS)
     def test_table_facts_match_prefix_scans(self, parts, mults):
@@ -304,7 +303,7 @@ class _NaiveKernel:
 
 _positive_sets = st.one_of(
     st.lists(st.integers(1, 60), min_size=1, max_size=5).map(Finite),
-    st.integers(1, 6).map(AllFrom),
+    st.integers(1, 6).map(lambda k: ArithmeticProgression(k, 1)),
     st.builds(ArithmeticProgression, st.integers(1, 9), st.integers(1, 9)),
     st.integers(2, 5).map(Powers),
     st.integers(2, 3).map(DoublyExponential),
@@ -326,7 +325,7 @@ _mult_sets = st.one_of(
 _identity_pairs = st.one_of(
     st.tuples(st.just(ALL_PARTS), _below_m),
     st.tuples(st.integers(2, 5).map(Powers), st.just(NAT_MULTS)),
-    st.tuples(st.integers(2, 8).map(AllFrom), st.just(NAT_MULTS)),
+    st.tuples(st.integers(2, 8).map(lambda k: ArithmeticProgression(k, 1)), st.just(NAT_MULTS)),
 )
 _pairs = st.one_of(st.tuples(_positive_sets, _mult_sets), _identity_pairs)
 
@@ -404,6 +403,8 @@ class TestDispatch:
             # the pentagonal table with the parts below s removed
             ("all-from:2", "nat", 600),
             ("all-from:5", "nat", 400),
+            # ap:K,1 is all-from:K, so it takes the same path down to 2K = upto + 2
+            *((f"ap:{k},1", "nat", upto) for k in range(1, 7) for upto in (2 * k - 2, 300)),
             # Glaisher: P(x) E(x^m), both spellings of {0, ..., m-1}
             ("all", "finite:0,1", 800),
             ("all", "zero|finite:1", 800),

@@ -11,7 +11,6 @@ from partlab.corpus import CORPUS, CORPUS_BY_LABEL
 from partlab.setspec import (
     ALL_PARTS,
     NAT_MULTS,
-    AllFrom,
     ArithmeticProgression,
     DoublyExponential,
     Finite,
@@ -29,14 +28,14 @@ from partlab.setspec import (
 VARIANTS = [
     Finite((0, 4, 9)),
     Finite((3, 5)),
-    AllFrom(1),
-    AllFrom(7),
+    ArithmeticProgression(1, 1),
+    ArithmeticProgression(7, 1),
     ArithmeticProgression(3, 4),
     Powers(2),
     Powers(3),
     DoublyExponential(2),
     WithZero(DoublyExponential(2)),
-    WithZero(AllFrom(1)),
+    WithZero(ArithmeticProgression(1, 1)),
     Finite((16, 256, 65536), source="anchors.txt"),
 ]
 
@@ -71,7 +70,7 @@ class TestCountLeq:
 
     def test_rational_threshold_never_rounds(self):
         # 5/2 separates 2 from 3 exactly
-        s = AllFrom(1)
+        s = ArithmeticProgression(1, 1)
         assert s.count_leq(Fraction(5, 2)) == 2
         assert s.count_leq(Fraction(3)) == 3
 
@@ -93,7 +92,7 @@ class TestElementsUpto:
         assert DoublyExponential(2).elements_upto(300) == [2, 4, 16, 256]
 
     def test_all_from(self):
-        assert AllFrom(1).elements_upto(4) == [1, 2, 3, 4]
+        assert ArithmeticProgression(1, 1).elements_upto(4) == [1, 2, 3, 4]
 
     def test_empty(self):
         assert Finite((3, 5)).elements_upto(2) == []
@@ -326,8 +325,19 @@ class TestSpecStrings:
     def test_canonical_forms(self):
         assert str(ALL_PARTS) == "all"
         assert str(NAT_MULTS) == "nat"
-        assert str(AllFrom(2)) == "all-from:2"
+        assert str(ArithmeticProgression(2, 1)) == "all-from:2"
         assert str(WithZero(Powers(2))) == "zero|pow:2"
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_step_one_progression_is_all_from(self, k):
+        # one set, one spec: ap:K,1 is all-from:K, and both print as it
+        ap, all_from = parse_set_spec(f"ap:{k},1", "parts"), parse_set_spec(f"all-from:{k}", "parts")
+        assert ap == all_from and hash(ap) == hash(all_from)
+        assert str(ap) == str(all_from) == ("all" if k == 1 else f"all-from:{k}")
+
+    def test_zero_with_step_one_progression_is_nat(self):
+        assert parse_set_spec("zero|ap:1,1", "mults") == NAT_MULTS
+        assert str(parse_set_spec("zero|all-from:1", "mults")) == "nat"
 
     def test_str_is_total_on_corpus(self):
         # every set prints as a spec that parses back to it, the text that
