@@ -39,9 +39,11 @@ from .setspec import (
 DISPLAY_DIGITS = 12
 MAX_HUMAN_FAILURES = 20
 
-# Largest accepted --n / --upto.  Every command builds the table p(0..n),
-# n + 1 exact integers, so this bounds what one run allocates.  It admits
-# the largest benchmarked count (dexp:2 to 2^20) with room for a doubling.
+# Largest accepted --n / --upto.  table and explore build the row p(0..n),
+# n + 1 exact integers, and count builds at most that row (a finite set with
+# n < k lcm, a dense pair without an identity), so this bounds what one run
+# allocates.  It admits the largest benchmarked count (dexp:2 to 2^20) with
+# room for a doubling.
 MAX_N = 2**21
 
 

@@ -15,19 +15,38 @@ when one covers the pair, and one layer per part otherwise:
   by s - 1 removal passes new[v] = old[v] - old[v - a].
 - Otherwise a layer per part a <= n folds in the part's admissible
   positive multiples m*a (all of a, 2a, 3a, ... when multiplicities are
-  unrestricted).  While the table is sparse, a layer pushes each nonzero
-  entry to its shifted targets, costing (support size) x (number of
-  multiples) additions; doubly exponential and other thin sets never
-  leave this mode.  Once that product exceeds a quarter of the row length
-  the rest of the table runs on the dense layers of _dpcore_py
-  (KERNEL_BACKEND is always "python").
+  unrestricted).  While the table is sparse it is a {n: count} dict of its
+  nonzero entries, and a layer pushes each of them to its shifted
+  targets, costing (support size) x (number of multiples) additions;
+  doubly exponential and other thin sets never leave this mode.  Once that
+  product exceeds a quarter of the row length the rest of the table runs
+  on the dense layers of _dpcore_py (KERNEL_BACKEND is always "python").
 
 A table to N holds at most two arrays of N+1 exact integers, whatever the
 method.  Passing kernel=K skips every identity and sparse layer and runs the
-plain dense DP with kernel K.  The tests check each path against an oracle
-that shares no code with it: brute force to n = 40 for every path, the
-dense DP on a test-local one-entry-at-a-time kernel for the identities and
-the sparse layers, the pentagonal recurrence and that kernel for
+plain dense DP with kernel K.
+
+count_partitions asks for one value, and three kinds of pair give it
+without the row p(0..n):
+
+- A finite set of k parts with all multiplicities, when k L <= n for
+  L = lcm(parts): Sylvester's quasi-polynomial.  On each class n = r + t L
+  the count is a polynomial in t of degree below k, so the row to
+  r + (k - 1) L gives k of its values and Newton's forward differences
+  give the one at t = n // L.
+- Powers of B with all multiplicities: Mahler's equation summed once
+  more, which needs the table to n // B^2 only.
+- A pair no identity can cover (parts other than all, multiplicities
+  other than nat) runs the same layers as count_table, and when they all
+  stay sparse the value is read off the dict; when one turns dense the
+  rest runs on the row as in count_table.
+
+Every other pair reads its row from count_table.
+
+The tests check each path against an oracle that shares no code with it:
+brute force to n = 40 for every path, the dense DP on a test-local
+one-entry-at-a-time kernel for the identities, the sparse layers and the
+three one-value routes, the pentagonal recurrence and that kernel for
 _dpcore_py's layers.
 """
 
@@ -134,36 +153,22 @@ def count_table(
 ) -> CountTable:
     """p(0..upto; parts, mults) by the cheapest exact method (see the module
     docstring); with a kernel given, by the plain dense DP on that kernel."""
-    validate_kind(parts, "parts")
-    validate_kind(mults, "mults")
-    if upto < 0:
-        raise ValueError("upto must be nonnegative")
+    _validate(upto, parts, mults)
     if kernel is None:
         values = _identity_table(upto, parts, mults)
         if values is not None:
             return CountTable(parts, mults, tuple(values))
-    unrestricted = mults == NAT_MULTS
-    k = kernel if kernel is not None else _kernel
-    values = [0] * (upto + 1)
-    values[0] = 1
-    support = [0] if kernel is None else None  # None once the table is dense
-    sparse_limit = upto // SPARSE_DIVISOR
-    for a in parts.elements_upto(upto):
-        if unrestricted:
-            offsets = range(a, upto + 1, a)
-        else:
-            offsets = [m * a for m in mults.elements_upto(upto // a) if m > 0]
-            if not offsets:
-                continue
-        if support is not None and len(support) * len(offsets) <= sparse_limit:
-            support = _sparse_layer(values, support, offsets)
-            continue
-        support = None
-        if unrestricted:
-            k.unbounded_layer(values, a)
-        else:
-            k.restricted_layer(values, offsets)
+    values = _layers(upto, parts, mults, kernel)
+    if isinstance(values, dict):
+        values = _row(values, upto)
     return CountTable(parts, mults, tuple(values))
+
+
+def _validate(upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec) -> None:
+    validate_kind(parts, "parts")
+    validate_kind(mults, "mults")
+    if upto < 0:
+        raise ValueError("upto must be nonnegative")
 
 
 def _identity_table(
@@ -208,31 +213,123 @@ def _mahler_table(upto: int, base: int) -> list[int]:
     return values
 
 
-def _sparse_layer(values: list, support: list, offsets) -> list:
-    """Fold in one part by pushing every nonzero values[s] (s in the
-    ascending `support`) to values[s + off]; returns the new support.
+def _layers(
+    upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec, kernel=None
+) -> dict | list:
+    """p(0..upto) folded in one layer per part.  While the table is sparse
+    it is a {n: count} dict of its nonzero entries, and it is returned as
+    one when every layer stayed sparse; otherwise the rest runs on the row
+    of upto + 1 entries, which is returned.  A kernel runs every layer dense.
+    """
+    unrestricted = mults == NAT_MULTS
+    k = kernel if kernel is not None else _kernel
+    table = {0: 1} if kernel is None else _row({0: 1}, upto)
+    sparse_limit = upto // SPARSE_DIVISOR
+    for a in parts.elements_upto(upto):
+        if unrestricted:
+            offsets = range(a, upto + 1, a)
+        else:
+            offsets = [m * a for m in mults.elements_upto(upto // a) if m > 0]
+            if not offsets:
+                continue
+        if isinstance(table, dict):
+            if len(table) * len(offsets) <= sparse_limit:
+                _sparse_layer(table, offsets, upto)
+                continue
+            table = _row(table, upto)
+        if unrestricted:
+            k.unbounded_layer(table, a)
+        else:
+            k.restricted_layer(table, offsets)
+    return table
+
+
+def _row(support: dict, upto: int) -> list[int]:
+    """The row p(0..upto) of a table held as its nonzero entries."""
+    values = [0] * (upto + 1)
+    for s, v in support.items():
+        values[s] = v
+    return values
+
+
+def _sparse_layer(support: dict, offsets, top: int) -> None:
+    """Fold in one part by pushing every nonzero entry support[s] to
+    support[s + off] for each offset, up to index top, in place.
 
     Descending s keeps each source at its previous-layer value: every
     target s + off lies above all the sources still to come.
     """
-    top = len(values) - 1
-    reached = set(support)
-    for s in reversed(support):
-        v = values[s]
+    for s in sorted(support, reverse=True):
+        v = support[s]
         for off in offsets:
             t = s + off
             if t > top:
                 break
-            values[t] += v
-            reached.add(t)
-    return sorted(reached)
+            support[t] = support.get(t, 0) + v
 
 
 def count_partitions(
     n: int, parts: IntegerSetSpec, mults: IntegerSetSpec = NAT_MULTS
 ) -> int:
-    """Exact p(n; parts, mults)."""
-    return count_table(n, parts, mults).values[n]
+    """Exact p(n; parts, mults) by the cheapest exact route to the one value:
+    Sylvester's quasi-polynomial for a finite part set with k * lcm <= n,
+    Mahler's sum over the table to n // B^2 for powers of B (both with all
+    multiplicities), the sparse support of a thin pair, and the row from
+    count_table otherwise (see the module docstring).
+    """
+    _validate(n, parts, mults)
+    if mults == NAT_MULTS and isinstance(parts, Powers):
+        return _mahler_count(n, parts)
+    if mults == NAT_MULTS and isinstance(parts, Finite):
+        value = _quasi_polynomial_count(n, parts)
+        if value is not None:
+            return value
+    if parts == ALL_PARTS or mults == NAT_MULTS:
+        return count_table(n, parts, mults).values[n]
+    values = _layers(n, parts, mults)
+    return values.get(n, 0) if isinstance(values, dict) else values[n]
+
+
+def _mahler_count(n: int, parts: Powers) -> int:
+    """p(n) for the powers of B = parts.base, from the table to q = n // B^2.
+
+    With m = n // B and s(j) = p(0) + ... + p(j), Mahler's equation gives
+    p(n) = s(m) = sum over j <= m of s(j // B), and j // B takes each value
+    below q for B values of j and q itself for m - q B + 1 of them:
+    p(n) = B (s(0) + ... + s(q - 1)) + (m - q B + 1) s(q).
+    """
+    base = parts.base
+    m = n // base
+    q = m // base
+    values = count_table(q, parts).values
+    s_q = sum(values)
+    return base * (sum(accumulate(values)) - s_q) + (m - q * base + 1) * s_q
+
+
+def _quasi_polynomial_count(n: int, parts: Finite) -> int | None:
+    """p(n) for a finite part set with unrestricted multiplicities, or None
+    when k * L > n, where k is the number of parts and L their lcm.
+
+    1/prod(1 - x^a) = Q(x) / (1 - x^L)^k with deg Q < k L, so on each class
+    n = r + t L the count is a polynomial in t of degree below k, for every
+    t >= 0 (Sylvester 1857, Bell 1943).  Its values at t = 0..k-1 come from
+    the row to r + (k - 1) L, and Newton's forward-difference form
+    sum over i of C(t, i) Delta^i gives it at t = n // L in integers.
+    """
+    k = len(parts.elements)
+    lcm = 1
+    for a in parts.elements:
+        lcm = math.lcm(lcm, a)
+        if k * lcm > n:
+            return None
+    r, t = n % lcm, n // lcm
+    row = count_table(r + (k - 1) * lcm, parts).values
+    diffs = row[r::lcm]
+    total = 0
+    for i in range(k):
+        total += math.comb(t, i) * diffs[0]
+        diffs = list(map(sub, diffs[1:], diffs[:-1]))
+    return total
 
 
 def brute_force_count(

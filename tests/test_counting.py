@@ -1,6 +1,7 @@
 """DP counting engine against independent oracles and structural laws."""
 
 import inspect
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -517,3 +518,169 @@ class TestPythonKernel:
         _dpcore_py.unbounded_layer(values, a)
         _naive_unbounded(row, a)
         assert values == row
+
+
+# -- one value: count_partitions without the row p(0..n) ---------------------
+
+def _upto_calls(monkeypatch):
+    """Record the upto of every count_table call count_partitions makes."""
+    calls = []
+    original = counting.count_table
+
+    def spy(upto, *args, **kwargs):
+        calls.append(upto)
+        return original(upto, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_table", spy)
+    return calls
+
+
+def _layer_rows(monkeypatch):
+    """Record the row length of every dense layer that runs."""
+    rows = []
+    for layer in ("unbounded_layer", "restricted_layer"):
+        original = getattr(counting._kernel, layer)
+
+        def spy(values, arg, original=original):
+            rows.append(len(values))
+            return original(values, arg)
+
+        monkeypatch.setattr(counting._kernel, layer, spy)
+    return rows
+
+
+def _k_lcm(parts):
+    elements = parts.elements
+    return len(elements), math.lcm(*elements)
+
+
+# 1-4 elements <= 12; duplicates collapse and gcd > 1 sets (finite:4,6) occur
+_small_finite = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(Finite)
+
+
+class TestOneValue:
+    @settings(max_examples=60, deadline=None)
+    @given(parts=_small_finite, past=st.integers(0, 300))
+    def test_quasi_polynomial_matches_dense_dp(self, parts, past):
+        k, lcm = _k_lcm(parts)
+        n = k * lcm + past
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _upto_calls(mp)
+            value = count_partitions(n, parts)
+        assert calls and max(calls) < k * lcm
+        assert value == _dense(n, parts, NAT_MULTS)[n]
+
+    @pytest.mark.parametrize(
+        "spec", ["finite:3,4,5", "finite:4,6", "finite:2,3", "finite:5", "finite:1", "finite:6,10,15"]
+    )
+    def test_quasi_polynomial_starts_at_k_lcm(self, monkeypatch, spec):
+        parts = parse_set_spec(spec, "parts")
+        k, lcm = _k_lcm(parts)
+        expected = _dense(k * lcm + 2 * lcm, parts, NAT_MULTS)
+        calls = _upto_calls(monkeypatch)
+        # below k * lcm the row is read; from k * lcm on, a row below it
+        assert count_partitions(k * lcm - 1, parts) == expected[k * lcm - 1]
+        assert calls == [k * lcm - 1]
+        for n in range(k * lcm, len(expected)):
+            del calls[:]
+            assert count_partitions(n, parts) == expected[n], n
+            assert calls == [n % lcm + (k - 1) * lcm], n
+
+    def test_single_part_counts_multiples(self):
+        for a in (1, 2, 7):
+            for n in range(200):
+                assert count_partitions(n, Finite((a,))) == (n % a == 0), (a, n)
+
+    @pytest.mark.parametrize("base", [2, 3, 4, 5])
+    def test_mahler_sum_matches_dense_dp(self, monkeypatch, base):
+        parts = Powers(base)
+        expected = _dense(5000, parts, NAT_MULTS)
+        calls = _upto_calls(monkeypatch)
+        edges = [0, 1, base - 1, base, base * base - 1, base * base, base * base + 1]
+        for n in [*edges, *range(4900, 5001)]:
+            del calls[:]
+            assert count_partitions(n, parts) == expected[n], n
+            assert calls == [n // (base * base)], n
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.integers(2, 5), n=st.integers(0, 5000))
+    def test_mahler_sum_generated(self, base, n):
+        assert count_partitions(n, Powers(base)) == _dense(n, Powers(base), NAT_MULTS)[n]
+
+    @pytest.mark.parametrize(
+        "parts,mults,n,goes_dense",
+        [
+            ("dexp:2", "zero|dexp:2", 2**16, False),
+            ("dexp:3", "zero|dexp:2", 3000, False),
+            ("finite:7", "zero|finite:1,3,100", 2000, False),
+            ("finite:16,256,4096", "zero|finite:1,2", 5000, False),
+            ("ap:1,2", "zero|finite:1", 1500, True),
+            ("ap:3,4", "zero|ap:1,2", 800, True),
+            ("finite:16,256,4096", "zero|ap:1,2", 5000, True),
+        ],
+    )
+    def test_thin_pairs_match_dense_dp(self, monkeypatch, parts, mults, n, goes_dense):
+        parts = parse_set_spec(parts, "parts")
+        mults = parse_set_spec(mults, "mults")
+        expected = _dense(n, parts, mults)
+        rows = _layer_rows(monkeypatch)
+        assert count_partitions(n, parts, mults) == expected[n]
+        assert bool(rows) == goes_dense
+        for m in (n - 1, n // 2, n // 3 + 1):
+            assert count_partitions(m, parts, mults) == _dense(m, parts, mults)[m], m
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=_pairs, n=st.integers(0, BRUTE_FORCE_LIMIT))
+    def test_routes_agree_with_brute_force(self, pair, n):
+        parts, mults = pair
+        value, dense = count_partitions(n, parts, mults), _dense(n, parts, mults)
+        assert value == dense[n]
+        if sum(dense) <= _BRUTE_BUDGET:
+            assert value == brute_force_count(n, parts, mults)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=_pairs, n=st.integers(BRUTE_FORCE_LIMIT + 1, 1500))
+    def test_routes_agree_beyond_brute_force(self, pair, n):
+        parts, mults = pair
+        assert count_partitions(n, parts, mults) == _dense(n, parts, mults)[n]
+
+    @settings(max_examples=30, deadline=None)
+    @given(parts=_small_finite, n=st.integers(0, BRUTE_FORCE_LIMIT))
+    def test_small_finite_sets_agree_with_brute_force(self, parts, n):
+        assert count_partitions(n, parts) == brute_force_count(n, parts)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            count_partitions(-1, Finite((2, 3)))
+        with pytest.raises(InvalidSetError):
+            count_partitions(5, Finite((0, 3)))
+        with pytest.raises(InvalidSetError):
+            count_partitions(5, ALL_PARTS, Finite((1, 2)))
+
+
+class TestOneValueReachesNoRow:
+    # the count-sweep pairs at their large sizes: the value comes from a row
+    # no longer than k * lcm (finite) or n // B^2 (powers), or from the sparse
+    # support alone, and no dense layer runs over anything longer
+    def test_finite_set(self, monkeypatch):
+        calls, rows = _upto_calls(monkeypatch), _layer_rows(monkeypatch)
+        parts = parse_set_spec("finite:3,4,5", "parts")
+        assert count_partitions(10**6, parts) == 8333433334
+        k, lcm = _k_lcm(parts)
+        assert calls and max(calls) < k * lcm
+        assert max(rows) <= k * lcm
+
+    def test_powers(self, monkeypatch):
+        calls, rows = _upto_calls(monkeypatch), _layer_rows(monkeypatch)
+        value = count_partitions(2**19, Powers(2))
+        assert value == 101392461429231061564340795961720445642
+        assert calls == [2**19 // 4]
+        assert rows == []
+
+    def test_thin_pair(self, monkeypatch):
+        calls, rows = _upto_calls(monkeypatch), _layer_rows(monkeypatch)
+        monkeypatch.setattr(counting, "_row", None)
+        parts = parse_set_spec("dexp:2", "parts")
+        mults = parse_set_spec("zero|dexp:2", "mults")
+        assert count_partitions(2**20, parts, mults) == 2
+        assert calls == [] and rows == []
