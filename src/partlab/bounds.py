@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -337,8 +336,7 @@ def debruijn_leading_term(ctx, n: int):
 # ---------------------------------------------------------------------------
 # Per-n bound report
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     bound_id: str
     direction: str  # "upper" | "lower" | "asymptotic"
     applicable: bool
@@ -346,8 +344,7 @@ class BoundEntry:
     satisfied: bool | None = None  # None for asymptotic reference values
 
 
-@dataclass(frozen=True)
-class _Bound:
+class _Bound(NamedTuple):
     """One registry bound.
 
     value(ctx, n, table) is the bound's one formula.  An exact value (int or

@@ -11,14 +11,13 @@ a fixed display precision.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 
 # bounds, suites and mpmath load inside the commands that use them (table
-# --bounds, verify), so count, analyze, explore and sparse never pay for them
+# --bounds, verify), so count, analyze, explore and sparse never pay for
+# them; json and csv load inside _json and _csv, for those formats alone
 from .arith import (
     coprime_prefix,
     eventually_strictly_increasing,
@@ -124,12 +123,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _csv(rows) -> str:
     """Rows as CSV, None as an empty cell; a cell holding a comma (a spec
     such as finite:6,10,15) is quoted."""
+    import csv
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

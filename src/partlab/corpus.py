@@ -10,7 +10,7 @@ it is a Finite and prints as finite:A,B,...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .setspec import IntegerSetSpec, construct_sparse_set, parse_set_spec
 
@@ -24,8 +24,7 @@ BUILTIN_EPSILON_TABLE: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusPair:
+class CorpusPair(NamedTuple):
     label: str
     parts: IntegerSetSpec
     mults: IntegerSetSpec

@@ -53,7 +53,6 @@ _dpcore_py's layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import sub
@@ -79,17 +78,26 @@ BRUTE_FORCE_LIMIT = 40
 SPARSE_DIVISOR = 4
 
 
-@dataclass(frozen=True)
 class CountTable:
     """Exact values p(0..N; parts, mults); values[0] = 1 (empty partition).
 
     The table-wide facts below are computed once, on first use, so that
-    per-n questions about a prefix of the table cost O(1).
+    per-n questions about a prefix of the table cost O(1).  A table is
+    immutable, so a fact stays true of its values, and it equals only
+    itself.
     """
 
-    parts: IntegerSetSpec
-    mults: IntegerSetSpec
-    values: tuple[int, ...]
+    def __init__(
+        self, parts: IntegerSetSpec, mults: IntegerSetSpec, values: tuple[int, ...]
+    ):
+        # the facts are cached_property entries of the same __dict__
+        vars(self).update(parts=parts, mults=mults, values=values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CountTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CountTable is immutable")
 
     @property
     def upto(self) -> int:

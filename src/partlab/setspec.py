@@ -36,7 +36,6 @@ from __future__ import annotations
 import io
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import count as _count, islice
 from typing import Iterator
 
@@ -60,8 +59,38 @@ class InvalidSetError(SetSpecError):
 class IntegerSetSpec:
     """Common interface of all set variants.
 
-    Instances are immutable; every operation is pure.
+    Instances are immutable; every operation is pure.  _key() gives
+    equality, hashing and the Kind(fields) repr.
     """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The class and the fields equality compares."""
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        cls, *fields = self._key()
+        return f"{cls.__name__}({', '.join(map(repr, fields))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a spec through __init__, whose parameters
+        # are its __slots__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def iter_elements(self) -> Iterator[int]:
         """Yield the elements in strictly increasing order (possibly forever)."""
@@ -92,31 +121,32 @@ class IntegerSetSpec:
         return self.spec_string()
 
 
-@dataclass(frozen=True)
 class Finite(IntegerSetSpec):
     """An explicit finite set, however it was written: finite:A,B,..,
     sparse:@FILE or construct_sparse_set.  A set listed in a file keeps the
     path as its source, which only its spec string uses and which does not
     take part in equality."""
 
-    elements: tuple[int, ...]
-    source: str | None = field(default=None, compare=False)
+    __slots__ = ("elements", "source")
 
-    def __post_init__(self):
-        elems = self.elements
+    def __init__(self, elements, source: str | None = None):
         # a tuple of strictly increasing ints, such as a checked anchors
         # file, is kept as it is; anything else is sorted and de-duplicated
         if not (
-            type(elems) is tuple
-            and all(type(e) is int for e in elems)
-            and all(map(operator.lt, elems, islice(elems, 1, None)))
+            type(elements) is tuple
+            and all(type(e) is int for e in elements)
+            and all(map(operator.lt, elements, islice(elements, 1, None)))
         ):
-            elems = tuple(sorted(set(int(e) for e in elems)))
-            object.__setattr__(self, "elements", elems)
-        if not elems:
+            elements = tuple(sorted(set(int(e) for e in elements)))
+        if not elements:
             raise InvalidSetError("finite set must be nonempty")
-        if elems[0] < 0:
+        if elements[0] < 0:
             raise InvalidSetError("set elements must be nonnegative")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "source", source)
+
+    def _key(self):
+        return (type(self), self.elements)
 
     def iter_elements(self):
         return iter(self.elements)
@@ -130,14 +160,17 @@ class Finite(IntegerSetSpec):
         return "finite:" + ",".join(str(e) for e in self.elements)
 
 
-@dataclass(frozen=True)
 class ArithmeticProgression(IntegerSetSpec):
-    first: int
-    step: int
+    __slots__ = ("first", "step")
 
-    def __post_init__(self):
-        if self.first < 1 or self.step < 1:
+    def __init__(self, first: int, step: int):
+        if first < 1 or step < 1:
             raise InvalidSetError("progression first and step must be positive")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "step", step)
+
+    def _key(self):
+        return (type(self), self.first, self.step)
 
     def iter_elements(self):
         return _count(self.first, self.step)
@@ -153,13 +186,16 @@ class ArithmeticProgression(IntegerSetSpec):
         return "all" if self.first == 1 else f"all-from:{self.first}"
 
 
-@dataclass(frozen=True)
 class Powers(IntegerSetSpec):
-    base: int
+    __slots__ = ("base",)
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int):
+        if base < 2:
             raise InvalidSetError("power base must be at least 2")
+        object.__setattr__(self, "base", base)
+
+    def _key(self):
+        return (type(self), self.base)
 
     def iter_elements(self):
         v = 1
@@ -171,15 +207,18 @@ class Powers(IntegerSetSpec):
         return f"pow:{self.base}"
 
 
-@dataclass(frozen=True)
 class DoublyExponential(IntegerSetSpec):
     """{base^(base^j) : j >= 0}; successive elements satisfy e' = e^base."""
 
-    base: int
+    __slots__ = ("base",)
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int):
+        if base < 2:
             raise InvalidSetError("power base must be at least 2")
+        object.__setattr__(self, "base", base)
+
+    def _key(self):
+        return (type(self), self.base)
 
     def iter_elements(self):
         v = self.base
@@ -191,15 +230,18 @@ class DoublyExponential(IntegerSetSpec):
         return f"dexp:{self.base}"
 
 
-@dataclass(frozen=True)
 class WithZero(IntegerSetSpec):
     """{0} union inner; the only way an infinite multiplicity set gets its 0."""
 
-    inner: IntegerSetSpec
+    __slots__ = ("inner",)
 
-    def __post_init__(self):
-        if self.inner.contains_zero():
+    def __init__(self, inner: IntegerSetSpec):
+        if inner.contains_zero():
             raise InvalidSetError("inner set of zero| already contains 0")
+        object.__setattr__(self, "inner", inner)
+
+    def _key(self):
+        return (type(self), self.inner)
 
     def iter_elements(self):
         yield 0

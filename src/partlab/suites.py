@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, islice
+from typing import NamedTuple
 
 import mpmath
 from mpmath import iv, mp
@@ -57,21 +57,31 @@ from .setspec import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteFailure:
+class SuiteFailure(NamedTuple):
     inputs: dict
     expected: str
     got: str
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    cases: int = 0
-    failures: list[SuiteFailure] = field(default_factory=list)
-    onsets: dict[str, int] = field(default_factory=dict)
-    elapsed_ms: int = 0
-    extras: dict[str, str] = field(default_factory=dict)
+    """One suite's cases and failures; onsets and extras are the report's
+    named values."""
+
+    def __init__(
+        self,
+        suite: str,
+        cases: int = 0,
+        failures: list[SuiteFailure] | None = None,
+        onsets: dict[str, int] | None = None,
+        elapsed_ms: int = 0,
+        extras: dict[str, str] | None = None,
+    ):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.onsets = {} if onsets is None else onsets
+        self.elapsed_ms = elapsed_ms
+        self.extras = {} if extras is None else extras
 
     @property
     def passed(self) -> bool:

@@ -168,6 +168,41 @@ class TestFiniteCoprimeParts:
         assert count_table(5, ALL_PARTS).finite_coprime is None
 
 
+class TestTableObject:
+    FACTS = ("prefix_sums", "record_flags", "nondecreasing_prefix", "finite_coprime", "bound_columns")
+
+    def test_each_fact_is_computed_once_per_table(self, monkeypatch):
+        calls = []
+        for name in self.FACTS:
+            fact = vars(counting.CountTable)[name]
+
+            def spy(table, _name=name, _func=fact.func):
+                calls.append((_name, id(table)))
+                return _func(table)
+
+            monkeypatch.setattr(fact, "func", spy)
+        tables = [count_table(30, Finite((2, 3))), count_table(30, Finite((2, 3)))]
+        for table in tables:
+            for name in self.FACTS:
+                assert getattr(table, name) is getattr(table, name)
+        assert sorted(calls) == sorted((n, id(t)) for t in tables for n in self.FACTS)
+
+    def test_bound_columns_belong_to_one_table(self):
+        a, b = count_table(10, ALL_PARTS), count_table(10, ALL_PARTS)
+        a.bound_columns["x"] = [1]
+        assert b.bound_columns == {} and a.bound_columns is not b.bound_columns
+
+    def test_a_table_is_immutable_and_equals_only_itself(self):
+        table = count_table(10, ALL_PARTS)
+        for name in ("parts", "mults", "values", "prefix_sums", "other"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, ())
+        with pytest.raises(AttributeError):
+            del table.values
+        assert table.values == count_table(10, ALL_PARTS).values
+        assert table == table and table != count_table(10, ALL_PARTS)
+
+
 class TestValidation:
     def test_parts_with_zero_rejected(self):
         with pytest.raises(InvalidSetError):

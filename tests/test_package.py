@@ -12,13 +12,17 @@ import pytest
 import partlab
 
 HEAVY = ("mpmath", "partlab.bounds", "partlab.suites")
+# dataclasses imports inspect, and inspect ast, dis and tokenize; no command
+# loads the first two
+RECORDS = ("dataclasses", "inspect")
 
 # Runs the argv lists given as JSON in argv[1], each through cli.main in this
-# one process, and prints [exit code, HEAVY modules loaded so far] per run
+# one process, and prints [exit code, HEAVY and RECORDS modules loaded so far]
+# per run
 CHILD = f"""
 import contextlib, io, json, sys
 from partlab import cli
-loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
+loaded = lambda: [m for m in {HEAVY + RECORDS!r} if m in sys.modules]
 runs = [[0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -27,15 +31,19 @@ print(json.dumps(runs))
 """
 
 
-def _run_cli_in_child(argvs, cwd):
+def _child(code, *args, cwd=None):
+    """The stdout of a fresh interpreter running code, with this partlab."""
     src = str(Path(partlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(argvs)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
+    ).stdout
+
+
+def _run_cli_in_child(argvs, cwd):
+    return json.loads(_child(CHILD, json.dumps(argvs), cwd=cwd).splitlines()[-1])
 
 
 def test_every_exported_name_resolves():
@@ -62,6 +70,13 @@ def test_submodules_still_import_by_name():
 
     assert bounds.__name__ == "partlab.bounds"
     assert cli.__name__ == "partlab.cli"
+
+
+def test_importing_the_cli_loads_no_record_or_format_modules():
+    # its own child: CHILD imports json to read its argv
+    names = RECORDS + ("ast", "dis", "tokenize", "json", "csv")
+    code = f"import sys, partlab.cli; print(*[m for m in {names!r} if m in sys.modules])"
+    assert _child(code).split() == []
 
 
 def test_light_commands_load_neither_bounds_nor_suites(tmp_path):

@@ -1,6 +1,8 @@
 """Set-spec variants, the mini-language parser, and sparse construction."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,97 @@ class TestValidation:
         assert a == b == Finite((2, 5))
         assert hash(a) == hash(Finite((2, 5)))
         assert a.spec_string() == "sparse:@a.txt"
+        assert repr(a) == "Finite((2, 5))"
+
+    # every message a constructor raises, whichever way it is called
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Finite(()), "finite set must be nonempty"),
+            (lambda: Finite(elements=[3, -1]), "set elements must be nonnegative"),
+            (lambda: ArithmeticProgression(0, 1), "progression first and step must be positive"),
+            (lambda: ArithmeticProgression(first=1, step=0), "progression first and step must be positive"),
+            (lambda: Powers(1), "power base must be at least 2"),
+            (lambda: DoublyExponential(base=0), "power base must be at least 2"),
+            (lambda: WithZero(inner=Finite((0, 2))), "inner set of zero| already contains 0"),
+        ],
+    )
+    def test_constructor_messages(self, build, message):
+        with pytest.raises(InvalidSetError) as info:
+            build()
+        assert str(info.value) == message
+
+
+_PART_SPECS = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=5).map(Finite),
+    st.builds(ArithmeticProgression, st.integers(1, 40), st.integers(1, 40)),
+    st.builds(Powers, st.integers(2, 40)),
+    st.builds(DoublyExponential, st.integers(2, 40)),
+)
+_MULT_SPECS = st.one_of(
+    _PART_SPECS.map(WithZero),
+    st.lists(st.integers(0, 10**6), max_size=5).map(lambda e: Finite([0, *e])),
+)
+# (spec, kind) over every kind of spec; none has a source, so each prints
+# as the text that parses back to it
+SPECS = st.one_of(
+    _PART_SPECS.map(lambda s: (s, "parts")), _MULT_SPECS.map(lambda s: (s, "mults"))
+)
+
+
+class TestValueSemantics:
+    """Specs compare and hash by class and fields, print as Kind(fields),
+    and cannot be changed once built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=SPECS, b=SPECS)
+    def test_equal_specs_are_the_ones_with_one_text(self, a, b):
+        (a, kind), (b, _) = a, b
+        parsed = parse_set_spec(str(a), kind)
+        assert parsed == a and hash(parsed) == hash(a)
+        assert (a == b) == (str(a) == str(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        if isinstance(a, Finite):
+            with_source = Finite(a.elements, source="anchors.txt")
+            assert with_source == a and hash(with_source) == hash(a)
+
+    def test_kind_is_part_of_equality(self):
+        assert Powers(2) != DoublyExponential(2)
+        assert hash(ArithmeticProgression(1, 1)) == hash(ALL_PARTS)
+        assert ArithmeticProgression(1, 1) == ALL_PARTS
+        assert WithZero(ArithmeticProgression(1, 1)) == NAT_MULTS
+        assert Finite((2,)) != Powers(2) and Finite((2,)) != (2,)
+
+    def test_repr_is_kind_and_fields(self):
+        assert repr(NAT_MULTS) == "WithZero(ArithmeticProgression(1, 1))"
+        assert repr(Finite([5, 3])) == "Finite((3, 5))"
+        assert repr(DoublyExponential(3)) == "DoublyExponential(3)"
+
+    @pytest.mark.parametrize("spec", VARIANTS, ids=str)
+    def test_fields_cannot_be_assigned(self, spec):
+        fields = type(spec).__slots__
+        before = [getattr(spec, name) for name in fields]
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert [getattr(spec, name) for name in fields] == before
+
+    @pytest.mark.parametrize("spec", VARIANTS, ids=str)
+    def test_copy_and_pickle_keep_every_field(self, spec):
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and str(twin) == str(spec) and type(twin) is type(spec)
+
+    def test_keyword_construction(self):
+        assert Finite(elements=(3, 2), source="a.txt") == Finite((2, 3))
+        assert Finite(elements=(3, 2), source="a.txt").source == "a.txt"
+        assert ArithmeticProgression(first=3, step=4) == ArithmeticProgression(3, 4)
+        assert Powers(base=2) == Powers(2)
+        assert DoublyExponential(base=2) == DoublyExponential(2)
+        assert WithZero(inner=Powers(2)) == WithZero(Powers(2))
 
 
 class TestParser:

@@ -53,6 +53,15 @@ def test_failure_records_serialize():
     assert d["failures"] == [{"inputs": {"n": 3}, "expected": "1", "got": "2"}]
 
 
+def test_results_share_no_containers():
+    a, b = SuiteResult("x"), SuiteResult("x")
+    a.check(False, lambda: ({"n": 1}, "1", "2"))
+    a.onsets["bound"] = 3
+    a.extras["key"] = "value"
+    assert (b.failures, b.onsets, b.extras) == ([], {}, {})
+    assert (a.cases, b.cases) == (1, 0) and not a.passed and b.passed
+
+
 def test_slow_growth_scans_match_plain_loops(monkeypatch):
     # The suite scans only the nonzero entries of its 2^20 table.  Plant
     # nonzero odd entries and a zero at n = 16, and compare with the plain
