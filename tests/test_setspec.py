@@ -215,7 +215,6 @@ class TestValueSemantics:
         assert Powers(2) != DoublyExponential(2)
         assert hash(ArithmeticProgression(1, 1)) == hash(ALL_PARTS)
         assert ArithmeticProgression(1, 1) == ALL_PARTS
-        assert WithZero(ArithmeticProgression(1, 1)) == NAT_MULTS
         assert Finite((2,)) != Powers(2) and Finite((2,)) != (2,)
 
     def test_repr_is_kind_and_fields(self):
