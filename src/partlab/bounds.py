@@ -372,6 +372,10 @@ class _Bound(NamedTuple):
     increasing_from: int | None = None
 
 
+# debruijn_upper's part set, built once: its test runs at every n
+_BINARY = Powers(2)
+
+
 def _classical(n: int, table: CountTable) -> bool:
     return n >= 1 and table.mults == NAT_MULTS and table.parts == ALL_PARTS
 
@@ -401,7 +405,7 @@ BOUND_REGISTRY: dict[str, _Bound] = {
     "debruijn_upper": _Bound(
         "upper",
         lambda n, t: n >= 2 and n % 2 == 0 and t.mults == NAT_MULTS
-        and t.parts == Powers(2),
+        and t.parts == _BINARY,
         lambda ctx, n, t: ctx.exp(debruijn_log_term(ctx, n // 2)),
         increasing_from=2,
     ),

@@ -7,7 +7,10 @@ when one covers the pair, and one layer per part otherwise:
 - All parts with multiplicities {0, ..., m-1} below upto (the classical
   pair is m = upto + 1): Glaisher's P(x) E(x^m), where 1/P = E is Euler's
   pentagonal series, so the pentagonal recurrence seeded with E(x^m) gives
-  the table in O(n^1.5) additions instead of the DP's O(n^2).
+  the table in O(n^1.5) additions instead of the DP's O(n^2).  It runs in
+  block passes: in blocks of width w ~ sqrt(n), every offset >= w is one
+  C-level pass over a block, and only the offsets below w run one entry
+  at a time.
 - Powers of B with all multiplicities: Mahler's F(x) = F(x^B) / (1 - x)
   (de Bruijn's binary partitions for B = 2), a few running-sum passes.
 - all-from:s (ap:s,1) with all multiplicities, s small against upto:
@@ -24,7 +27,9 @@ when one covers the pair, and one layer per part otherwise:
 
 A table to N holds at most two arrays of N+1 exact integers, whatever the
 method.  Passing kernel=K skips every identity and sparse layer and runs the
-plain dense DP with kernel K.
+plain dense DP with kernel K.  extend_row adds one part of unrestricted
+multiplicity to a row already built, for callers that build the tables of
+part sets sharing prefixes.
 
 count_partitions asks for one value, and three kinds of pair give it
 without the row p(0..n):
@@ -55,7 +60,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import sub
+from operator import add, sub
 
 from .setspec import (
     ALL_PARTS,
@@ -252,6 +257,16 @@ def _layers(
     return table
 
 
+def extend_row(values: list[int], a: int) -> list[int]:
+    """A new row: values, the row p(0..N) of some part set without a, with
+    the part a of unrestricted multiplicity added to the set.  One dense
+    layer, so a family of part sets sharing prefixes can be built by
+    extending rows instead of building each table from scratch."""
+    row = values[:]
+    _kernel.unbounded_layer(row, a)
+    return row
+
+
 def _row(support: dict, upto: int) -> list[int]:
     """The row p(0..upto) of a table held as its nonzero entries."""
     values = [0] * (upto + 1)
@@ -377,31 +392,53 @@ def pentagonal_table(upto: int, m: int | None = None) -> list[int]:
     Euler's series E(x) = sum over all integers k of (-1)^k x^(k(3k-1)/2)
     is 1/P(x), and Glaisher's identity makes the generating function
     P(x) E(x^m).  So q E = E(x^m), that is q(n) = [x^n] E(x^m) + sum over
-    k >= 1 of (-1)^(k-1) [q(n - k(3k-1)/2) + q(n - k(3k+1)/2)].  For m > upto
-    the seed E(x^m) is 1 to upto and q is p.
+    k >= 1 of (-1)^(k-1) [q(n - g1) + q(n - g2)] with g1 = k(3k-1)/2 and
+    g2 = k(3k+1)/2.  For m > upto the seed E(x^m) is 1 to upto and q is p.
+
+    The row is finished in blocks [lo, hi) of width w = max(isqrt(upto),
+    16), in ascending order, and each entry starts from its seed.  Every
+    offset g >= w reads q(n - g) < lo only, so it is one C-level pass
+    adding (or subtracting) a shifted slice of finished entries to the
+    whole block.  Then the offsets g < w run one entry at a time.  The row
+    is kept behind w zeros that stand for q(-w..-1), so no read needs a
+    bounds test.
     """
-    q = [0] * (upto + 1)
-    q[0] = 1
+    # below 16, passes over blocks of a few entries would cost small tables
+    # more than running every offset entry by entry
+    width = max(math.isqrt(upto), 16)
+    end = width + upto + 1
+    q = [0] * end
+    q[width] = 1
     if m is not None:
         # the seed E(x^m): (-1)^k at m k(3k-1)/2 and m k(3k+1)/2
         k = 1
         while (g := m * k * (3 * k - 1) // 2) <= upto:
-            q[g] = -1 if k % 2 else 1
+            q[width + g] = -1 if k % 2 else 1
             if g + m * k <= upto:
-                q[g + m * k] = q[g]
+                q[width + g + m * k] = q[width + g]
             k += 1
-    for n in range(1, upto + 1):
-        total = q[n]
-        k = 1
-        while True:
-            g1 = n - k * (3 * k - 1) // 2
-            if g1 < 0:
+    # the offsets below the block width by sign, and the others ascending
+    plus, minus, passes = [], [], []
+    k = 1
+    while (g1 := k * (3 * k - 1) // 2) <= upto:
+        for g in (g1, g1 + k):
+            if g < width:
+                (plus if k % 2 else minus).append(g)
+            elif g <= upto:
+                passes.append((g, add if k % 2 else sub))
+        k += 1
+    for lo in range(width + 1, end, width):
+        hi = min(lo + width, end)
+        for g, op in passes:
+            if g >= hi - width:
                 break
-            term = q[g1]
-            g2 = n - k * (3 * k + 1) // 2
-            if g2 >= 0:
-                term += q[g2]
-            total += term if k % 2 else -term
-            k += 1
-        q[n] = total
+            q[lo:hi] = map(op, q[lo:hi], q[lo - g : hi - g])
+        for n in range(lo, hi):
+            total = q[n]
+            for g in plus:
+                total += q[n - g]
+            for g in minus:
+                total -= q[n - g]
+            q[n] = total
+    del q[:width]
     return q

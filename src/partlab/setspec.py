@@ -36,8 +36,8 @@ from __future__ import annotations
 import io
 import operator
 from bisect import bisect_right
+from collections.abc import Iterator
 from itertools import count as _count, islice
-from typing import Iterator
 
 
 class SetSpecError(ValueError):

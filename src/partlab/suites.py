@@ -25,6 +25,13 @@ one rule (_onset) over the whole column: the least applicable n from which
 the bound holds to the end of the column.  Other properties are ratio
 checks at fixed n with wide documented tolerances.
 
+monotonicity-criterion builds no table per set.  It walks the subsets
+of {1..12} with at most 4 elements depth first, and each row is its
+parent's row extended by one part (counting.extend_row): 756 layers for
+the 721 coprime sets, with only the rows on the current path kept.  The
+walk records what each coprime set's row shows, and the cases are then
+checked in order of size, each size in combinations order.
+
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
 """
@@ -35,7 +42,7 @@ import math
 import time
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import compress, islice
 from typing import NamedTuple
 
 import mpmath
@@ -44,7 +51,7 @@ from mpmath import iv, mp
 from . import bounds
 from .arith import eventually_strictly_increasing, frobenius_threshold
 from .corpus import BUILTIN_EPSILON_TABLE, CORPUS, CorpusPair
-from .counting import count_table, finite_coprime_parts
+from .counting import count_table, extend_row, finite_coprime_parts
 from .setspec import (
     ALL_PARTS,
     NAT_MULTS,
@@ -464,41 +471,75 @@ CRITERION_LIMIT = 2000
 CRITERION_TAIL = 200
 
 
+def _criterion_rows():
+    """(parts, p(0..CRITERION_LIMIT; parts)) for every coprime set with
+    elements <= CRITERION_MAX_ELEMENT and at most CRITERION_MAX_K of them,
+    depth first over the subsets in lexicographic order.
+
+    Each row is its parent's (the set without its largest element) with
+    one more part folded in, so every prefix of a coprime set costs one
+    dense layer; only the rows on the current path are kept.  Adding b + 1
+    to a set with largest element b makes it coprime, so a set with room
+    for another element (fewer than CRITERION_MAX_K elements, largest below
+    CRITERION_MAX_ELEMENT) is a prefix of a coprime set, and a set without
+    room is one only if it is coprime itself.  The rows yielded are the
+    walk's own: a reader must not change them.
+    """
+
+    def walk(elems, row):
+        for b in range(elems[-1] + 1 if elems else 1, CRITERION_MAX_ELEMENT + 1):
+            child = elems + (b,)
+            coprime = math.gcd(*child) == 1
+            room = len(child) < CRITERION_MAX_K
+            if not (coprime or (room and b < CRITERION_MAX_ELEMENT)):
+                continue
+            child_row = extend_row(row, b)
+            if coprime:
+                yield Finite(child), child_row
+            if room:
+                yield from walk(child, child_row)
+
+    yield from walk((), [1] + [0] * CRITERION_LIMIT)
+
+
 def suite_increase_criterion() -> SuiteResult:
     """The coprime-(k-1)-subset criterion agrees with observed behavior for
     every coprime set with elements <= 12 and k <= 4: eventually strictly
     increasing means the last non-increase sits before 2000 - 200."""
     res = SuiteResult("monotonicity-criterion")
-    for k in range(1, CRITERION_MAX_K + 1):
-        for elems in combinations(range(1, CRITERION_MAX_ELEMENT + 1), k):
-            if math.gcd(*elems) != 1:
-                continue
-            parts = Finite(elems)
-            verdict = eventually_strictly_increasing(parts)
-            vals = count_table(CRITERION_LIMIT, parts).values
-            last_flat = next(
-                (n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0
+    observed = []
+    descent = None
+    for parts, vals in _criterion_rows():
+        last_flat = next(
+            (n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0
+        )
+        observed.append((parts, last_flat))
+        if parts.elements == (2, 3):
+            # a concrete descent for the reference false case
+            start = frobenius_threshold(parts)
+            descent = next((
+                f"p({n})={vals[n]} > p({n + 1})={vals[n + 1]}"
+                for n in range(start, CRITERION_LIMIT) if vals[n] > vals[n + 1]
+            ), None)
+    # the cases by size, each size in combinations order, as the walk is
+    # lexicographic and the sort stable
+    observed.sort(key=lambda case: len(case[0].elements))
+    for parts, last_flat in observed:
+        elems = parts.elements
+        verdict = eventually_strictly_increasing(parts)
+        empirical = last_flat <= CRITERION_LIMIT - CRITERION_TAIL
+        res.check(verdict == empirical, lambda: (
+            {"parts": "finite:" + ",".join(str(e) for e in elems)},
+            f"criterion {verdict}",
+            f"empirical {empirical} (last non-increase at n={last_flat})",
+        ))
+        if elems == (2, 3) and descent is not None:
+            res.extras["counterexample_2_3"] = descent
+        if elems == (3, 4, 5):
+            res.extras["window_3_4_5"] = (
+                f"W={last_flat + 1}, strictly increasing on "
+                f"[{last_flat + 1}, {CRITERION_LIMIT}]"
             )
-            empirical = last_flat <= CRITERION_LIMIT - CRITERION_TAIL
-            res.check(verdict == empirical, lambda: (
-                {"parts": "finite:" + ",".join(str(e) for e in elems)},
-                f"criterion {verdict}",
-                f"empirical {empirical} (last non-increase at n={last_flat})",
-            ))
-            if elems == (2, 3):
-                # surface a concrete descent for the reference false case
-                start = frobenius_threshold(parts)
-                for n in range(start, CRITERION_LIMIT):
-                    if vals[n] > vals[n + 1]:
-                        res.extras["counterexample_2_3"] = (
-                            f"p({n})={vals[n]} > p({n + 1})={vals[n + 1]}"
-                        )
-                        break
-            if elems == (3, 4, 5):
-                res.extras["window_3_4_5"] = (
-                    f"W={last_flat + 1}, strictly increasing on "
-                    f"[{last_flat + 1}, {CRITERION_LIMIT}]"
-                )
     return res
 
 

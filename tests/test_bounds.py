@@ -264,6 +264,16 @@ class TestTranscendentalTerms:
         # e^(log(17) * log2(16)) = 17^4 at n = 16
         assert abs(_registry_value("debruijn_upper", 16, Powers(2)) - 17**4) < 1e-40
 
+    def test_debruijn_upper_column_builds_no_part_set(self, monkeypatch):
+        # applies is asked at every n; it compares with one module constant
+        table = count_table(512, Powers(2))
+        built = []
+        init = Powers.__init__
+        monkeypatch.setattr(Powers, "__init__", lambda self, base: built.append(base) or init(self, base))
+        verdicts = verdict_column("debruijn_upper", table)
+        assert verdicts[2:9] == [True, None] * 3 + [True]
+        assert built == []
+
     def test_sqrt_and_refined_values(self):
         assert abs(_registry_value("sqrt_lower", 100, ALL_PARTS) - 220.26466) < 1e-4
         assert abs(_registry_value("classical_refined", 100, ALL_PARTS) - 7721.6439) < 1e-3

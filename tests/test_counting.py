@@ -337,6 +337,59 @@ class _NaiveKernel:
         values[:] = _naive_restricted(values, offsets)
 
 
+def _pentagonal_per_entry(upto, m=None):
+    """q(0..upto) for all parts and multiplicities {0, ..., m-1} (without
+    m, p(0..upto)) by Euler's recurrence one entry at a time, every offset
+    read separately: the oracle for pentagonal_table's block passes."""
+    q = [0] * (upto + 1)
+    q[0] = 1
+    if m is not None:
+        # the seed E(x^m): (-1)^k at m k(3k-1)/2 and m k(3k+1)/2
+        k = 1
+        while m * k * (3 * k - 1) // 2 <= upto:
+            g = m * k * (3 * k - 1) // 2
+            q[g] = -1 if k % 2 else 1
+            if g + m * k <= upto:
+                q[g + m * k] = q[g]
+            k += 1
+    for n in range(1, upto + 1):
+        total = q[n]
+        k = 1
+        while n - k * (3 * k - 1) // 2 >= 0:
+            term = q[n - k * (3 * k - 1) // 2]
+            if n - k * (3 * k + 1) // 2 >= 0:
+                term += q[n - k * (3 * k + 1) // 2]
+            total += term if k % 2 else -term
+            k += 1
+        q[n] = total
+    return q
+
+
+class TestPentagonalBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), upto=st.integers(0, 4000))
+    def test_blocks_match_the_per_entry_recurrence(self, data, upto):
+        m = data.draw(st.one_of(st.none(), st.integers(1, upto + 2)))
+        assert pentagonal_table(upto, m) == _pentagonal_per_entry(upto, m)
+
+    # the block width is max(isqrt(upto), 16): each width's first and last
+    # sizes, the floor of 16 and widths that do and do not divide the row
+    @pytest.mark.parametrize(
+        "upto", sorted({w * w + d for w in (4, 15, 16, 17, 31, 45, 63) for d in (-1, 0, 1)})
+    )
+    @pytest.mark.parametrize("m", [None, 1, 2, 7])
+    def test_block_edges(self, upto, m):
+        assert pentagonal_table(upto, m) == _pentagonal_per_entry(upto, m)
+
+    def test_small_tables(self):
+        for upto in range(40):
+            for m in (None, *range(1, upto + 3)):
+                assert pentagonal_table(upto, m) == _pentagonal_per_entry(upto, m), (upto, m)
+
+    def test_ten_thousand(self):
+        assert pentagonal_table(10**4) == _pentagonal_per_entry(10**4)
+
+
 _positive_sets = st.one_of(
     st.lists(st.integers(1, 60), min_size=1, max_size=5).map(Finite),
     st.integers(1, 6).map(lambda k: ArithmeticProgression(k, 1)),

@@ -31,13 +31,14 @@ print(json.dumps(runs))
 """
 
 
-def _child(code, *args, cwd=None):
-    """The stdout of a fresh interpreter running code, with this partlab."""
+def _child(code, *args, cwd=None, flags=()):
+    """The stdout of a fresh interpreter, started with flags, running code,
+    with this partlab."""
     src = str(Path(partlab.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
 
@@ -77,6 +78,12 @@ def test_importing_the_cli_loads_no_record_or_format_modules():
     names = RECORDS + ("ast", "dis", "tokenize", "json", "csv")
     code = f"import sys, partlab.cli; print(*[m for m in {names!r} if m in sys.modules])"
     assert _child(code).split() == []
+
+
+def test_importing_the_cli_loads_no_typing():
+    # -S: site may preload typing, which would hide an import of it here
+    code = "import sys, partlab.cli; print('typing' in sys.modules)"
+    assert _child(code, flags=("-S",)).split() == ["False"]
 
 
 def test_light_commands_load_neither_bounds_nor_suites(tmp_path):

@@ -3,12 +3,14 @@ acceptance gate; this file checks the result type and registry behave."""
 
 import hashlib
 import json
+import math
+from itertools import combinations
 
 import mpmath
 import pytest
 from mpmath import iv, mp
 
-from partlab import bounds, counting, setspec, suites
+from partlab import _dpcore_py, bounds, cli, counting, setspec, suites
 from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
@@ -204,18 +206,32 @@ PLANTED_REPORT_SHA256 = {
 
 def _run_planted(monkeypatch, name, upto, plants):
     """run_suite(name) where each table to upto whose parts spec is a key of
-    plants (the key None: every such table) is changed by that plant."""
+    plants (the key None: every such table) is changed by that plant.  The
+    criterion suite's rows are planted where its walk hands them to the
+    check, on a copy, so the rows that the walk extends to supersets stay
+    exact."""
+
+    def plant_copy(parts, values):
+        plant = plants.get(str(parts), plants.get(None)) if len(values) == upto + 1 else None
+        if plant is None:
+            return values
+        vals = list(values)
+        plant(vals)
+        return vals
 
     def planted(n, parts, mults=suites.NAT_MULTS):
         table = counting.count_table(n, parts, mults)
-        plant = plants.get(str(parts), plants.get(None)) if n == upto else None
-        if plant is None:
-            return table
-        vals = list(table.values)
-        plant(vals)
-        return CountTable(parts, mults, tuple(vals))
+        vals = plant_copy(parts, table.values)
+        return table if vals is table.values else CountTable(parts, mults, tuple(vals))
+
+    rows = suites._criterion_rows
+
+    def planted_rows():
+        for parts, vals in rows():
+            yield parts, plant_copy(parts, vals)
 
     monkeypatch.setattr(suites, "count_table", planted)
+    monkeypatch.setattr(suites, "_criterion_rows", planted_rows)
     return run_suite(name)
 
 
@@ -302,6 +318,41 @@ def test_checked_suites_keep_their_failure_records(monkeypatch, case):
     report = {**res.to_json_dict(), "extras": res.extras}
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == CHECKED_PLANTED_SHA256[case]
+
+
+def test_criterion_walk_extends_rows_instead_of_building_tables(monkeypatch, capsys):
+    # 756 distinct prefixes of the 721 coprime sets: one layer each, and
+    # no table is built for any of the sets
+    layers, tables = [], []
+    unbounded_layer = _dpcore_py.unbounded_layer
+
+    def counted_layer(values, a):
+        layers.append(a)
+        unbounded_layer(values, a)
+
+    def no_table(*args, **kwargs):
+        tables.append(args)
+        return counting.count_table(*args, **kwargs)
+
+    monkeypatch.setattr(_dpcore_py, "unbounded_layer", counted_layer)
+    monkeypatch.setattr(suites, "count_table", no_table)
+    assert cli.main(["verify", "--suite", "monotonicity-criterion"]) == 0
+    capsys.readouterr()
+    assert len(layers) == 756
+    assert tables == []
+
+
+def test_criterion_walk_yields_each_coprime_set_with_its_table():
+    top, k = suites.CRITERION_MAX_ELEMENT, suites.CRITERION_MAX_K
+    coprime = sorted(
+        (c for size in range(1, k + 1) for c in combinations(range(1, top + 1), size)
+         if math.gcd(*c) == 1)
+    )
+    seen = []
+    for parts, vals in suites._criterion_rows():
+        seen.append(parts.elements)
+        assert tuple(vals) == counting.count_table(suites.CRITERION_LIMIT, parts).values
+    assert seen == coprime and len(seen) == 721
 
 
 def test_passing_sparse_construction_renders_no_spec(monkeypatch):
