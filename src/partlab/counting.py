@@ -52,7 +52,8 @@ The tests check each path against an oracle that shares no code with it:
 brute force to n = 40 for every path, the dense DP on a test-local
 one-entry-at-a-time kernel for the identities, the sparse layers and the
 three one-value routes, the pentagonal recurrence and that kernel for
-_dpcore_py's layers.
+_dpcore_py's layers, and the recurrence one entry at a time, kept in the
+tests, for pentagonal_table's block passes.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def extend_row(values: list[int], a: int) -> list[int]:
     """A new row: values, the row p(0..N) of some part set without a, with
     the part a of unrestricted multiplicity added to the set.  One dense
     layer, so a family of part sets sharing prefixes can be built by
-    extending rows instead of building each table from scratch."""
+    extending rows instead of building each table anew."""
     row = values[:]
     _kernel.unbounded_layer(row, a)
     return row

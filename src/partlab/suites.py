@@ -26,11 +26,11 @@ the bound holds to the end of the column.  Other properties are ratio
 checks at fixed n with wide documented tolerances.
 
 monotonicity-criterion builds no table per set.  It walks the subsets
-of {1..12} with at most 4 elements depth first, and each row is its
-parent's row extended by one part (counting.extend_row): 756 layers for
-the 721 coprime sets, with only the rows on the current path kept.  The
-walk records what each coprime set's row shows, and the cases are then
-checked in order of size, each size in combinations order.
+of {1..12} with at most 4 elements depth first, keeping only the rows on
+the current path, and each row is its parent's row extended by one part
+(counting.extend_row): 756 layers for the 721 coprime sets.  The walk
+records what each coprime set's row shows, and the cases are then checked
+in order of size, each size in combinations order.
 
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
@@ -472,18 +472,14 @@ CRITERION_TAIL = 200
 
 
 def _criterion_rows():
-    """(parts, p(0..CRITERION_LIMIT; parts)) for every coprime set with
-    elements <= CRITERION_MAX_ELEMENT and at most CRITERION_MAX_K of them,
-    depth first over the subsets in lexicographic order.
-
-    Each row is its parent's (the set without its largest element) with
-    one more part folded in, so every prefix of a coprime set costs one
-    dense layer; only the rows on the current path are kept.  Adding b + 1
-    to a set with largest element b makes it coprime, so a set with room
-    for another element (fewer than CRITERION_MAX_K elements, largest below
-    CRITERION_MAX_ELEMENT) is a prefix of a coprime set, and a set without
-    room is one only if it is coprime itself.  The rows yielded are the
+    """(parts, p(0..CRITERION_LIMIT; parts)) for every coprime set the
+    suite checks, in lexicographic order; each row is its parent's, the set
+    without its largest element, extended by one part.  The rows are the
     walk's own: a reader must not change them.
+
+    Adding b + 1 to a set with largest element b makes it coprime, so a set
+    with room for another element is a prefix of a coprime set, and a set
+    without room is one only if it is coprime itself.
     """
 
     def walk(elems, row):

@@ -345,8 +345,8 @@ def test_criterion_walk_extends_rows_instead_of_building_tables(monkeypatch, cap
 def test_criterion_walk_yields_each_coprime_set_with_its_table():
     top, k = suites.CRITERION_MAX_ELEMENT, suites.CRITERION_MAX_K
     coprime = sorted(
-        (c for size in range(1, k + 1) for c in combinations(range(1, top + 1), size)
-         if math.gcd(*c) == 1)
+        c for size in range(1, k + 1) for c in combinations(range(1, top + 1), size)
+        if math.gcd(*c) == 1
     )
     seen = []
     for parts, vals in suites._criterion_rows():
