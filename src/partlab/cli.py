@@ -14,6 +14,9 @@ import argparse
 import io
 import math
 import sys
+from bisect import bisect_left
+from itertools import chain, compress, islice
+from operator import not_
 
 # bounds, suites and mpmath load inside the commands that use them (table
 # --bounds, verify), so count, analyze, explore and sparse never pay for
@@ -24,7 +27,7 @@ from .arith import (
     frobenius_threshold,
     gcd_of_set,
 )
-from .counting import count_partitions, count_table, finite_coprime_parts
+from .counting import count_partitions, count_support, count_table, finite_coprime_parts
 from .setspec import (
     NAT_MULTS,
     InvalidSetError,
@@ -38,11 +41,12 @@ from .setspec import (
 DISPLAY_DIGITS = 12
 MAX_HUMAN_FAILURES = 20
 
-# Largest accepted --n / --upto.  table and explore build the row p(0..n),
-# n + 1 exact integers, and count builds at most that row (a finite set with
+# Largest accepted --n / --upto.  table builds the row p(0..n), n + 1 exact
+# integers, and count and explore build at most that row (a finite set with
 # n < k lcm, a dense pair without an identity), so this bounds what one run
-# allocates.  It admits the largest benchmarked count (dexp:2 to 2^20) with
-# room for a doubling.
+# allocates; on a thin pair such as dexp:2 with zero|dexp:2 both read the
+# nonzero entries alone (counting.count_support).  It admits the largest
+# benchmarked count (dexp:2 to 2^20) with room for a doubling.
 MAX_N = 2**21
 
 
@@ -350,15 +354,30 @@ def cmd_explore(args) -> int:
 
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
-    table = count_table(args.upto, parts, mults)
-    zeros = [n for n in range(1, args.upto + 1) if table.values[n] == 0]
-    max_count = max(table.values)
-    max_index = table.values.index(max_count)
+    upto = args.upto
+    # counts[i] is p(indices[i]): every n for a row, the nonzero n alone for
+    # a thin pair's support, and zeros is an iterator, so a thin pair to
+    # MAX_N is summarised from its few thousand nonzero entries
+    result = count_support(upto, parts, mults)
+    if isinstance(result, dict):
+        indices = sorted(result)
+        counts = [result[n] for n in indices]
+        zero_count = upto + 1 - len(indices)
+        ends = indices[1:] + [upto + 1]
+        zeros = chain.from_iterable(map(range, [n + 1 for n in indices], ends))
+    else:
+        indices, counts = range(upto + 1), result.values
+        zero_count = counts.count(0)
+        # p(0) = 1, so n = 0 is never among them
+        zeros = compress(indices, map(not_, counts))
+    max_count = max(counts)
+    max_index = indices[counts.index(max_count)]
     # log-log slope over the nonzero upper half; reported, never asserted
+    start = bisect_left(indices, max(2, upto // 2))
     points = [
-        (math.log(n), math.log(table.values[n]))
-        for n in range(max(2, args.upto // 2), args.upto + 1)
-        if table.values[n] > 0
+        (math.log(n), math.log(v))
+        for n, v in zip(islice(indices, start, None), islice(counts, start, None))
+        if v > 0
     ]
     slope = None
     if len(points) >= 2 and len({x for x, _ in points}) >= 2:
@@ -372,16 +391,16 @@ def cmd_explore(args) -> int:
                 "mults": mults.spec_string(),
                 "parts": parts.spec_string(),
                 "slope": None if slope is None else f"{slope:.4f}",
-                "upto": args.upto,
-                "zero_count": len(zeros),
-                "zeros": zeros,
+                "upto": upto,
+                "zero_count": zero_count,
+                "zeros": list(zeros),
             }
         )
     elif args.format == "csv":
         payload = _csv(
             [
                 ("key", "value"),
-                ("zero_count", len(zeros)),
+                ("zero_count", zero_count),
                 ("max_count", max_count),
                 ("max_index", max_index),
                 ("slope", None if slope is None else f"{slope:.4f}"),
@@ -389,11 +408,11 @@ def cmd_explore(args) -> int:
         )
     else:
         lines = [
-            f"p(n) = 0 at {len(zeros)} of {args.upto} positive n",
+            f"p(n) = 0 at {zero_count} of {upto} positive n",
         ]
-        if zeros:
-            head = ",".join(str(z) for z in zeros[:15])
-            more = f" ... ({len(zeros) - 15} more)" if len(zeros) > 15 else ""
+        if zero_count:
+            head = ",".join(str(z) for z in islice(zeros, 15))
+            more = f" ... ({zero_count - 15} more)" if zero_count > 15 else ""
             lines.append(f"zeros: {head}{more}")
         lines.append(f"max count: {max_count} at n={max_index}")
         if slope is None:

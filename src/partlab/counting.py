@@ -32,7 +32,8 @@ multiplicity to a row already built, for callers that build the tables of
 part sets sharing prefixes.
 
 count_partitions asks for one value, and three kinds of pair give it
-without the row p(0..n):
+without the row p(0..n): the two below, and a thin pair (see
+count_support).
 
 - A finite set of k parts with all multiplicities, when k L <= n for
   L = lcm(parts): Sylvester's quasi-polynomial.  On each class n = r + t L
@@ -41,12 +42,17 @@ without the row p(0..n):
   give the one at t = n // L.
 - Powers of B with all multiplicities: Mahler's equation summed once
   more, which needs the table to n // B^2 only.
-- A pair no identity can cover (parts other than all, multiplicities
-  other than nat) runs the same layers as count_table, and when they all
-  stay sparse the value is read off the dict; when one turns dense the
-  rest runs on the row as in count_table.
 
-Every other pair reads its row from count_table.
+Every other pair reads its value from count_support.
+
+count_support is the one builder behind count_table and count_partitions.
+A pair no identity covers whose layers all stay sparse (a thin pair, such
+as dexp:2 with zero|dexp:2) comes back as the {n: count} dict of its
+nonzero entries, and every other pair as the CountTable that count_table
+returns, built once: a layer that turns dense finishes on the row, and
+nothing is redone.  count_table spreads a dict over the row p(0..upto);
+count_partitions, explore and the slow-growth suite read the dict itself,
+so a thin pair to 2^20 costs its ~1400 nonzero entries, not 2^20 zeros.
 
 The tests check each path against an oracle that shares no code with it:
 brute force to n = 40 for every path, the dense DP on a test-local
@@ -167,14 +173,29 @@ def count_table(
 ) -> CountTable:
     """p(0..upto; parts, mults) by the cheapest exact method (see the module
     docstring); with a kernel given, by the plain dense DP on that kernel."""
+    if kernel is not None:
+        _validate(upto, parts, mults)
+        return CountTable(parts, mults, tuple(_layers(upto, parts, mults, kernel)))
+    result = count_support(upto, parts, mults)
+    if isinstance(result, dict):
+        return CountTable(parts, mults, tuple(_row(result, upto)))
+    return result
+
+
+def count_support(
+    upto: int, parts: IntegerSetSpec, mults: IntegerSetSpec = NAT_MULTS
+) -> dict | CountTable:
+    """p(0..upto; parts, mults) as the {n: p(n)} dict of its nonzero
+    entries when no identity covers the pair and every layer stays sparse;
+    otherwise the CountTable of count_table, so a pair whose layers turn
+    dense is built once.  The dict always holds p(0) = 1, and a missing n
+    <= upto has p(n) = 0."""
     _validate(upto, parts, mults)
-    if kernel is None:
-        values = _identity_table(upto, parts, mults)
-        if values is not None:
-            return CountTable(parts, mults, tuple(values))
-    values = _layers(upto, parts, mults, kernel)
-    if isinstance(values, dict):
-        values = _row(values, upto)
+    values = _identity_table(upto, parts, mults)
+    if values is None:
+        values = _layers(upto, parts, mults)
+        if isinstance(values, dict):
+            return values
     return CountTable(parts, mults, tuple(values))
 
 
@@ -298,8 +319,8 @@ def count_partitions(
     """Exact p(n; parts, mults) by the cheapest exact route to the one value:
     Sylvester's quasi-polynomial for a finite part set with k * lcm <= n,
     Mahler's sum over the table to n // B^2 for powers of B (both with all
-    multiplicities), the sparse support of a thin pair, and the row from
-    count_table otherwise (see the module docstring).
+    multiplicities), and count_support otherwise: the sparse support of a
+    thin pair, the row of any other (see the module docstring).
     """
     _validate(n, parts, mults)
     if mults == NAT_MULTS and isinstance(parts, Powers):
@@ -308,10 +329,8 @@ def count_partitions(
         value = _quasi_polynomial_count(n, parts)
         if value is not None:
             return value
-    if parts == ALL_PARTS or mults == NAT_MULTS:
-        return count_table(n, parts, mults).values[n]
-    values = _layers(n, parts, mults)
-    return values.get(n, 0) if isinstance(values, dict) else values[n]
+    result = count_support(n, parts, mults)
+    return result.get(n, 0) if isinstance(result, dict) else result.values[n]
 
 
 def _mahler_count(n: int, parts: Powers) -> int:

@@ -8,11 +8,13 @@ and certification escalates past it by itself.  Suites collect failures
 instead of raising; every failure carries the inputs needed to reproduce
 it.
 
-A case is recorded one way, SuiteResult.check(ok, failure): it counts the
+A case is recorded through SuiteResult.check(ok, failure): it counts the
 case and, only when ok is false, calls failure() for the (inputs,
 expected, got) of the record it keeps.  A passing case renders no text.
-slow-growth alone counts cases in bulk: the zero odd entries of its 2^20
-table.
+Cases known to pass together are counted in bulk, and only the others go
+through check: slow-growth's odd n outside the support of its thin table,
+and sparse-construction's n on an interval where its step functions are
+constant and the comparison holds (see _pieces).
 
 Every suite that checks a registry bound over a range of n (eq4,
 monotone-lb, harmonic-chain, padberg, eq10, refined, sqrt-lower,
@@ -32,6 +34,11 @@ the current path, and each row is its parent's row extended by one part
 records what each coprime set's row shows, and the cases are then checked
 in order of size, each size in combinations order.
 
+slow-growth and debruijn build no table above 2^15.  slow-growth reads
+the doubly exponential pair to 2^20 as its ~1400 nonzero entries
+(counting.count_support), and debruijn's p(2^17) is count_partitions'
+Mahler sum over the table to 2^15.
+
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.
 """
@@ -40,9 +47,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import repeat
+from operator import le
 from typing import NamedTuple
 
 import mpmath
@@ -51,7 +60,13 @@ from mpmath import iv, mp
 from . import bounds
 from .arith import eventually_strictly_increasing, frobenius_threshold
 from .corpus import BUILTIN_EPSILON_TABLE, CORPUS, CorpusPair
-from .counting import count_table, extend_row, finite_coprime_parts
+from .counting import (
+    count_partitions,
+    count_support,
+    count_table,
+    extend_row,
+    finite_coprime_parts,
+)
 from .setspec import (
     ALL_PARTS,
     NAT_MULTS,
@@ -288,9 +303,9 @@ def suite_binary_log_ceiling() -> SuiteResult:
         res, "debruijn_upper", table, lambda n: {"parts": "pow:2", "mults": "nat", "n": n},
         expected="p(2n) <= exp(log(2n+1) log2(2n))",
     )
-    big = count_table(2 * DEBRUIJN_RATIO_POINT, Powers(2))
+    big = count_partitions(2 * DEBRUIJN_RATIO_POINT, Powers(2))
     with mp.workdps(bounds.DEFAULT_DIGITS):
-        log_count = mpmath.log(mpmath.mpf(big.values[2 * DEBRUIJN_RATIO_POINT]))
+        log_count = mpmath.log(mpmath.mpf(big))
         lead = bounds.debruijn_leading_term(mp, DEBRUIJN_RATIO_POINT)
         ratio = log_count / lead
         ok = mpmath.mpf("0.3") <= ratio <= mpmath.mpf("1.5")
@@ -422,41 +437,40 @@ def suite_slow_growth() -> SuiteResult:
     res = SuiteResult("slow-growth")
     parts = DoublyExponential(2)
     mults = WithZero(DoublyExponential(2))
-    table = count_table(SLOW_GROWTH_LIMIT, parts, mults)
-    vals = table.values
-    # Only ~1400 of the 2^20 entries are nonzero: both scans below visit
-    # the nonzero entries alone (compress and islice run in C), so the zero
-    # odd entries pass in bulk and each nonzero one is a failed case.
-    odd = range(1, SLOW_GROWTH_LIMIT + 1, 2)
-    nonzero = list(compress(odd, islice(vals, 1, None, 2)))
-    res.cases += len(odd) - len(nonzero)
-    for n in nonzero:
+    # a thin pair: count_support gives the ~1400 nonzero entries of the
+    # 2^20 table, so the zero odd entries pass in bulk and each odd n in
+    # the support is a failed case
+    support = count_support(SLOW_GROWTH_LIMIT, parts, mults)
+    nonzero = sorted(support)
+    odd = [n for n in nonzero if n % 2]
+    res.cases += (SLOW_GROWTH_LIMIT + 1) // 2 - len(odd)
+    for n in odd:
         res.check(False, lambda: (
             {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
             "0 (gcd of parts is 2)",
-            str(vals[n]),
+            str(support[n]),
         ))
     # records: n = SLOW_GROWTH_FROM, then every strict increase of the
     # running maximum (necessarily at a nonzero entry)
-    best = vals[SLOW_GROWTH_FROM]
+    best = support.get(SLOW_GROWTH_FROM, 0)
     records = [SLOW_GROWTH_FROM]
-    later = range(SLOW_GROWTH_FROM + 1, SLOW_GROWTH_LIMIT + 1)
-    for n in compress(later, islice(vals, later.start, None)):
-        if vals[n] > best:
-            best = vals[n]
+    for n in nonzero[bisect_right(nonzero, SLOW_GROWTH_FROM):]:
+        if support[n] > best:
+            best = support[n]
             records.append(n)
     slack = mpmath.mpf(0)
     with mp.workdps(bounds.DEFAULT_DIGITS):
         for n in records:
+            count = support.get(n, 0)
             ok = bounds.certified_leq(
-                vals[n], lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n)
+                count, lambda n=n: SLOW_GROWTH_SLACK * bounds.slow_growth_term(iv, n)
             )
             res.check(ok, lambda: (
                 {"parts": "dexp:2", "mults": "zero|dexp:2", "n": n},
                 f"<= {SLOW_GROWTH_SLACK} (lg n)(lg lg n)^(lg lg n)",
-                str(vals[n]),
+                str(count),
             ))
-            ratio = vals[n] / bounds.slow_growth_term(mp, n)
+            ratio = count / bounds.slow_growth_term(mp, n)
             if ratio > slack:
                 slack = ratio
     res.extras["max_count"] = str(best)
@@ -539,28 +553,50 @@ def suite_increase_criterion() -> SuiteResult:
     return res
 
 
+def _pieces(lo: int, hi: int, cuts) -> list[range]:
+    """[lo, hi] cut before every point of cuts inside (lo, hi]: the
+    intervals on which a step function that jumps only at those points is
+    constant."""
+    edges = [lo, *sorted({c for c in cuts if lo < c <= hi}), hi + 1]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def suite_sparse_construction() -> SuiteResult:
     """Anchors built from the tabulated floor(lg lg x) satisfy
     A(n)+1 <= eps(n) on [a_1, 2^16], and the resulting part set keeps
-    p(n) <= n^eps(n) there (checked directly in integer arithmetic)."""
+    p(n) <= n^eps(n) there (checked directly in integer arithmetic).
+
+    A(n) steps at the anchors and eps(n) at its thresholds, so each check
+    runs once per interval between them (_pieces), one case per n: A(n)+1
+    <= eps(n) is one comparison, and p(n) <= n^eps(n) one C-level pass.
+    Only an interval that fails records its n one at a time."""
     res = SuiteResult("sparse-construction")
     eps_table = BUILTIN_EPSILON_TABLE
     sset = construct_sparse_set(eps_table)
     res.extras["anchors"] = ",".join(str(a) for a in sset.elements)
     limit = eps_table[-1][0]
-    a1 = sset.elements[0]
-    for n in range(a1, limit + 1):
-        eps = step_function_value(eps_table, n)
-        count = sset.count_leq(n)
-        res.check(count + 1 <= eps, lambda: (
-            {"parts": str(sset), "n": n}, f"A(n)+1 <= {eps}", f"A(n)={count}",
-        ))
-    table = count_table(limit, sset, NAT_MULTS)
-    for n in range(SLOW_GROWTH_FROM, limit + 1):
-        eps = step_function_value(eps_table, n)
-        res.check(table.values[n] <= n**eps, lambda: (
-            {"parts": str(sset), "mults": "nat", "n": n}, f"<= n^{eps}", str(table.values[n]),
-        ))
+    thresholds = [t for t, _ in eps_table]
+    for ns in _pieces(sset.elements[0], limit, thresholds + list(sset.elements)):
+        eps = step_function_value(eps_table, ns.start)
+        count = sset.count_leq(ns.start)
+        if count + 1 <= eps:
+            res.cases += len(ns)
+            continue
+        for n in ns:
+            res.check(False, lambda: (
+                {"parts": str(sset), "n": n}, f"A(n)+1 <= {eps}", f"A(n)={count}",
+            ))
+    values = count_table(limit, sset, NAT_MULTS).values
+    for ns in _pieces(SLOW_GROWTH_FROM, limit, thresholds):
+        eps = step_function_value(eps_table, ns.start)
+        oks = list(map(le, values[ns.start : ns.stop], map(pow, ns, repeat(eps))))
+        if all(oks):
+            res.cases += len(ns)
+            continue
+        for n, ok in zip(ns, oks):
+            res.check(ok, lambda: (
+                {"parts": str(sset), "mults": "nat", "n": n}, f"<= n^{eps}", str(values[n]),
+            ))
     return res
 
 

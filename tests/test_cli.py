@@ -451,6 +451,58 @@ class TestExplore:
         assert payload["max_count"] == "190569292"
         assert payload["zeros"] == [] and payload["zero_count"] == 0
 
+    def test_thin_pair_reads_the_support(self, capsys, monkeypatch):
+        # dexp:2 with zero|dexp:2 to MAX_N: 2163 nonzero entries, and no row
+        def no_table(*args, **kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(counting, "_row", no_table)
+        monkeypatch.setattr(counting, "count_table", no_table)
+        monkeypatch.setattr(cli, "count_table", no_table)
+        argv = ("explore", "--parts", "dexp:2", "--mults", "zero|dexp:2", "--upto", str(MAX_N))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (
+            "p(n) = 0 at 2094990 of 2097152 positive n\n"
+            "zeros: 1,2,3,5,6,7,9,10,11,13,14,15,17,18,19 ... (2094975 more)\n"
+            "max count: 13 at n=263232\n"
+            "log-log slope over upper half: -0.2851\n"
+        )
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "75a5b2408be6aba370b9ab61248696a6a8da407f82862afbc71fa19a8cf93896"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parts=st.one_of(
+            st.sampled_from(["dexp:2", "dexp:3", "pow:2", "pow:3", "finite:2"]),
+            st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True).map(
+                lambda xs: "finite:" + ",".join(map(str, sorted(xs)))
+            ),
+        ),
+        mults=st.one_of(
+            st.sampled_from(["dexp:2", "pow:2", "pow:3", "finite:1"]),
+            st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True).map(
+                lambda xs: "finite:" + ",".join(map(str, sorted(xs)))
+            ),
+        ).map(lambda spec: "zero|" + spec),
+        upto=st.integers(0, 3000),
+        fmt=st.sampled_from(["table", "csv", "json"]),
+    )
+    def test_support_summary_matches_the_row(self, parts, mults, upto, fmt):
+        # the same report from a thin pair's support as from its whole row
+        argv = ["explore", "--parts", parts, "--mults", mults, "--upto", str(upto),
+                "--format", fmt]
+        outputs = []
+        for route in (cli.count_support, counting.count_table):
+            out = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+                mp.setattr(cli, "count_support", route)
+                assert main(argv) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -11,9 +11,11 @@ import partlab
 from partlab import bounds, cli, counting, suites
 from partlab.counting import (
     BRUTE_FORCE_LIMIT,
+    CountTable,
     KERNEL_BACKEND,
     brute_force_count,
     count_partitions,
+    count_support,
     count_table,
     finite_coprime_parts,
     pentagonal_table,
@@ -611,15 +613,16 @@ class TestPythonKernel:
 # -- one value: count_partitions without the row p(0..n) ---------------------
 
 def _upto_calls(monkeypatch):
-    """Record the upto of every count_table call count_partitions makes."""
+    """Record the upto of every table count_partitions asks count_support
+    for, directly or through count_table."""
     calls = []
-    original = counting.count_table
+    original = counting.count_support
 
     def spy(upto, *args, **kwargs):
         calls.append(upto)
         return original(upto, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "count_table", spy)
+    monkeypatch.setattr(counting, "count_support", spy)
     return calls
 
 
@@ -771,4 +774,98 @@ class TestOneValueReachesNoRow:
         parts = parse_set_spec("dexp:2", "parts")
         mults = parse_set_spec("zero|dexp:2", "mults")
         assert count_partitions(2**20, parts, mults) == 2
-        assert calls == [] and rows == []
+        assert calls == [2**20] and rows == []
+
+
+# -- the support builder: a thin pair's nonzero entries, or the table --------
+
+# parts and zero| multiplicities that are sparse enough for some upto: powers
+# and doubly exponential sets, and finite sets that may turn dense
+_thin_parts = st.one_of(
+    st.integers(2, 3).map(DoublyExponential),
+    st.integers(2, 5).map(Powers),
+    st.lists(st.integers(1, 3000), min_size=1, max_size=4).map(Finite),
+)
+_thin_mults = st.one_of(
+    st.integers(2, 3).map(DoublyExponential),
+    st.integers(2, 5).map(Powers),
+    st.lists(st.integers(1, 60), min_size=1, max_size=3).map(Finite),
+).map(WithZero)
+
+
+def _spread(support, upto):
+    """The row p(0..upto) of a support, built without counting._row."""
+    return tuple(support.get(n, 0) for n in range(upto + 1))
+
+
+class TestSupport:
+    @settings(max_examples=120, deadline=None)
+    @given(parts=_thin_parts, mults=_thin_mults, upto=st.integers(0, 3000))
+    def test_thin_pairs_match_dense_dp(self, parts, mults, upto):
+        result = count_support(upto, parts, mults)
+        expected = _dense(upto, parts, mults)
+        if isinstance(result, dict):
+            assert result[0] == 1 and all(result.values())
+            assert max(result) <= upto
+            assert _spread(result, upto) == expected
+        else:
+            assert result.values == expected
+        assert count_table(upto, parts, mults).values == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(parts=_thin_parts, mults=_thin_mults, upto=st.integers(0, BRUTE_FORCE_LIMIT))
+    def test_thin_pairs_match_brute_force(self, parts, mults, upto):
+        result = count_support(upto, parts, mults)
+        values = _spread(result, upto) if isinstance(result, dict) else result.values
+        total = 0
+        for n, v in enumerate(values):
+            total += v
+            if total > _BRUTE_BUDGET:
+                break
+            assert v == brute_force_count(n, parts, mults), n
+
+    @pytest.mark.parametrize(
+        "parts,mults,upto,thin",
+        [
+            ("dexp:2", "zero|dexp:2", 2**20, True),
+            ("finite:7", "zero|finite:1,3,100", 2000, True),
+            ("finite:16,256,4096", "zero|finite:1,2", 5000, True),
+            # a layer turns dense: the table, its rest built on the row
+            ("dexp:2", "nat", 5000, False),
+            ("ap:1,2", "zero|finite:1", 1500, False),
+            ("finite:16,256,4096", "zero|ap:1,2", 5000, False),
+            # an identity covers the pair: its table, with no layer
+            ("all", "nat", 300, False),
+            ("all", "zero|finite:1", 300, False),
+            ("pow:2", "nat", 3000, False),
+            ("all-from:3", "nat", 300, False),
+        ],
+    )
+    def test_support_or_table_built_once(self, monkeypatch, parts, mults, upto, thin):
+        parts = parse_set_spec(parts, "parts")
+        mults = parse_set_spec(mults, "mults")
+        layers = []
+
+        def spy(*args, original=counting._layers):
+            layers.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(counting, "_layers", spy)
+        if thin:
+            monkeypatch.setattr(counting, "_row", None)
+        result = count_support(upto, parts, mults)
+        assert isinstance(result, dict) == thin
+        assert len(layers) <= 1
+        monkeypatch.undo()
+        expected = count_table(upto, parts, mults)
+        if thin:
+            assert _spread(result, upto) == expected.values
+        else:
+            assert isinstance(result, CountTable) and result.values == expected.values
+            assert (result.parts, result.mults) == (parts, mults)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            count_support(-1, DoublyExponential(2), WithZero(Powers(2)))
+        with pytest.raises(InvalidSetError):
+            count_support(5, Finite((0, 3)), WithZero(Powers(2)))

@@ -65,23 +65,24 @@ def test_results_share_no_containers():
 
 
 def test_slow_growth_scans_match_plain_loops(monkeypatch):
-    # The suite scans only the nonzero entries of its 2^20 table.  Plant
-    # nonzero odd entries and a zero at n = 16, and compare with the plain
-    # loops over every index.
-    real = suites.count_table
+    # The suite scans only the support of its 2^20 table.  Plant nonzero
+    # odd entries and a zero at n = 16 into the support, and compare with
+    # the plain loops over every index of the row it stands for.
+    real = suites.count_support
     top = suites.SLOW_GROWTH_LIMIT
 
-    tables = []
+    rows = []
 
     def planted(upto, parts, mults):
-        vals = list(real(upto, parts, mults).values)
-        vals[16], vals[17], vals[top - 1] = 0, 1, 10**6
-        tables.append(CountTable(parts, mults, tuple(vals)))
-        return tables[-1]
+        support = dict(real(upto, parts, mults))
+        support[16], support[17], support[top - 1] = 0, 1, 10**6
+        support = {n: v for n, v in support.items() if v}
+        rows.append([support.get(n, 0) for n in range(upto + 1)])
+        return support
 
-    monkeypatch.setattr(suites, "count_table", planted)
+    monkeypatch.setattr(suites, "count_support", planted)
     r = run_suite("slow-growth")
-    vals = tables[0].values
+    vals = rows[0]
     odd = [n for n in range(1, top + 1, 2) if vals[n] != 0]
     best, records = -1, []
     for n in range(suites.SLOW_GROWTH_FROM, top + 1):
@@ -94,6 +95,40 @@ def test_slow_growth_scans_match_plain_loops(monkeypatch):
     assert records[0] == 16 and top - 1 in records
     assert r.extras["max_count"] == str(max(vals[16:])) == str(10**6)
     assert r.cases == (top + 1) // 2 + len(records)
+
+
+def _table_sizes(monkeypatch):
+    """The upto of every count_table call, from the suites or from inside
+    counting, and the length of every row a support is spread over."""
+    sizes = {"tables": [], "rows": []}
+
+    def table(upto, *args, original=counting.count_table, **kwargs):
+        sizes["tables"].append(upto)
+        return original(upto, *args, **kwargs)
+
+    def row(support, upto, original=counting._row):
+        sizes["rows"].append(upto)
+        return original(support, upto)
+
+    monkeypatch.setattr(counting, "count_table", table)
+    monkeypatch.setattr(suites, "count_table", table)
+    monkeypatch.setattr(counting, "_row", row)
+    return sizes
+
+
+def test_slow_growth_builds_no_row(monkeypatch):
+    sizes = _table_sizes(monkeypatch)
+    r = run_suite("slow-growth")
+    assert r.passed and r.cases == 524295
+    assert r.extras["record_indices"] == "16,40,72,576,1088,132160,263232"
+    assert sizes == {"tables": [], "rows": []}
+
+
+def test_debruijn_builds_no_table_above_two_to_the_fifteen(monkeypatch):
+    sizes = _table_sizes(monkeypatch)
+    assert run_suite("debruijn").passed
+    assert max(sizes["tables"]) == 2**15
+    assert 2 * suites.DEBRUIJN_LIMIT in sizes["tables"]
 
 
 def _pointwise_column(bound_id, table):
@@ -353,6 +388,51 @@ def test_criterion_walk_yields_each_coprime_set_with_its_table():
         seen.append(parts.elements)
         assert tuple(vals) == counting.count_table(suites.CRITERION_LIMIT, parts).values
     assert seen == coprime and len(seen) == 721
+
+
+def _sparse_construction_per_n(eps_table, sset):
+    """The sparse-construction suite one n at a time: both checks at every
+    n, with step_function_value and count_leq asked at each."""
+    res = SuiteResult("sparse-construction")
+    res.extras["anchors"] = ",".join(str(a) for a in sset.elements)
+    limit = eps_table[-1][0]
+    for n in range(sset.elements[0], limit + 1):
+        eps = setspec.step_function_value(eps_table, n)
+        count = sset.count_leq(n)
+        res.check(count + 1 <= eps, lambda: (
+            {"parts": str(sset), "n": n}, f"A(n)+1 <= {eps}", f"A(n)={count}",
+        ))
+    values = counting.count_table(limit, sset).values
+    for n in range(suites.SLOW_GROWTH_FROM, limit + 1):
+        eps = setspec.step_function_value(eps_table, n)
+        res.check(values[n] <= n**eps, lambda: (
+            {"parts": str(sset), "mults": "nat", "n": n}, f"<= n^{eps}", str(values[n]),
+        ))
+    return res
+
+
+@pytest.mark.parametrize(
+    "eps_table,anchors",
+    [
+        # the anchors of the built-in table, all but one past the last threshold
+        (((4, 1), (16, 2), (256, 3), (1000, 2), (1010, 3), (1500, 4)), None),
+        # A(n) steps between the thresholds, and A(n)+1 <= eps(n) fails on
+        # pieces of both kinds
+        (((4, 1), (16, 2), (100, 3), (300, 5), (700, 6)), (20, 90, 95, 400, 650)),
+        # eps(n) = 0 and 1 make p(n) <= n^eps(n) fail on some n of a piece
+        (((4, 1), (16, 0), (60, 1), (200, 2), (500, 3)), (5, 7, 40, 41, 300)),
+    ],
+)
+def test_sparse_construction_pieces_match_every_n(monkeypatch, eps_table, anchors):
+    sset = (suites.construct_sparse_set(suites.BUILTIN_EPSILON_TABLE) if anchors is None
+            else setspec.Finite(anchors))
+    monkeypatch.setattr(suites, "construct_sparse_set", lambda table: sset)
+    monkeypatch.setattr(suites, "BUILTIN_EPSILON_TABLE", eps_table)
+    res = run_suite("sparse-construction")
+    expected = _sparse_construction_per_n(eps_table, sset)
+    assert res.to_json_dict() == expected.to_json_dict()
+    assert res.extras == expected.extras
+    assert res.cases == expected.cases > 0
 
 
 def test_passing_sparse_construction_renders_no_spec(monkeypatch):
