@@ -38,6 +38,7 @@ _EXPORTS = {
         "CountTable",
         "brute_force_count",
         "count_partitions",
+        "count_support",
         "count_table",
         "pentagonal_table",
     ),
