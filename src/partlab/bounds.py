@@ -216,24 +216,31 @@ class ExistenceWitness(NamedTuple):
     threshold: Fraction
 
 
-def check_existence_lower_bound(n: int, table: CountTable) -> ExistenceWitness:
+def check_existence_lower_bound(n: int, table: CountTable) -> ExistenceWitness | None:
     """Smallest r <= n^2 with p(r) >= prod M(n/a_i) / (n^2 + 1), read from a
-    table of the pair that reaches n^2.
+    table of the pair.
+
+    The search reads the table up to n^2 or to its end, whichever comes
+    first, so any table that reaches the witness gives the same
+    ExistenceWitness.  A table that ends before n^2 with no witness on it
+    is too short to decide, and the result is None: a longer table of the
+    pair decides.
 
     Such r always exists: the multiplicity assignments bounded by n/a_i
     produce prod M(n/a_i) partitions of integers <= n^2, so some value
-    <= n^2 is hit at least the average number of times.  A missing witness
-    is therefore a counting bug, reported as LookupError.
+    <= n^2 is hit at least the average number of times.  A witness missing
+    from a table that reaches n^2 is therefore a counting bug, reported as
+    LookupError.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if table.upto < n * n:
-        raise ValueError(f"table reaches {table.upto}; the witness search needs {n * n}")
     # a column to n, not the table's: the search asks only for its last entry
     product = _product_column(n, table.parts, table.mults)[n]
-    for r in range(n * n + 1):
+    for r in range(min(n * n, table.upto) + 1):
         if table.values[r] * (n * n + 1) >= product:
             return ExistenceWitness(r, table.values[r], Fraction(product, n * n + 1))
+    if table.upto < n * n:
+        return None
     raise LookupError(f"no witness r <= {n * n}; counting is inconsistent")
 
 

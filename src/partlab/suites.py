@@ -27,12 +27,25 @@ one rule (_onset) over the whole column: the least applicable n from which
 the bound holds to the end of the column.  Other properties are ratio
 checks at fixed n with wide documented tolerances.
 
-monotonicity-criterion builds no table per set.  It walks the subsets
-of {1..12} with at most 4 elements depth first, keeping only the rows on
-the current path, and each row is its parent's row extended by one part
-(counting.extend_row): 756 layers for the 721 coprime sets.  The walk
-records what each coprime set's row shows, and the cases are then checked
-in order of size, each size in combinations order.
+A suite computes only what its cases and its extras read:
+
+* eq5 builds each pair's table to the size its witness search reads.  The
+  table starts at 64 entries and doubles, capped at n^2, only when
+  bounds.check_existence_lower_bound reports it too short (None): no
+  corpus pair's least witness for n <= 30 lies past 204.
+* refined's ratio band (form_ratio_min/max) screens the ratios of the
+  floors to e^(2 sqrt n)/(2 pi n^2) in floats, and evaluates at 50 digits
+  only the n within a relative 1e-9 of the screened extreme; the screen's
+  error bound is at the code.
+* monotonicity-criterion builds no table per set.  It walks the subsets
+  of {1..12} with at most 4 elements depth first, keeping only the rows on
+  the current path, and each row is its parent's row extended by one part
+  (counting.extend_row): 756 layers for the 721 coprime sets.  The walk
+  decides each coprime set from its row's tail: the last non-increase is
+  at most 1800 exactly when the row strictly increases on (1800, 2000].
+  The backward scan for that last non-increase runs only where it is
+  printed, in a failure and in the (3, 4, 5) window.  The cases are then
+  checked in order of size, each size in combinations order.
 
 slow-growth and debruijn build no table above 2^15.  slow-growth reads
 the doubly exponential pair to 2^20 as its ~1400 nonzero entries
@@ -51,7 +64,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
-from operator import le
+from operator import gt, le
 from typing import NamedTuple
 
 import mpmath
@@ -188,19 +201,22 @@ def suite_product_ceiling() -> SuiteResult:
 
 
 EQ5_N_LIMIT = 30
-EQ5_TABLE_LIMIT = EQ5_N_LIMIT * EQ5_N_LIMIT
+EQ5_FIRST_TABLE = 64
 
 
 def suite_average_witness() -> SuiteResult:
     """Some r <= n^2 has p(r) at least product/(n^2+1); all corpus pairs,
-    n <= 30 (tables to 900)."""
+    n <= 30.  Each pair's table starts at 64 entries and doubles, capped at
+    n^2, only when the search runs off its end without a witness."""
     res = SuiteResult("eq5")
     for pair in CORPUS:
-        table = count_table(EQ5_TABLE_LIMIT, pair.parts, pair.mults)
+        table = count_table(EQ5_FIRST_TABLE, pair.parts, pair.mults)
         for n in range(1, EQ5_N_LIMIT + 1):
-            # the search returns only a witness r <= n^2 with p(r) >= threshold
+            # the search returns only a witness r <= n^2 with p(r) >= threshold,
+            # or None when the table ends before both
             try:
-                bounds.check_existence_lower_bound(n, table)
+                while bounds.check_existence_lower_bound(n, table) is None:
+                    table = count_table(min(2 * table.upto, n * n), pair.parts, pair.mults)
                 ok, missing = True, None
             except LookupError as exc:
                 ok, missing = False, str(exc)
@@ -396,15 +412,26 @@ def suite_prefix_extension_floor() -> SuiteResult:
         res, "classical_refined", table, inputs, REFINED_TRANSCENDENTAL_FROM,
         expected=">= e^(2 sqrt n)/(2 pi n^2)",
     )
+    # The ratio band is the least and greatest floor / form at 50 digits
+    # on [10, 2000].  A float screen of the same term under fp picks the
+    # candidates, and only those are evaluated at 50 digits.  Each screened
+    # ratio is within a relative 1e-13 of its 50-digit value: Fraction to
+    # float, sqrt and the division are correctly rounded, exp of an
+    # argument <= 2 sqrt(2000) < 90 carries the argument's absolute error
+    # (< 90 * 2^-53 = 1e-14) plus its own ulp, and 2 pi n^2 three roundings.
+    # So the n with the extreme 50-digit ratio screens within a relative
+    # 3e-13 of the screened extreme, well inside the 1e-9 kept.
     floors = bounds.value_column("refined", table)
-    forms = bounds.value_column("classical_refined", table)
+    ns = range(REFINED_ASSERT_FROM, REFINED_LIMIT + 1)
+    screen = [float(floors[n]) / bounds.classical_refined_term(mpmath.fp, n) for n in ns]
     with mp.workdps(bounds.DEFAULT_DIGITS):
-        ratios = [
-            mpmath.mpf(fl.numerator) / mpmath.mpf(fl.denominator) / form
-            for fl, form in zip(floors[REFINED_ASSERT_FROM:], forms[REFINED_ASSERT_FROM:])
-        ]
-    res.extras["form_ratio_min"] = _nstr(min(ratios))
-    res.extras["form_ratio_max"] = _nstr(max(ratios))
+        for key, pick in (("form_ratio_min", min), ("form_ratio_max", max)):
+            edge = pick(screen)
+            res.extras[key] = _nstr(pick(
+                mpmath.mpf(floors[n].numerator) / mpmath.mpf(floors[n].denominator)
+                / bounds.classical_refined_term(mp, n)
+                for n, ratio in zip(ns, screen) if abs(ratio - edge) <= 1e-9 * edge
+            ))
     return res
 
 
@@ -512,18 +539,29 @@ def _criterion_rows():
     yield from walk((), [1] + [0] * CRITERION_LIMIT)
 
 
+def _last_flat(vals) -> int:
+    """The last n <= CRITERION_LIMIT with p(n) <= p(n - 1), or 0."""
+    return next((n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0)
+
+
 def suite_increase_criterion() -> SuiteResult:
     """The coprime-(k-1)-subset criterion agrees with observed behavior for
     every coprime set with elements <= 12 and k <= 4: eventually strictly
-    increasing means the last non-increase sits before 2000 - 200."""
+    increasing means the last non-increase sits before 2000 - 200.
+
+    That holds exactly when the row strictly increases on the tail
+    (1800, 2000], one pass of 200 comparisons.  The backward scan for the
+    last non-increase runs only where it is printed: in a failure text and
+    in the (3, 4, 5) window."""
     res = SuiteResult("monotonicity-criterion")
+    tail = CRITERION_LIMIT - CRITERION_TAIL
     observed = []
     descent = None
     for parts, vals in _criterion_rows():
-        last_flat = next(
-            (n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0
-        )
-        observed.append((parts, last_flat))
+        verdict = eventually_strictly_increasing(parts)
+        empirical = all(map(gt, vals[tail + 1 :], vals[tail:-1]))
+        shown = verdict != empirical or parts.elements == (3, 4, 5)
+        observed.append((parts, verdict, empirical, _last_flat(vals) if shown else None))
         if parts.elements == (2, 3):
             # a concrete descent for the reference false case
             start = frobenius_threshold(parts)
@@ -534,10 +572,8 @@ def suite_increase_criterion() -> SuiteResult:
     # the cases by size, each size in combinations order, as the walk is
     # lexicographic and the sort stable
     observed.sort(key=lambda case: len(case[0].elements))
-    for parts, last_flat in observed:
+    for parts, verdict, empirical, last_flat in observed:
         elems = parts.elements
-        verdict = eventually_strictly_increasing(parts)
-        empirical = last_flat <= CRITERION_LIMIT - CRITERION_TAIL
         res.check(verdict == empirical, lambda: (
             {"parts": "finite:" + ",".join(str(e) for e in elems)},
             f"criterion {verdict}",
@@ -612,7 +648,7 @@ SUITES: dict[str, tuple] = {
     "eq5": (
         suite_average_witness,
         "averaged witness r <= n^2 with p(r) >= product/(n^2+1)",
-        f"all corpus pairs, n <= {EQ5_N_LIMIT}, tables to {EQ5_TABLE_LIMIT}",
+        f"all corpus pairs, n <= {EQ5_N_LIMIT}, witness search to n^2 <= {EQ5_N_LIMIT ** 2}",
     ),
     "monotone-lb": (
         suite_monotone_floor,

@@ -118,9 +118,18 @@ class TestExistenceWitness:
             4, count_table(16, ALL_PARTS)
         )
 
-    def test_rejects_short_table(self):
-        with pytest.raises(ValueError):
-            check_existence_lower_bound(4, count_table(15, ALL_PARTS))
+    def test_short_table_returns_none(self):
+        # a table short of n^2 gives the witness if it reaches it, and None
+        # (too short to decide) if it ends first; a table that reaches n^2
+        # without a witness is a counting bug
+        full = check_existence_lower_bound(4, count_table(16, ALL_PARTS))
+        assert check_existence_lower_bound(4, count_table(15, ALL_PARTS)) == full
+        assert check_existence_lower_bound(4, count_table(4, ALL_PARTS)) == full
+        assert check_existence_lower_bound(4, count_table(3, ALL_PARTS)) is None
+        zeros = lambda upto: CountTable(ALL_PARTS, NAT_MULTS, (0,) * (upto + 1))
+        assert check_existence_lower_bound(4, zeros(15)) is None
+        with pytest.raises(LookupError, match=r"^no witness r <= 16; counting is inconsistent$"):
+            check_existence_lower_bound(4, zeros(16))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

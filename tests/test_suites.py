@@ -4,6 +4,7 @@ acceptance gate; this file checks the result type and registry behave."""
 import hashlib
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 from mpmath import iv, mp
 
 from partlab import _dpcore_py, bounds, cli, counting, setspec, suites
+from partlab.corpus import CORPUS
 from partlab.counting import CountTable
 from partlab.suites import SUITES, SuiteFailure, SuiteResult, run_suite
 
@@ -152,9 +154,11 @@ def _pointwise_column(bound_id, table):
 
 
 def _set(ns, value):
+    """p(n) = value at each n of ns that the table reaches."""
     def plant(vals):
         for n in ns:
-            vals[n] = value
+            if n < len(vals):
+                vals[n] = value
     return plant
 
 
@@ -240,14 +244,15 @@ PLANTED_REPORT_SHA256 = {
 
 
 def _run_planted(monkeypatch, name, upto, plants):
-    """run_suite(name) where each table to upto whose parts spec is a key of
-    plants (the key None: every such table) is changed by that plant.  The
-    criterion suite's rows are planted where its walk hands them to the
-    check, on a copy, so the rows that the walk extends to supersets stay
-    exact."""
+    """run_suite(name) where each table to upto (None: to any size) whose
+    parts spec is a key of plants (the key None: every such table) is
+    changed by that plant.  The criterion suite's rows are planted where its
+    walk hands them to the check, on a copy, so the rows that the walk
+    extends to supersets stay exact."""
 
     def plant_copy(parts, values):
-        plant = plants.get(str(parts), plants.get(None)) if len(values) == upto + 1 else None
+        sized = upto is None or len(values) == upto + 1
+        plant = plants.get(str(parts), plants.get(None)) if sized else None
         if plant is None:
             return values
         vals = list(values)
@@ -316,7 +321,8 @@ _LOWERED_EPSILON = ((4, 1), (16, 2), (256, 3), (1000, 2), (1010, 3), (65536, 4))
 # whether eps(n) is read from _LOWERED_EPSILON, and the number of failures.
 # The padberg equality check for {1} is pinned by "padberg-singleton" above.
 CHECKED_PLANTED = {
-    "eq5": ("eq5", suites.EQ5_TABLE_LIMIT, {"finite:2,3": _set(range(101), 0)}, False, 10),
+    # eq5 grows its tables by need: the plant goes into every table size it builds
+    "eq5": ("eq5", None, {"finite:2,3": _set(range(101), 0)}, False, 10),
     "hrr": (
         "hrr", suites.HRR_RANGE[1], {"all": _plants(_set((250,), 1), _scale(300, 2))}, False, 3,
     ),
@@ -353,6 +359,134 @@ def test_checked_suites_keep_their_failure_records(monkeypatch, case):
     report = {**res.to_json_dict(), "extras": res.extras}
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == CHECKED_PLANTED_SHA256[case]
+
+
+# -- suites that compute only what their cases and extras read -------------
+
+def test_eq5_finds_the_witnesses_of_tables_to_900_on_tables_to_256(monkeypatch):
+    # the suite grows each table by need; every witness it finds is the one
+    # the search finds on the pair's table to 900, and it searches each
+    # (pair, n) until it does
+    full = [counting.count_table(900, pair.parts, pair.mults) for pair in CORPUS]
+    expected = [
+        bounds.check_existence_lower_bound(n, table) for table in full for n in range(1, 31)
+    ]
+    sizes = _table_sizes(monkeypatch)
+    found = []
+    search = bounds.check_existence_lower_bound
+
+    def spy(n, table):
+        witness = search(n, table)
+        if witness is not None:
+            found.append(witness)
+        return witness
+
+    monkeypatch.setattr(bounds, "check_existence_lower_bound", spy)
+    r = run_suite("eq5")
+    assert r.passed and r.cases == 30 * len(CORPUS)
+    assert found == expected
+    assert max(sizes["tables"]) <= 256
+
+
+def _backward_last_flat(vals):
+    """The last n with vals[n] <= vals[n - 1], or 0, scanned down from the end."""
+    n = len(vals) - 1
+    while n > 0 and vals[n] > vals[n - 1]:
+        n -= 1
+    return n
+
+
+def test_criterion_tail_matches_backward_scan(monkeypatch):
+    # make the criterion say what the backward scan observes: the suite
+    # passes every row exactly when its tail decision agrees on all 721
+    observed = {
+        parts.elements: _backward_last_flat(vals) <= 1800
+        for parts, vals in suites._criterion_rows()
+    }
+    assert len(observed) == 721 and 0 < sum(observed.values()) < 721
+    monkeypatch.setattr(
+        suites, "eventually_strictly_increasing", lambda parts: observed[parts.elements]
+    )
+    r = run_suite("monotonicity-criterion")
+    assert r.passed and r.cases == 721
+
+
+def test_criterion_tail_starts_after_1800(monkeypatch):
+    # a flat step at 1800 is before the tail, one at 1801 inside it; both
+    # sets satisfy the criterion
+    res = _run_planted(monkeypatch, "monotonicity-criterion", suites.CRITERION_LIMIT, {
+        "finite:3,4,5": _flat_at(1800), "finite:2,3,5": _flat_at(1801),
+    })
+    assert res.failures == [SuiteFailure(
+        {"parts": "finite:2,3,5"}, "criterion True",
+        "empirical False (last non-increase at n=1801)",
+    )]
+    assert res.extras["window_3_4_5"] == "W=1801, strictly increasing on [1801, 2000]"
+
+
+def _refined_ratio(floor, n):
+    """floor / (e^(2 sqrt n) / (2 pi n^2)) at 50 digits."""
+    with mp.workdps(50):
+        form = mpmath.exp(2 * mpmath.sqrt(n)) / (2 * mpmath.pi * n * n)
+        return mpmath.mpf(floor.numerator) / mpmath.mpf(floor.denominator) / form
+
+
+def _refined_band(monkeypatch, plant=None):
+    """The refined suite's form_ratio_min/max as mpf, and the least and
+    greatest 50-digit ratio over [10, 2000] of the floors it read, after
+    plant(floors) changes them in place."""
+    read = []
+
+    def table(upto, parts, mults=suites.NAT_MULTS):
+        t = counting.count_table(upto, parts, mults)
+        floors = bounds.value_column("refined", t)
+        if plant:
+            plant(floors)
+        read.append(floors)
+        return t
+
+    monkeypatch.setattr(suites, "count_table", table)
+    monkeypatch.setattr(suites, "_nstr", lambda x, places=8: x)
+    res = run_suite("refined")
+    ratios = [_refined_ratio(read[0][n], n) for n in range(10, 2001)]
+    band = res.extras["form_ratio_min"], res.extras["form_ratio_max"]
+    return res, band, (min(ratios), max(ratios))
+
+
+def _floor_below(ratio, gap, n):
+    """A floor at n whose ratio to the closed form is ratio * (1 - gap),
+    to ~60 digits."""
+    with mp.workdps(60):
+        target = ratio * (1 - mpmath.mpf(gap))
+        man, exp = (target * mpmath.exp(2 * mpmath.sqrt(n)) / (2 * mpmath.pi * n * n)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_refined_band_is_the_full_50_digit_extreme(monkeypatch):
+    res, band, full = _refined_band(monkeypatch)
+    assert res.passed and band == full
+    assert [mpmath.nstr(x, 8) for x in band] == ["2.6014529", "45.186498"]
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-20])
+def test_refined_band_separates_a_near_tie(monkeypatch, gap):
+    # plant a floor whose ratio sits just below the least one, and another
+    # just below the greatest: the min moves to the planted n, the max does
+    # not, although a float cannot tell the 1e-20 pairs apart.  Both floors
+    # are lowered, so every verdict stays
+    res, _, (lo, hi) = _refined_band(monkeypatch)
+
+    def plant(floors):
+        ratios = [_refined_ratio(floors[n], n) for n in range(10, 2001)]
+        n_lo, n_hi = 10 + ratios.index(lo), 10 + ratios.index(hi)
+        near_lo = 11 if n_lo == 10 else 10
+        floors[near_lo] = _floor_below(lo, gap, near_lo)
+        floors[n_hi - 1] = _floor_below(hi, gap, n_hi - 1)
+
+    planted, band, full = _refined_band(monkeypatch, plant)
+    assert planted.passed and planted.cases == res.cases
+    assert band == full
+    assert band[0] < lo and band[1] == hi
 
 
 def test_criterion_walk_extends_rows_instead_of_building_tables(monkeypatch, capsys):
