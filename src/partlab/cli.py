@@ -350,14 +350,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from array import array
     from statistics import linear_regression
 
     parts = parse_set_spec(args.parts, "parts")
     mults = parse_set_spec(args.mults, "mults")
     upto = args.upto
-    # counts[i] is p(indices[i]): every n for a row, the nonzero n alone for
-    # a thin pair's support, and zeros is an iterator, so a thin pair to
-    # MAX_N is summarised from its few thousand nonzero entries
+    # counts[i] is p(indices[i]): every n for a row, the nonzero n alone for a
+    # thin pair's support.  zeros is an iterator and the slope reads two float
+    # arrays, so a row costs itself plus 16 bytes per nonzero upper-half n
     result = count_support(upto, parts, mults)
     if isinstance(result, dict):
         indices = sorted(result)
@@ -372,16 +373,15 @@ def cmd_explore(args) -> int:
         zeros = compress(indices, map(not_, counts))
     max_count = max(counts)
     max_index = indices[counts.index(max_count)]
-    # log-log slope over the nonzero upper half; reported, never asserted
+    # log-log slope over the nonzero upper half; reported, never asserted.
+    # Its n are distinct integers in [2, 2^21], and log(n + 1) - log(n) >=
+    # 1/(n + 1) is about 10^8 ulps of log(n), so x is never constant
     start = bisect_left(indices, max(2, upto // 2))
-    points = [
-        (math.log(n), math.log(v))
-        for n, v in zip(islice(indices, start, None), islice(counts, start, None))
-        if v > 0
-    ]
-    slope = None
-    if len(points) >= 2 and len({x for x, _ in points}) >= 2:
-        slope, _ = linear_regression([x for x, _ in points], [y for _, y in points])
+    xs = array(
+        "d", map(math.log, compress(islice(indices, start, None), islice(counts, start, None)))
+    )
+    ys = array("d", map(math.log, filter(None, islice(counts, start, None))))
+    slope = linear_regression(xs, ys).slope if len(xs) >= 2 else None
 
     if args.format == "json":
         payload = _json(

@@ -8,8 +8,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +24,7 @@ from partlab import cli, counting, setspec, suites
 from partlab.bounds import BOUND_IDS
 from partlab.cli import MAX_N, main
 from partlab.suites import SuiteResult
+from test_counting import _dense
 
 NON_UTF8 = bytes([0xFF, 0xFE, 0x00, 0x01])
 
@@ -502,6 +505,51 @@ class TestExplore:
                 assert main(argv) == 0
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=st.one_of(
+            # dense: a row, with or without an identity behind it
+            st.tuples(
+                st.sampled_from(["all", "all-from:3", "finite:3,5", "ap:2,3", "pow:2"]),
+                st.just("nat"),
+            ),
+            st.tuples(
+                st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True).map(
+                    lambda xs: "finite:" + ",".join(map(str, sorted(xs)))
+                ),
+                st.sampled_from(["nat", "zero|finite:1", "zero|ap:1,2"]),
+            ),
+            # thin: the support's nonzero entries
+            st.tuples(
+                st.sampled_from(["dexp:2", "dexp:3", "pow:3"]),
+                st.sampled_from(["zero|dexp:2", "zero|pow:2", "zero|finite:1"]),
+            ),
+        ),
+        upto=st.integers(0, 3000),
+    )
+    def test_slope_matches_the_dense_oracle(self, pair, upto):
+        parts, mults = pair
+        values = _dense(upto, setspec.parse_set_spec(parts, "parts"),
+                        setspec.parse_set_spec(mults, "mults"))
+        points = [(math.log(n), math.log(values[n]))
+                  for n in range(max(2, upto // 2), upto + 1) if values[n]]
+        want = ""
+        if len(points) >= 2:
+            slope, _ = statistics.linear_regression([x for x, _ in points], [y for _, y in points])
+            want = f"{slope:.4f}"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["explore", "--parts", parts, "--mults", mults,
+                         "--upto", str(upto), "--format", "csv"]) == 0
+        assert dict(csv.reader(io.StringIO(out.getvalue())))["slope"] == want
+
+    # on a dense pair, upto = 2 leaves the one point n = 2 and upto = 3 the
+    # two points n = 2, 3, where p(n) = n makes the slope exactly 1
+    @pytest.mark.parametrize("upto,slope", [(2, ""), (3, "1.0000")])
+    def test_slope_from_one_and_two_points(self, capsys, upto, slope):
+        _, out, _ = run(capsys, "explore", "--parts", "all", "--upto", str(upto), "--format", "csv")
+        assert out.endswith(f"\nslope,{slope}\n")
 
 
 @pytest.mark.parametrize(

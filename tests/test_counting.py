@@ -328,17 +328,6 @@ def _naive_unbounded(values, a):
         values[v] += values[v - a]
 
 
-class _NaiveKernel:
-    """The plain dense DP one entry at a time: the oracle kernel, sharing no
-    code with _dpcore_py."""
-
-    unbounded_layer = staticmethod(_naive_unbounded)
-
-    @staticmethod
-    def restricted_layer(values, offsets):
-        values[:] = _naive_restricted(values, offsets)
-
-
 def _pentagonal_per_entry(upto, m=None):
     """q(0..upto) for all parts and multiplicities {0, ..., m-1} (without
     m, p(0..upto)) by Euler's recurrence one entry at a time, every offset
@@ -426,7 +415,26 @@ _BRUTE_BUDGET = 3000
 
 
 def _dense(upto, parts, mults):
-    return count_table(upto, parts, mults, kernel=_NaiveKernel).values
+    """p(0..upto; parts, mults) by the plain DP one entry at a time, with its
+    own walk over each spec's elements and calling nothing in counting: the
+    oracle for every build route.  Part a adds p(n - m a) for each positive
+    multiplicity m with m a <= upto; when those m are all of 1..upto // a,
+    that is the unbounded layer."""
+    row = [1] + [0] * upto
+    for a in parts.iter_elements():
+        if a > upto:
+            break
+        offsets = []
+        for m in mults.iter_elements():
+            if m * a > upto:
+                break
+            if m:
+                offsets.append(m * a)
+        if len(offsets) == upto // a:
+            _naive_unbounded(row, a)
+        else:
+            row = _naive_restricted(row, offsets)
+    return tuple(row)
 
 
 class TestDispatch:
