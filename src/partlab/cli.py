@@ -44,8 +44,11 @@ MAX_HUMAN_FAILURES = 20
 # Largest accepted --n / --upto.  table builds the row p(0..n), n + 1 exact
 # integers, and count and explore build at most that row (a finite set with
 # n < k lcm, a dense pair without an identity), so this bounds what one run
-# allocates; on a thin pair such as dexp:2 with zero|dexp:2 both read the
-# nonzero entries alone (counting.count_support).  It admits the largest
+# allocates.  count answers three kinds of pair without the row: a finite
+# set with n >= k lcm (Sylvester's quasi-polynomial, a row below k lcm),
+# powers of B with all multiplicities (Mahler's sum, no table) and a thin
+# pair such as dexp:2 with zero|dexp:2 (its nonzero entries alone, through
+# counting.count_support, which explore reads too).  It admits the largest
 # benchmarked count (dexp:2 to 2^20) with room for a doubling.
 MAX_N = 2**21
 
@@ -115,21 +118,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write an iterable of strings, in order, to out_path or stdout."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json(obj) -> str:
     import json
 
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _json_with_list(obj: dict, key: str, items):
+    """The chunks of _json({**obj, key: list(items)}) for integer items and
+    a key that sorts after every key of obj, 4096 items per chunk, so the
+    list is never held."""
+    yield _json(obj)[: -len("\n}\n")] + f',\n  "{key}": ['
+    sep = "\n    "
+    items = iter(items)
+    while batch := ",\n    ".join(map(str, islice(items, 4096))):
+        yield sep + batch
+        sep = ",\n    "
+    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
 
 
 def _csv(rows) -> str:
@@ -180,7 +197,7 @@ def cmd_count(args) -> int:
         payload = _csv([("n", "count"), (args.n, value)])
     else:
         payload = f"{value}\n"
-    _emit(payload, args.out)
+    _emit([payload], args.out)
     return 0
 
 
@@ -250,7 +267,7 @@ def cmd_table(args) -> int:
             payload = "".join(
                 "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in shown
             )
-    _emit(payload, args.out)
+    _emit([payload], args.out)
     return 0
 
 
@@ -303,7 +320,7 @@ def cmd_analyze(args) -> int:
             verdict = "yes" if info["strictly_increasing"] else "no"
             lines.append(f"eventually-strictly-increasing: {verdict}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
+    _emit([payload], args.out)
     return 0
 
 
@@ -317,7 +334,7 @@ def cmd_verify(args) -> int:
         for name, (_, description, params) in suites.SUITES.items():
             lines.append(f"{name}: {description}")
             lines.append(f"    parameters: {params}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
         return 0
     name = args.suite or "all"
     if name == "all":
@@ -345,7 +362,7 @@ def cmd_verify(args) -> int:
             if len(r.failures) > MAX_HUMAN_FAILURES:
                 lines.append(f"  ... {len(r.failures) - MAX_HUMAN_FAILURES} more")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
+    _emit([payload], args.out)
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -384,7 +401,8 @@ def cmd_explore(args) -> int:
     slope = linear_regression(xs, ys).slope if len(xs) >= 2 else None
 
     if args.format == "json":
-        payload = _json(
+        # "zeros", the last key, is written as it is generated
+        payload = _json_with_list(
             {
                 "max_count": str(max_count),
                 "max_index": max_index,
@@ -393,19 +411,22 @@ def cmd_explore(args) -> int:
                 "slope": None if slope is None else f"{slope:.4f}",
                 "upto": upto,
                 "zero_count": zero_count,
-                "zeros": list(zeros),
-            }
+            },
+            "zeros",
+            zeros,
         )
     elif args.format == "csv":
-        payload = _csv(
-            [
-                ("key", "value"),
-                ("zero_count", zero_count),
-                ("max_count", max_count),
-                ("max_index", max_index),
-                ("slope", None if slope is None else f"{slope:.4f}"),
-            ]
-        )
+        payload = [
+            _csv(
+                [
+                    ("key", "value"),
+                    ("zero_count", zero_count),
+                    ("max_count", max_count),
+                    ("max_index", max_index),
+                    ("slope", None if slope is None else f"{slope:.4f}"),
+                ]
+            )
+        ]
     else:
         lines = [
             f"p(n) = 0 at {zero_count} of {upto} positive n",
@@ -419,7 +440,7 @@ def cmd_explore(args) -> int:
             lines.append("log-log slope: not estimable (too few nonzero points)")
         else:
             lines.append(f"log-log slope over upper half: {slope:.4f}")
-        payload = "\n".join(lines) + "\n"
+        payload = ["\n".join(lines) + "\n"]
     _emit(payload, args.out)
     return 0
 
@@ -448,7 +469,7 @@ def cmd_sparse(args) -> int:
     sset = construct_sparse_set(entries, source=args.out)
     anchor_lines = "\n".join(str(a) for a in sset.elements) + "\n"
     if args.out:
-        _emit(anchor_lines, args.out)
+        _emit([anchor_lines], args.out)
     if args.format == "json":
         doc = {"anchors": list(sset.elements), "out": args.out}
         if args.out:

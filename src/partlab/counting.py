@@ -40,8 +40,10 @@ count_support).
   the count is a polynomial in t of degree below k, so the row to
   r + (k - 1) L gives k of its values and Newton's forward differences
   give the one at t = n // L.
-- Powers of B with all multiplicities: Mahler's equation summed once
-  more, which needs the table to n // B^2 only.
+- Powers of B with all multiplicities: Mahler's equation p(n) = sum over
+  j <= n // B of p(j), summed as binomial moments of p from n // B down to
+  0 (see _mahler_count).  It reads no table: O(log_B(n)^3) multiplications
+  of integers, and no list longer than log_B(n) + 1.
 
 Every other pair reads its value from count_support.
 
@@ -67,7 +69,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import add, sub
+from operator import add, mul, sub
 
 from .setspec import (
     ALL_PARTS,
@@ -318,9 +320,10 @@ def count_partitions(
 ) -> int:
     """Exact p(n; parts, mults) by the cheapest exact route to the one value:
     Sylvester's quasi-polynomial for a finite part set with k * lcm <= n,
-    Mahler's sum over the table to n // B^2 for powers of B (both with all
-    multiplicities), and count_support otherwise: the sparse support of a
-    thin pair, the row of any other (see the module docstring).
+    Mahler's equation summed as binomial moments, with no table, for powers
+    of B (both with all multiplicities), and count_support otherwise: the
+    sparse support of a thin pair, the row of any other (see the module
+    docstring).
     """
     _validate(n, parts, mults)
     if mults == NAT_MULTS and isinstance(parts, Powers):
@@ -334,19 +337,47 @@ def count_partitions(
 
 
 def _mahler_count(n: int, parts: Powers) -> int:
-    """p(n) for the powers of B = parts.base, from the table to q = n // B^2.
+    """p(n) for the powers of B = parts.base, in O(log_B(n)^3) integer
+    operations and no table.
 
-    With m = n // B and s(j) = p(0) + ... + p(j), Mahler's equation gives
-    p(n) = s(m) = sum over j <= m of s(j // B), and j // B takes each value
-    below q for B values of j and q itself for m - q B + 1 of them:
-    p(n) = B (s(0) + ... + s(q - 1)) + (m - q B + 1) s(q).
+    Mahler's equation gives p(n) = sum over j <= n // B of p(j).  With the
+    binomial moments N_t(x) = sum over j <= x of C(j, t) p(j), that is
+    p(n) = N_0(n // B).  Putting Mahler's sum into N_t, swapping the sums
+    and summing C(j, t) over iB <= j <= x by the hockey-stick identity
+    gives, with y = x // B,
+
+        N_t(x) = C(x + 1, t + 1) N_0(y) - sum over i <= y of C(iB, t + 1) p(i)
+               = C(x + 1, t + 1) N_0(y) - sum over u = 1..t+1 of a[t][u] N_u(y),
+
+    where a[t][u] is the u-th forward difference at i = 0 of the degree
+    t + 1 polynomial i -> C(iB, t + 1) (so C(iB, t + 1) = sum over u of
+    a[t][u] C(i, u), and a[t][0] = 0), and N_t(0) = [t == 0].  The walk
+    goes up x = n // B^k, ..., n // B^2, n // B; each level needs one
+    moment fewer than the level below it.
     """
     base = parts.base
-    m = n // base
-    q = m // base
-    values = count_table(q, parts).values
-    s_q = sum(values)
-    return base * (sum(accumulate(values)) - s_q) + (m - q * base + 1) * s_q
+    levels = []
+    x = n // base
+    while x:
+        levels.append(x)
+        x //= base
+    coefficients = []
+    for t in range(len(levels)):
+        values = [math.comb(i * base, t + 1) for i in range(t + 2)]
+        row = []
+        for _ in range(t + 1):
+            values = list(map(sub, values[1:], values[:-1]))
+            row.append(values[0])
+        coefficients.append(row)
+    # moments[t] = N_t(x) at the current level, from N_t(0) at the bottom
+    moments = [1] + [0] * len(levels)
+    for x in reversed(levels):
+        moments = [
+            math.comb(x + 1, t + 1) * moments[0]
+            - sum(map(mul, coefficients[t], moments[1 : t + 2]))
+            for t in range(len(moments) - 1)
+        ]
+    return moments[0]
 
 
 def _quasi_polynomial_count(n: int, parts: Finite) -> int | None:

@@ -47,10 +47,11 @@ A suite computes only what its cases and its extras read:
   printed, in a failure and in the (3, 4, 5) window.  The cases are then
   checked in order of size, each size in combinations order.
 
-slow-growth and debruijn build no table above 2^15.  slow-growth reads
+slow-growth and debruijn build no table above 2^13.  slow-growth reads
 the doubly exponential pair to 2^20 as its ~1400 nonzero entries
 (counting.count_support), and debruijn's p(2^17) is count_partitions'
-Mahler sum over the table to 2^15.
+Mahler sum in binomial moments, which reads no table; its one table is
+the ceiling scan's, to 2^13.
 
 The JSON form of a result pins elapsed_ms to 0 so repeated runs are
 byte-identical; wall time appears only in the human rendering.

@@ -544,6 +544,54 @@ class TestExplore:
                          "--upto", str(upto), "--format", "csv"]) == 0
         assert dict(csv.reader(io.StringIO(out.getvalue())))["slope"] == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # keys without a z sort before "zeros"; 0-9000 items cross the
+        # 4096-item chunks, and the empty list is written as []
+        obj=st.dictionaries(
+            st.text("_abcdefghijklmnopqrstuvwxy", min_size=1, max_size=8),
+            st.one_of(st.none(), st.integers(), st.text(max_size=5)),
+            min_size=1,
+            max_size=4,
+        ),
+        items=st.one_of(
+            st.lists(st.integers(), max_size=20),
+            st.integers(0, 9000).map(lambda k: list(range(k))),
+        ),
+    )
+    def test_json_with_list_is_json_dumps(self, obj, items):
+        chunks = cli._json_with_list(obj, "zeros", iter(items))
+        want = json.dumps({**obj, "zeros": items}, sort_keys=True, indent=2) + "\n"
+        assert "".join(chunks) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pair=st.one_of(
+            st.tuples(st.sampled_from(["all", "finite:3,5", "ap:2,3"]), st.just("nat")),
+            st.tuples(
+                st.sampled_from(["dexp:2", "dexp:3", "pow:3"]),
+                st.sampled_from(["zero|dexp:2", "zero|pow:2", "zero|finite:1"]),
+            ),
+        ),
+        upto=st.integers(0, 3000),
+        to_file=st.booleans(),
+    )
+    def test_json_zeros_are_written_as_json_dumps(self, tmp_path_factory, pair, upto, to_file):
+        parts, mults = pair
+        argv = ["explore", "--parts", parts, "--mults", mults, "--upto", str(upto),
+                "--format", "json"]
+        if to_file:
+            target = tmp_path_factory.mktemp("explore") / "out.json"
+            assert _output(*argv, "--out", str(target)) == ""
+            text = target.read_text()
+        else:
+            text = _output(*argv)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        values = _dense(upto, setspec.parse_set_spec(parts, "parts"),
+                        setspec.parse_set_spec(mults, "mults"))
+        assert doc["zeros"] == [n for n, v in enumerate(values) if not v]
+
     # on a dense pair, upto = 2 leaves the one point n = 2 and upto = 3 the
     # two points n = 2, 3, where p(n) = n makes the slope exactly 1
     @pytest.mark.parametrize("upto,slope", [(2, ""), (3, "1.0000")])
