@@ -24,6 +24,7 @@ from partlab import cli, counting, setspec, suites
 from partlab.bounds import BOUND_IDS
 from partlab.cli import MAX_N, main
 from partlab.suites import SuiteResult
+import peak
 from test_counting import _dense
 
 NON_UTF8 = bytes([0xFF, 0xFE, 0x00, 0x01])
@@ -749,36 +750,38 @@ class TestSparse:
         assert out == ""
         assert err.count("\n") == 1 and "more than" in err
 
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4")
+    @pytest.mark.skipif(os.name != "posix", reason="the launcher reads rusage")
     def test_anchors_file_is_parsed_as_it_is_read(self, tmp_path):
         # 2^19 seven-digit anchors (4 MiB): the lines are parsed one at a
         # time, so the child's peak holds the ints, not a list of lines
         path = tmp_path / "anchors.txt"
         path.write_text("".join(f"{10**6 + 4 * i}\n" for i in range(2**19)))
         src = os.path.dirname(os.path.dirname(setspec.__file__))
-        argv = ["count", "--parts", f"sparse:@{path}", "--n", "5"]
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK_OF_CHILD, sys.executable, "-m", "partlab.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
-        )
-        code, out, peak_kib = json.loads(done.stdout)
-        assert (code, out) == (0, "0\n")
-        assert peak_kib / 1024 < 90, peak_kib / 1024
+        argv = [sys.executable, "-m", "partlab.cli", "count", "--parts", f"sparse:@{path}", "--n", "5"]
+        got = peak.run(argv, env=dict(os.environ, PYTHONPATH=src))
+        assert (got["exit"], got["out"]) == (0, "0\n")
+        assert got["peak_mb"] < 90, got["peak_mb"]
 
 
-# Runs argv[1:] as a child and prints [exit code, stdout, ru_maxrss in KiB]
-# from os.wait4.  A child's ru_maxrss starts from the high-water mark of
-# the process that spawned it, so the test spawns this small launcher
-# rather than the command, whose peak would then count the test runner's.
-_PEAK_OF_CHILD = """
-import json, os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, text=True)
-out = child.stdout.read()
-_, status, usage = os.wait4(child.pid, 0)
-child.returncode = code = os.waitstatus_to_exitcode(status)
-scale = 1024 if sys.platform == "darwin" else 1  # bytes on macOS
-print(json.dumps([code, out, usage.ru_maxrss // scale]))
+# Holds 150 MB, then runs `python -c argv[1]` twice, as its own child and
+# under a fresh launcher, and prints both reports
+_BALLAST = """import json, sys, peak
+ballast = b"x" * (150 << 20)
+argv = [sys.executable, "-c", sys.argv[1]]
+print(json.dumps([peak.measure(argv), peak.run(argv)]))
 """
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the launcher reads rusage")
+@pytest.mark.parametrize("code,status", [("pass", 0), ("raise SystemExit(3)", 3)])
+def test_launcher_reads_its_commands_own_peak(code, status):
+    # the ballast lives in a helper child, never in this process
+    helper = [sys.executable, "-c", _BALLAST, code]
+    out = subprocess.check_output(helper, cwd=os.path.dirname(peak.__file__), text=True)
+    direct, launched = json.loads(out)
+    assert (direct["exit"], launched["exit"], launched["out"]) == (status, status, "")
+    assert direct["peak_mb"] >= 150 and launched["peak_mb"] < 40, (direct, launched)
+
 
 class TestOutFile:
     def test_count_to_file(self, capsys, tmp_path):
