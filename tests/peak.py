@@ -46,14 +46,17 @@ CHECKS = [
     (20, "count --parts sparse:@anchors.txt --n 5", 0, ("==", "0\n"), 200),
     # count computes one value without the row p(0..n): at MAX_N,
     # finite:3,4,5 by Sylvester's quasi-polynomial, dexp:2 with zero|dexp:2
-    # on its sparse support and pow:2 by Mahler's sum in binomial moments,
-    # which reads no table.  All three peak near 16 MB, where the whole row
-    # took 139, 48 and 117 MB (and pow:2's table to n // 4 took 42 MB); the
-    # outputs are the ones the row gives
+    # on its sparse support, pow:2 by Mahler's sum in binomial moments,
+    # which reads no table, and all with nat by Rademacher's series, in
+    # integers.  All four peak near 16 MB, where the whole row took 139, 48
+    # and 117 MB (and pow:2's table to n // 4 took 42 MB), and the classical
+    # row would hold about 1.5 GB; the outputs are the ones the row gives.
+    # p(2^21) has 1607 digits, and only an exact value gets its last ones
     (20, "count --parts finite:3,4,5 --mults nat --n 2097152", 0, ("==", "36650597308\n"), 32),
     (20, "count --parts dexp:2 --mults zero|dexp:2 --n 2097152", 0, ("==", "1\n"), 32),
     (20, "count --parts pow:2 --mults nat --n 2097152", 0,
      ("==", "218936033517681432074464250008910363018247543498\n"), 32),
+    (20, "count --parts all --mults nat --n 2097152", 0, ("in", "643928116480218491515976\n"), 32),
     # the thin pair dexp:2 with zero|dexp:2 is read as its nonzero entries:
     # verify (slow-growth, to 2^20) peaks near 22 MB and explore at MAX_N
     # near 16 MB, where the 2^20 and 2^21 rows took 37 and 111 MB.  Its JSON

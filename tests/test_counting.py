@@ -1,5 +1,7 @@
 """DP counting engine against independent oracles and structural laws."""
 
+import functools
+import hashlib
 import inspect
 import math
 
@@ -13,6 +15,7 @@ from partlab.counting import (
     BRUTE_FORCE_LIMIT,
     CountTable,
     KERNEL_BACKEND,
+    RADEMACHER_FROM,
     brute_force_count,
     count_partitions,
     count_support,
@@ -764,6 +767,84 @@ class TestOneValue:
             count_partitions(5, Finite((0, 3)))
         with pytest.raises(InvalidSetError):
             count_partitions(5, ALL_PARTS, Finite((1, 2)))
+
+
+@functools.cache
+def _classical_row():
+    """p(0..10^4) by the pentagonal recurrence, built once: the oracle of
+    Rademacher's series."""
+    return pentagonal_table(10**4)
+
+
+def _sum_calls(monkeypatch):
+    """Record the scale of every pass of Rademacher's series."""
+    calls = []
+    original = counting._rademacher_sum
+
+    def spy(n, terms, bits):
+        calls.append(bits)
+        return original(n, terms, bits)
+
+    monkeypatch.setattr(counting, "_rademacher_sum", spy)
+    return calls
+
+
+class TestRademacher:
+    def test_series_matches_the_pentagonal_row(self, monkeypatch):
+        # the series function itself, below RADEMACHER_FROM too; every
+        # enclosure settles at the first scale
+        calls = _sum_calls(monkeypatch)
+        row = pentagonal_table(600)
+        assert [counting._rademacher_count(n) for n in range(2, 601)] == row[2:]
+        assert len(calls) == 599
+        # Lehmer's tail bound divides by n - 1
+        with pytest.raises(ValueError):
+            counting._rademacher_count(1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(RADEMACHER_FROM, 10**4))
+    def test_series_generated(self, n):
+        assert count_partitions(n, ALL_PARTS) == _classical_row()[n]
+
+    def test_route_starts_at_its_cutoff(self, monkeypatch):
+        calls = _upto_calls(monkeypatch)
+        for n in (RADEMACHER_FROM - 1, RADEMACHER_FROM, RADEMACHER_FROM + 1):
+            assert count_partitions(n, ALL_PARTS) == _classical_row()[n], n
+        assert calls == [RADEMACHER_FROM - 1]
+
+    def test_pinned_values(self, monkeypatch):
+        calls = _sum_calls(monkeypatch)
+        # CI's console-script check prints the same p(10^4)
+        assert count_partitions(10**4, ALL_PARTS) == (
+            36167251325636293988820471890953695495016030339315650422081868605887952568754066420592310556052906916435144
+        )
+        # MAX_N, whose row would hold ~1.5 GB; 1607 digits
+        digits = str(count_partitions(2**21, ALL_PARTS)).encode()
+        assert hashlib.sha256(digits).hexdigest()[:16] == "d4921cb71a665375"
+        assert len(calls) == 2
+
+    def test_series_builds_no_row(self, monkeypatch):
+        reached = []
+        for name in ("count_support", "pentagonal_table"):
+
+            def spy(*args, name=name, original=getattr(counting, name)):
+                reached.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(counting, name, spy)
+        assert count_partitions(5000, ALL_PARTS) == _classical_row()[5000]
+        assert reached == []
+        assert count_partitions(RADEMACHER_FROM - 1, ALL_PARTS) == _classical_row()[RADEMACHER_FROM - 1]
+        assert reached == ["count_support", "pentagonal_table"]
+
+    @pytest.mark.parametrize("n", [2, RADEMACHER_FROM, 5000])
+    def test_scale_doubles_until_the_enclosure_settles(self, monkeypatch, n):
+        # without guard bits the first scale leaves two integers in reach
+        monkeypatch.setattr(counting, "_GUARD_BITS", 0)
+        calls = _sum_calls(monkeypatch)
+        assert counting._rademacher_count(n) == _classical_row()[n]
+        assert len(calls) > 1
+        assert calls == [calls[0] * 2**i for i in range(len(calls))]
 
 
 class TestOneValueReachesNoRow:

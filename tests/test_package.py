@@ -92,13 +92,15 @@ def test_light_commands_load_neither_bounds_nor_suites(tmp_path):
     runs = _run_cli_in_child(
         [
             ["count", "--parts", "all", "--n", "100"],
+            # Rademacher's series, in integers
+            ["count", "--parts", "all", "--n", "5000"],
             ["analyze", "--parts", "finite:6,10,15"],
             ["explore", "--parts", "pow:2", "--upto", "64"],
             ["sparse", str(eps)],
         ],
         tmp_path,
     )
-    assert runs == [[0, []]] * 5
+    assert runs == [[0, []]] * 6
 
 
 def test_table_bounds_and_verify_load_what_they_use(tmp_path):
