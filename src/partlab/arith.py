@@ -1,9 +1,10 @@
 """Number theory on part sets: gcd, coprime prefixes, representability.
 
-A part set with gcd 1 represents every large enough integer; the least
-such starting point (the Frobenius number plus one) is found by a
-reachability scan.  The strict-monotonicity criterion for finite part
-sets with unrestricted multiplicities checks coprimality of every
+A part set with gcd 1 represents every large enough integer; for a finite
+set the least such starting point (the Frobenius number plus one) is read
+off one bitset of the sums of elements, which Schur's bound lets stop at
+a horizon known in advance.  The strict-monotonicity criterion for finite
+part sets with unrestricted multiplicities checks coprimality of every
 (k-1)-element subset.
 """
 
@@ -56,35 +57,37 @@ def coprime_prefix(spec: IntegerSetSpec) -> tuple[Finite, tuple[int, ...]]:
     raise InvalidSetError("finite set exhausted before reaching gcd 1")
 
 
+def schur_horizon(parts: Finite) -> int:
+    """(a_1 - 1)(a_k - 1) + a_1 for the least and largest elements a_1 and
+    a_k.  By Schur's bound (Brauer 1942) every n >= (a_1 - 1)(a_k - 1) is a
+    sum of elements when they are positive with gcd 1, so
+    frobenius_threshold scans to here, and `analyze` refuses a set whose
+    horizon passes the CLI's MAX_N."""
+    a1, ak = parts.elements[0], parts.elements[-1]
+    return (a1 - 1) * (ak - 1) + a1
+
+
 def frobenius_threshold(parts: Finite) -> int:
     """Least N such that every n >= N is a nonnegative combination of the
     elements, which must be positive with gcd 1 (else no such N exists).
 
-    Scans reachability with growing horizon and stops at the first run of
-    a_1 consecutive representable integers: from its start t on, every n
-    is representable by adding copies of a_1, and t is least with that
-    property.
+    One int is the scan: bit n is set when n is a sum of elements, up to
+    schur_horizon(parts).  Shifting by a, 2a, 4a, ... closes it under
+    adding any number of copies of a.  Every n from (a_1 - 1)(a_k - 1) on
+    is set by Schur's bound, so the scan needs no further horizon, and N
+    is one more than the largest unset bit.
     """
     elems = parts.elements
-    a1 = elems[0]
-    if a1 < 1 or math.gcd(*elems) != 1:
+    if elems[0] < 1 or math.gcd(*elems) != 1:
         raise InvalidSetError("need positive elements with gcd 1")
-    if a1 == 1:
-        return 0
-    limit = 2 * max(elems) + a1
-    while True:
-        reachable = bytearray(limit + 1)
-        reachable[0] = 1
-        for a in elems:
-            for v in range(a, limit + 1):
-                if reachable[v - a]:
-                    reachable[v] = 1
-        run = 0
-        for v in range(limit + 1):
-            run = run + 1 if reachable[v] else 0
-            if run == a1:
-                return v - a1 + 1
-        limit *= 2
+    horizon = schur_horizon(parts)
+    mask = (1 << horizon + 1) - 1
+    reachable = 1
+    for a in elems:
+        while a <= horizon:
+            reachable = (reachable | reachable << a) & mask
+            a *= 2
+    return (mask ^ reachable).bit_length()
 
 
 def eventually_strictly_increasing(parts: Finite) -> bool:

@@ -26,6 +26,7 @@ from .arith import (
     eventually_strictly_increasing,
     frobenius_threshold,
     gcd_of_set,
+    schur_horizon,
 )
 from .counting import count_partitions, count_support, count_table, finite_coprime_parts
 from .setspec import (
@@ -254,7 +255,9 @@ def cmd_table(args) -> int:
         )
     else:
         # one row builder for both renderings; None marks an inapplicable
-        # bound.  Rows are made as they are rendered, so CSV holds one at a time.
+        # bound.  Either rendering holds the whole payload before it is
+        # written: CSV writes every row into one StringIO, and text first
+        # holds every row's cells to size its columns.
         def rows():
             yield ["n", "count", *bound_ids]
             for n, row_entries in enumerate(entries):
@@ -291,10 +294,8 @@ def cmd_analyze(args) -> int:
         }
     fc = finite_coprime_parts(parts, NAT_MULTS)
     if fc is not None:
-        # Schur: every n >= (a_1 - 1)(a_k - 1) is representable, so the scan
-        # meets its run of a_1 representable integers by this horizon
-        horizon = (fc.elements[0] - 1) * (fc.elements[-1] - 1) + fc.elements[0]
-        if horizon > MAX_N:
+        # the scan's int holds a bit for every n up to Schur's horizon
+        if schur_horizon(fc) > MAX_N:
             raise UsageError(f"the Frobenius scan of {parts} passes the limit {MAX_N}")
         info["frobenius_threshold"] = frobenius_threshold(fc)
         info["strictly_increasing"] = eventually_strictly_increasing(fc)

@@ -441,7 +441,9 @@ def _rademacher_count(n: int) -> int:
         S_k(n) = sum over 0 <= l < 2k with (3l^2 + l) / 2 = -n (mod k)
                  of (-1)^l cos(pi (6l + 1) / (6k)),
 
-    and with both put in, the powers of pi, k and D cancel:
+    (its half l >= k repeats the half l < k up to a weight, so only l < k
+    is scanned; see _rademacher_sum), and with both put in, the powers of
+    pi, k and D cancel:
 
         p(n) = (4 / D) sum over k >= 1 of S_k(n) (cosh(mu/k) - (k/mu) sinh(mu/k)).
 
@@ -510,9 +512,16 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
       (_exp_taylor); an error d in r adds at most e^r d < 3 d.  e^-z is
       4^s // e^z, and cosh z - sinh(z) / z follows with the bounds of a
       quotient;
-    - each cosine's angle pi a / b is folded into [0, pi/2] in integers and
-      its cosine summed as a Taylor series (_cos_taylor); the angle's error
-      passes to the cosine unchanged, as |cos'| <= 1.
+    - S_k(n) is summed over 0 <= l < k alone.  The term of l + k is l's
+      times (-1)^(k+1), since its sign is (-1)^k times l's and its angle
+      l's plus pi, and l + k solves the congruence when (3l^2 + l) / 2 hits
+      the residue shifted by k (3k + 1) / 2: the same residue for odd k,
+      so a solution l has weight 2, and the residue shifted by k / 2 for
+      even k, which gives that l weight -1;
+    - each angle pi a / b, now below pi, is folded into [0, pi/2] in
+      integers and its cosine summed as a Taylor series (_cos_taylor); the
+      angle's error passes to the cosine unchanged, as |cos'| <= 1, and
+      the weight multiplies the cosine's error bound.
 
     Term k runs at scale q = bits + _GUARD_BITS + ceil(mu / (k ln 2)) + 1,
     so e^(mu/k) = 2^m e^r leaves e^z at scale s = q - m >= bits +
@@ -535,8 +544,11 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
     mu_error = (pi + root * pi_error + pi_error) // unit + 2
     value = error = 0
     for k in range(1, terms + 1):
+        # l < k alone: l + k solves the congruence when l hits `shifted`,
+        # and its term is l's times flip = (-1)^(k+1)
         residue = -n % k
-        ls = [l for l in range(2 * k) if (3 * l * l + l) // 2 % k == residue]
+        shifted, flip = (residue - k * (3 * k + 1) // 2) % k, (-1) ** (k + 1)
+        ls = [(l, h) for l in range(k) if (h := (3 * l * l + l) // 2 % k) in (residue, shifted)]
         if not ls:
             continue
         q = scales[k - 1]
@@ -544,16 +556,14 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
         # S_k(n) at scale q
         pi_q, pi_q_error = pi >> shift + extra, (pi_error >> shift + extra) + 2
         s_k = s_k_error = 0
-        for l in ls:
+        for l, h in ls:
+            weight = (-1) ** l * ((h == residue) + flip * (h == shifted))
             a, b = 6 * l + 1, 6 * k
-            if a > b:
-                a = 2 * b - a
-            sign = -1 if l % 2 else 1
             if 2 * a > b:
-                a, sign = b - a, -sign
+                a, weight = b - a, -weight
             c, c_error = _cos_taylor(pi_q * a // b, q)
-            s_k += sign * c
-            s_k_error += c_error + pi_q_error * a // b + 2
+            s_k += weight * c
+            s_k_error += abs(weight) * (c_error + pi_q_error * a // b + 2)
         # e^z at scale q - m for z = mu / k at scale q
         z, z_error = mu // (k << shift), mu_error // (k << shift) + 2
         log2_q, log2_q_error = log2 >> shift, (log2_error >> shift) + 2

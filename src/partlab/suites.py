@@ -103,21 +103,13 @@ class SuiteResult:
     """One suite's cases and failures; onsets and extras are the report's
     named values."""
 
-    def __init__(
-        self,
-        suite: str,
-        cases: int = 0,
-        failures: list[SuiteFailure] | None = None,
-        onsets: dict[str, int] | None = None,
-        elapsed_ms: int = 0,
-        extras: dict[str, str] | None = None,
-    ):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.cases = cases
-        self.failures = [] if failures is None else failures
-        self.onsets = {} if onsets is None else onsets
-        self.elapsed_ms = elapsed_ms
-        self.extras = {} if extras is None else extras
+        self.cases = 0
+        self.failures: list[SuiteFailure] = []
+        self.onsets: dict[str, int] = {}
+        self.elapsed_ms = 0
+        self.extras: dict[str, str] = {}
 
     @property
     def passed(self) -> bool:

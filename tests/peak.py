@@ -36,10 +36,13 @@ def run(argv, **kwargs):
 CHECKS = [
     # inputs that once filled memory end at once with one error line: an
     # endless anchors or epsilon file (the 16 MiB read cap) and a Frobenius
-    # scan whose horizon passes MAX_N.  timeout's 124 fails the check too
+    # scan whose Schur horizon passes MAX_N.  timeout's 124 fails the check
+    # too.  A horizon of MAX_N itself, finite:2,2097151, is scanned as one
+    # int of 2^21 + 1 bits in milliseconds
     (20, "count --parts sparse:@/dev/zero --n 5", 2, None, None),
     (20, "sparse /dev/zero", 1, None, None),
     (20, "analyze --parts finite:1000000000,1000000001", 1, None, None),
+    (20, "analyze --parts finite:2,2097151", 0, ("in", "frobenius-threshold: 2097150\n"), 32),
     # an anchors file at the read cap, 2^21 lines of 8 bytes, is counted
     # within 200 MB (about 160 MB now; 239 MB while Finite sorted a copy of
     # the checked anchors)

@@ -14,6 +14,7 @@ from partlab.arith import (
     eventually_strictly_increasing,
     frobenius_threshold,
     gcd_of_set,
+    schur_horizon,
 )
 from partlab.counting import count_table
 from partlab.setspec import (
@@ -107,6 +108,24 @@ class TestCoprimePrefix:
         assert gcds[0] == prefix.elements[0]
 
 
+def _threshold_by_scan(elems):
+    """The start of the first run of a_1 consecutive sums of elements, from
+    which adding copies of a_1 reaches every n: a per-n reachability scan
+    whose horizon doubles until the run is found."""
+    limit = 2 * elems[-1] + elems[0]
+    while True:
+        reachable = [True] + [False] * limit
+        for a in elems:
+            for v in range(a, limit + 1):
+                reachable[v] = reachable[v] or reachable[v - a]
+        run = 0
+        for v in range(limit + 1):
+            run = run + 1 if reachable[v] else 0
+            if run == elems[0]:
+                return v - elems[0] + 1
+        limit *= 2
+
+
 class TestFrobeniusThreshold:
     @pytest.mark.parametrize(
         "elems,expected",
@@ -133,6 +152,24 @@ class TestFrobeniusThreshold:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 80), min_size=1, max_size=6).filter(
+            lambda elems: math.gcd(*elems) == 1
+        )
+    )
+    def test_matches_a_per_n_scan(self, elems):
+        parts = Finite(tuple(elems))
+        assert frobenius_threshold(parts) == _threshold_by_scan(parts.elements)
+
+    def test_consecutive_pairs_meet_schurs_bound(self):
+        # for {a, a + 1} the largest non-sum is (a - 1) a - 1, so the
+        # threshold is (a_1 - 1)(a_k - 1) exactly: Schur's bound is tight
+        for a in range(1, 60):
+            parts = Finite((a, a + 1))
+            expected = _threshold_by_scan(parts.elements)
+            assert frobenius_threshold(parts) == expected == schur_horizon(parts) - a
 
     def test_two_element_formula(self):
         # classical closed form (a-1)(b-1) = ab - a - b + 1 as oracle

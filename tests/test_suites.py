@@ -50,9 +50,9 @@ def test_json_dict_is_stable_and_minimal():
 
 
 def test_failure_records_serialize():
-    f = SuiteFailure(inputs={"n": 3}, expected="1", got="2")
-    r = SuiteResult(suite="x", cases=1, failures=(f,))
-    assert not r.passed
+    r = SuiteResult("x")
+    r.check(False, lambda: ({"n": 3}, "1", "2"))
+    assert not r.passed and r.failures == [SuiteFailure(inputs={"n": 3}, expected="1", got="2")]
     d = r.to_json_dict()
     assert d["failures"] == [{"inputs": {"n": 3}, "expected": "1", "got": "2"}]
 
