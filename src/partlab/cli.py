@@ -43,17 +43,10 @@ DISPLAY_DIGITS = 12
 MAX_HUMAN_FAILURES = 20
 
 # Largest accepted --n / --upto.  table builds the row p(0..n), n + 1 exact
-# integers, and count and explore build at most that row (a finite set with
-# n < k lcm, a dense pair without an identity), so this bounds what one run
-# allocates.  count answers four kinds of pair without the row: all parts
-# with all multiplicities from counting.RADEMACHER_FROM on (Rademacher's
-# series in integers, no table, where the row to 2^21 would hold about
-# 1.5 GB), a finite set with n >= k lcm
-# (Sylvester's quasi-polynomial, a row below k lcm), powers of B with all
-# multiplicities (Mahler's sum, no table) and a thin pair such as dexp:2
-# with zero|dexp:2 (its nonzero entries alone, through
-# counting.count_support, which explore reads too).  It admits the largest
-# benchmarked count (dexp:2 to 2^20) with room for a doubling.
+# integers, and count and explore build at most that row, so this bounds
+# what one run allocates; count answers some pairs without the row (see
+# counting's docstring).  It admits the largest benchmarked count (dexp:2 to
+# 2^20) with room for a doubling.
 MAX_N = 2**21
 
 

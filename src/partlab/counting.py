@@ -37,10 +37,11 @@ count_support).
 
 - All parts with all multiplicities, from n = RADEMACHER_FROM on:
   Rademacher's convergent series, with Selberg's formula for its sums of
-  roots of unity, summed in integer fixed point with a bound on every
-  rounding, and Lehmer's bound on the tail (see _rademacher_count).  The
-  one integer within the bounds is p(n): O(sqrt(n)) terms, each at the
-  precision its size needs, and no mpmath.
+  roots of unity, summed in arith's integer fixed point, whose operations
+  and series each carry a bound on their rounding, and Lehmer's bound on
+  the tail (see _rademacher_count).  The one integer within the bounds is
+  p(n): O(sqrt(n)) terms, each at the precision its size needs, and no
+  mpmath.
 
 - A finite set of k parts with all multiplicities, when k L <= n for
   L = lcm(parts): Sylvester's quasi-polynomial.  On each class n = r + t L
@@ -79,6 +80,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, mul, sub
 
+from .arith import arctan_inverse, cos_taylor, exp_taylor, fixed_pi, product, quotient, rescale
 from .setspec import (
     ALL_PARTS,
     ArithmeticProgression,
@@ -499,18 +501,17 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
     _rademacher_count), summed as an integer at scale 2^bits, and a bound on
     its error in units of 2^-bits.
 
-    Every quantity x is an integer X at a scale 2^q with a bound e on
-    |X - x 2^q|.  Each floor adds one unit to the bound, and products and
-    quotients carry the bounds of their factors, so the bound is computed
-    alongside the value:
+    Every quantity is a pair (value, error) of arith's fixed point, made by
+    its series and its rescale, product and quotient, each with its own
+    error rule; a sum or difference of two pairs adds their errors:
 
-    - pi = 16 atan(1/5) - 4 atan(1/239) (Machin) and ln 2 = 2 atanh(1/3),
-      each at the highest scale any term needs (_arctan_inverse);
-    - mu = pi sqrt(D) / 6 from math.isqrt(D 4^q), and z = mu / k for term k
-      by one more floor;
+    - pi by Machin's formula (fixed_pi) and ln 2 = 2 atanh(1/3)
+      (arctan_inverse), each at the highest scale any term needs;
+    - mu = pi sqrt(D) / 6 from math.isqrt(D 4^q), which errs by < 1, and
+      z = mu / k for term k;
     - e^z = 2^m e^r, with m = floor(z / ln 2) and e^r from a Taylor series
-      (_exp_taylor); an error d in r adds at most e^r d < 3 d.  e^-z is
-      4^s // e^z, and cosh z - sinh(z) / z follows with the bounds of a
+      (exp_taylor); an error d in r adds at most e^r d < 3 d.  e^-z is the
+      quotient of 1 by e^z, and cosh z - sinh(z) / z follows with one more
       quotient;
     - S_k(n) is summed over 0 <= l < k alone.  The term of l + k is l's
       times (-1)^(k+1), since its sign is (-1)^k times l's and its angle
@@ -519,14 +520,14 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
       so a solution l has weight 2, and the residue shifted by k / 2 for
       even k, which gives that l weight -1;
     - each angle pi a / b, now below pi, is folded into [0, pi/2] in
-      integers and its cosine summed as a Taylor series (_cos_taylor); the
+      integers and its cosine summed as a Taylor series (cos_taylor); the
       angle's error passes to the cosine unchanged, as |cos'| <= 1, and
       the weight multiplies the cosine's error bound.
 
     Term k runs at scale q = bits + _GUARD_BITS + ceil(mu / (k ln 2)) + 1,
     so e^(mu/k) = 2^m e^r leaves e^z at scale s = q - m >= bits +
     _GUARD_BITS: each term carries only the precision its size needs.  It
-    is multiplied by 4 / D, shifted to scale bits and summed there.  A term
+    is multiplied by 4 / D, rescaled to scale bits and summed there.  A term
     with no l in its scan is zero and costs only the scan.
     """
     d = 24 * n - 1
@@ -535,13 +536,10 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
     # the scale of term k; extra bits keep mu's error and m ln 2's below a unit
     scales = [base + math.ceil(mu_float / (k * math.log(2))) + 1 for k in range(1, terms + 1)]
     top, extra = scales[0], math.isqrt(d).bit_length() + 2
-    pi, pi_error = _pi(top + extra)
-    log2, log2_error = _arctan_inverse(3, top + extra, alternating=False)
+    pi, pi_error = fixed_pi(top + extra)
+    log2, log2_error = arctan_inverse(3, top + extra, alternating=False)
     log2, log2_error = 2 * log2, 2 * log2_error
-    root = math.isqrt(d << 2 * top)
-    unit = 6 << top + extra
-    mu = pi * root // unit
-    mu_error = (pi + root * pi_error + pi_error) // unit + 2
+    mu, mu_error = product(pi, pi_error, math.isqrt(d << 2 * top), 1, 6 << top + extra)
     value = error = 0
     for k in range(1, terms + 1):
         # l < k alone: l + k solves the congruence when l hits `shifted`,
@@ -554,110 +552,37 @@ def _rademacher_sum(n: int, terms: int, bits: int) -> tuple[int, int]:
         q = scales[k - 1]
         shift = top - q
         # S_k(n) at scale q
-        pi_q, pi_q_error = pi >> shift + extra, (pi_error >> shift + extra) + 2
+        pi_q, pi_q_error = rescale(pi, pi_error, 1 << shift + extra)
         s_k = s_k_error = 0
         for l, h in ls:
             weight = (-1) ** l * ((h == residue) + flip * (h == shifted))
             a, b = 6 * l + 1, 6 * k
             if 2 * a > b:
                 a, weight = b - a, -weight
-            c, c_error = _cos_taylor(pi_q * a // b, q)
+            angle, angle_error = rescale(pi_q * a, pi_q_error * a, b)
+            c, c_error = cos_taylor(angle, q)
             s_k += weight * c
-            s_k_error += abs(weight) * (c_error + pi_q_error * a // b + 2)
+            s_k_error += abs(weight) * (c_error + angle_error)
         # e^z at scale q - m for z = mu / k at scale q
-        z, z_error = mu // (k << shift), mu_error // (k << shift) + 2
-        log2_q, log2_q_error = log2 >> shift, (log2_error >> shift) + 2
+        z, z_error = rescale(mu, mu_error, k << shift)
+        log2_q, log2_q_error = rescale(log2, log2_error, 1 << shift)
         m = (z << extra) // log2_q
-        r = z - (m * log2_q >> extra)
-        exp, exp_error = _exp_taylor(r, q)
-        exp_error += 3 * (z_error + (m * log2_q_error >> extra) + 2)
+        m_log2, m_log2_error = rescale(m * log2_q, m * log2_q_error, 1 << extra)
+        exp, exp_error = exp_taylor(z - m_log2, q)
+        exp_error += 3 * (z_error + m_log2_error)
         s = q - m
-        inverse = (1 << 2 * s) // exp
-        inverse_error = (exp_error << 2 * s) // (exp * (exp - exp_error)) + 2
+        inverse, inverse_error = quotient(1 << s, 0, exp, exp_error, s)
         # 2 (cosh z - sinh(z) / z) at scale s
         sinh2, sinh2_error = exp - inverse, exp_error + inverse_error
-        quotient = (sinh2 << q) // z
-        quotient_error = (
-            (sinh2_error << q) // (z - z_error)
-            + (abs(sinh2) * z_error << q) // (z * (z - z_error))
-            + 2
-        )
-        f = exp + inverse - quotient
-        f_error = sinh2_error + quotient_error
+        ratio, ratio_error = quotient(sinh2, sinh2_error, z, z_error, q)
+        f, f_error = exp + inverse - ratio, sinh2_error + ratio_error
         # the term (4 / D) S_k(n) (cosh z - sinh(z) / z) at scale bits
-        term = s_k * f >> q
-        term_error = (abs(s_k) * f_error + abs(f) * s_k_error + s_k_error * f_error >> q) + 2
-        term, term_error = 2 * term // d, 2 * term_error // d + 2
-        value += term >> s - bits
-        error += (term_error >> s - bits) + 2
+        term, term_error = product(s_k, s_k_error, f, f_error, 1 << q)
+        term, term_error = rescale(2 * term, 2 * term_error, d)
+        term, term_error = rescale(term, term_error, 1 << s - bits)
+        value += term
+        error += term_error
     return value, error
-
-
-def _pi(q: int) -> tuple[int, int]:
-    """pi 2^q by Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), and a
-    bound on its error in units of 2^-q."""
-    guard = q.bit_length() + 4
-    a, a_error = _arctan_inverse(5, q + guard)
-    b, b_error = _arctan_inverse(239, q + guard)
-    error = 16 * a_error + 4 * b_error
-    return 16 * a - 4 * b >> guard, (error >> guard) + 2
-
-
-def _arctan_inverse(x: int, q: int, alternating: bool = True) -> tuple[int, int]:
-    """atan(1/x) 2^q, or atanh(1/x) 2^q when not alternating, for an integer
-    x >= 3, and a bound on its error in units of 2^-q.
-
-    The terms 2^q / ((2j + 1) x^(2j + 1)) are floored exactly, since a floor
-    of a floor is the floor of the whole quotient, so each errs by < 1.  The
-    series stops at the first zero power 2^q // x^(2j + 1), and the terms it
-    leaves out add < 9/8 (< 1 when alternating).
-    """
-    power, square = (1 << q) // x, x * x
-    total = j = 0
-    while power:
-        term = power // (2 * j + 1)
-        total += -term if alternating and j % 2 else term
-        power //= square
-        j += 1
-    return total, j + 2
-
-
-def _exp_taylor(r: int, q: int) -> tuple[int, int]:
-    """e^x 2^q for x = r 2^-q in [0, 1], and a bound on its error in units
-    of 2^-q.
-
-    Each term is the one before times r // (j 2^q), floored, so its error is
-    at most the one before's times x / j, plus 1: never above 2.  The sum
-    stops at the first term that floors to 0; the true term there is below
-    2, and the ones after it sum to less than it again.
-    """
-    total = term = 1 << q
-    j = 0
-    while term:
-        j += 1
-        term = (term * r >> q) // j
-        total += term
-    return total, 2 * j + 4
-
-
-def _cos_taylor(x: int, q: int) -> tuple[int, int]:
-    """cos(x 2^-q) 2^q for x 2^-q in [0, pi/2], and a bound on its error in
-    units of 2^-q.
-
-    Each term is the one before times (x^2 >> q) // ((2j - 1) 2j 2^q),
-    floored; as x^2 <= 2.47 the error of each stays below 2.  The series
-    alternates with decreasing terms from the first on, so what it leaves
-    out after the first term that floors to 0 is below that term's true
-    value, which is below 2.
-    """
-    square = x * x >> q
-    total = term = 1 << q
-    j = 0
-    while term:
-        j += 1
-        term = (term * square >> q) // ((2 * j - 1) * 2 * j)
-        total += -term if j % 2 else term
-    return total, 2 * j + 2
 
 
 def brute_force_count(

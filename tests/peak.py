@@ -31,9 +31,27 @@ def run(argv, **kwargs):
     return dict(json.loads(report), out=done.stdout)
 
 
+_P_10000 = (
+    "36167251325636293988820471890953695495016030339315650422081868605887952568754066420592310556052906916435144"
+)
+
 # (timeout in s, partlab argv, exit code, output check, peak limit in MB):
 # an output check is ("==", text) or ("in", text), and None checks nothing
 CHECKS = [
+    # the installed console script, one count per route: p(100) from the
+    # pentagonal row and p(10^4) from Rademacher's series, which table's row
+    # p(0..10^4) repeats; b(1000) by Mahler's equation, q(100) (distinct
+    # parts) by Glaisher's, p(100) - p(99) by removing part 1
+    (20, "count --parts all --n 100", 0, ("==", "190569292\n"), None),
+    (20, "count --parts all --n 10000", 0, ("==", f"{_P_10000}\n"), None),
+    (20, "table --parts all --upto 10000 --format csv", 0, ("in", f"\n10000,{_P_10000}\n"), None),
+    (20, "count --parts pow:2 --n 1000", 0, ("==", "1981471878\n"), None),
+    (20, "count --parts all --mults finite:0,1 --n 100", 0, ("==", "444793\n"), None),
+    (20, "count --parts all-from:2 --n 100", 0, ("==", "21339417\n"), None),
+    # one set, one output: ap:1,1 is printed as all, and a 5000-level zero|
+    # ends with one error line, not a RecursionError traceback
+    (20, "count --parts ap:1,1 --n 5 --format json", 0, ("in", '"parts": "all"'), None),
+    (20, "count --parts all --mults " + "zero|" * 5000 + "all --n 5", 2, None, None),
     # inputs that once filled memory end at once with one error line: an
     # endless anchors or epsilon file (the 16 MiB read cap) and a Frobenius
     # scan whose Schur horizon passes MAX_N.  timeout's 124 fails the check
@@ -43,6 +61,14 @@ CHECKS = [
     (20, "sparse /dev/zero", 1, None, None),
     (20, "analyze --parts finite:1000000000,1000000001", 1, None, None),
     (20, "analyze --parts finite:2,2097151", 0, ("in", "frobenius-threshold: 2097150\n"), 32),
+    # analyze on the most parts the read cap admits, 1..2^21, and on
+    # 2..2^20+1: the criterion is two gcd scans and the Frobenius scan shifts
+    # in one part per residue mod a_1, where one gcd per subset and one shift
+    # per part ran for hours
+    (20, "analyze --parts sparse:@upto-max-n.txt", 0,
+     ("in", "frobenius-threshold: 0\neventually-strictly-increasing: yes\n"), 200),
+    (20, "analyze --parts sparse:@from-2.txt", 0,
+     ("in", "frobenius-threshold: 2\neventually-strictly-increasing: yes\n"), 200),
     # an anchors file at the read cap, 2^21 lines of 8 bytes, is counted
     # within 200 MB (about 160 MB now; 239 MB while Finite sorted a copy of
     # the checked anchors)
@@ -77,18 +103,26 @@ CHECKS = [
      ("in", "log-log slope over upper half: 1.0070\n"), 100),
 ]
 
+# the files CHECKS reads, written in check_all's directory
+FILES = {
+    "anchors.txt": range(10**6, 10**6 + 2**21),
+    "upto-max-n.txt": range(1, 2**21 + 1),
+    "from-2.txt": range(2, 2**20 + 2),
+}
+
 
 def check_all():
     """Run CHECKS with the `partlab` on PATH, one line each; the number that failed."""
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "anchors.txt"), "w") as f:
-            f.writelines(f"{a}\n" for a in range(10**6, 10**6 + 2**21))
+        for name, elements in FILES.items():
+            with open(os.path.join(tmp, name), "w") as f:
+                f.writelines(f"{a}\n" for a in elements)
         for timeout, args, code, want, limit_mb in CHECKS:
             got = run(["timeout", str(timeout), "partlab", *args.split()], cwd=tmp)
             out_ok = want is None or (got["out"] == want[1] if want[0] == "==" else want[1] in got["out"])
             ok = got["exit"] == code and out_ok and (limit_mb is None or got["peak_mb"] < limit_mb)
-            print(f"{'ok' if ok else 'FAIL'}: partlab {args}: exit {got['exit']}, "
+            print(f"{'ok' if ok else 'FAIL'}: partlab {args:.100}: exit {got['exit']}, "
                   f"{got['wall_s']:.2f} s, {got['peak_mb']:.1f} MB", flush=True)
             failed += not ok
     return failed

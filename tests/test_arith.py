@@ -1,19 +1,29 @@
 """gcd analysis, coprime prefixes, Frobenius thresholds, monotonicity
-criterion, and their consistency with the counting engine."""
+criterion, and their consistency with the counting engine; the fixed-point
+operations and series against exact rationals and mpmath."""
 
 import math
 import signal
+from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlab.arith import (
+    arctan_inverse,
     coprime_prefix,
+    cos_taylor,
     eventually_strictly_increasing,
+    exp_taylor,
+    fixed_pi,
     frobenius_threshold,
     gcd_of_set,
+    product,
+    quotient,
+    rescale,
     schur_horizon,
 )
 from partlab.counting import count_table
@@ -126,6 +136,13 @@ def _threshold_by_scan(elems):
         limit *= 2
 
 
+# sets of up to 20 elements whose least one, a_1 <= 6, leaves most of the
+# others sharing a residue class mod a_1
+_repeating_residues = st.integers(1, 6).flatmap(
+    lambda a1: st.lists(st.integers(a1, 120), max_size=19).map(lambda rest: Finite((a1, *rest)))
+)
+
+
 class TestFrobeniusThreshold:
     @pytest.mark.parametrize(
         "elems,expected",
@@ -161,6 +178,12 @@ class TestFrobeniusThreshold:
     )
     def test_matches_a_per_n_scan(self, elems):
         parts = Finite(tuple(elems))
+        assert frobenius_threshold(parts) == _threshold_by_scan(parts.elements)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_repeating_residues.filter(lambda parts: math.gcd(*parts.elements) == 1))
+    def test_repeated_residues_match_a_per_n_scan(self, parts):
+        # only the least element of each class mod a_1 is shifted in
         assert frobenius_threshold(parts) == _threshold_by_scan(parts.elements)
 
     def test_consecutive_pairs_meet_schurs_bound(self):
@@ -216,3 +239,91 @@ class TestStrictlyIncreasingCriterion:
                 ) and k > 1
                 got = eventually_strictly_increasing(Finite(elems))
                 assert got == expected, elems
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(_repeating_residues)
+    def test_generated_sets_match_subset_definition(self, parts):
+        # the gcd of each (k-1)-subset, one subset at a time; for k = 1 the
+        # one subset is empty, with gcd 0
+        elems = parts.elements
+        expected = all(math.gcd(*sub) == 1 for sub in combinations(elems, len(elems) - 1))
+        assert eventually_strictly_increasing(parts) == expected
+
+
+# An error pair (X, e) stands for any real within e of X; the offsets put it
+# at either end of that interval, or inside it
+_offsets = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(1)]),
+    st.fractions(-1, 1, max_denominator=1 << 16),
+)
+_values = st.integers(-(1 << 600), 1 << 600)
+_errors = st.integers(0, 1 << 520)
+_scales = st.integers(0, 512)
+_divisors = st.one_of(st.integers(1, 1 << 520), _scales.map(lambda q: 1 << q))
+
+
+def _within(pair, exact):
+    """The fixed-point pair (X, e) errs from exact by at most e."""
+    value, error = pair
+    return abs(value - exact) <= error
+
+
+def _half_pi_scaled(q):
+    """floor(pi / 2 * 2^q), the largest argument cos_taylor takes."""
+    with mpmath.workprec(q + 64):
+        return int(mpmath.floor(mpmath.pi * 2 ** (q - 1)))
+
+
+class TestFixedPoint:
+    """Each operation's result against its exact rational value, each series
+    against mpmath at 4q + 64 bits: both share no code with arith."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_values, _errors, _divisors, _offsets)
+    def test_rescale(self, x, e, c, t):
+        assert _within(rescale(x, e, c), (x + t * e) / c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_values, _errors, _values, _errors, _divisors, _offsets, _offsets)
+    def test_product(self, a, ea, b, eb, c, ta, tb):
+        assert _within(product(a, ea, b, eb, c), (a + ta * ea) * (b + tb * eb) / c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_values, _errors, _errors, st.integers(1, 1 << 520), _scales, _offsets, _offsets)
+    def test_quotient(self, a, ea, eb, gap, q, ta, tb):
+        b = eb + gap
+        assert _within(quotient(a, ea, b, eb, q), (a + ta * ea) * 2**q / (b + tb * eb))
+
+    def test_quotient_at_the_corner_of_both_floors(self):
+        # the true quotient 32 * 2 / 11 lies 4.82 above the value 1: each of
+        # the error's two terms has a fraction above 0.9, and so has the
+        # value's floor, so they must be floored as one sum
+        assert _within(quotient(27, 5, 28, 17, 1), Fraction(32 * 2, 11))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scales.filter(bool))
+    def test_fixed_pi(self, q):
+        with mpmath.workprec(4 * q + 64):
+            assert _within(fixed_pi(q), mpmath.pi * 2**q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.sampled_from([3, 5, 239]), st.integers(3, 10**6)), _scales, st.booleans())
+    def test_arctan_inverse(self, x, q, alternating):
+        with mpmath.workprec(4 * q + 64):
+            f = mpmath.atan if alternating else mpmath.atanh
+            assert _within(arctan_inverse(x, q, alternating), f(mpmath.mpf(1) / x) * 2**q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scales.flatmap(lambda q: st.tuples(st.integers(0, 1 << q), st.just(q))))
+    def test_exp_taylor(self, args):
+        r, q = args
+        with mpmath.workprec(4 * q + 64):
+            assert _within(exp_taylor(r, q), mpmath.exp(mpmath.mpf(r) / 2**q) * 2**q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scales.flatmap(lambda q: st.tuples(st.integers(0, _half_pi_scaled(q)), st.just(q))))
+    def test_cos_taylor(self, args):
+        x, q = args
+        with mpmath.workprec(4 * q + 64):
+            assert _within(cos_taylor(x, q), mpmath.cos(mpmath.mpf(x) / 2**q) * 2**q)

@@ -777,12 +777,12 @@ def _classical_row():
 
 
 def _sum_calls(monkeypatch):
-    """Record the scale of every pass of Rademacher's series."""
+    """Record the terms and the scale of every pass of Rademacher's series."""
     calls = []
     original = counting._rademacher_sum
 
     def spy(n, terms, bits):
-        calls.append(bits)
+        calls.append((terms, bits))
         return original(n, terms, bits)
 
     monkeypatch.setattr(counting, "_rademacher_sum", spy)
@@ -837,6 +837,18 @@ class TestRademacher:
         assert count_partitions(RADEMACHER_FROM - 1, ALL_PARTS) == _classical_row()[RADEMACHER_FROM - 1]
         assert reached == ["count_support", "pentagonal_table"]
 
+    @pytest.mark.parametrize("n", [2, RADEMACHER_FROM - 1, RADEMACHER_FROM, 1000, 5000, 10**5])
+    def test_sum_errs_within_its_bound(self, monkeypatch, n):
+        # the sum at the start scale b against the same terms at 4b bits:
+        # the two differ by no more than their two bounds allow
+        original = counting._rademacher_sum
+        calls = _sum_calls(monkeypatch)
+        counting._rademacher_count(n)
+        [(terms, bits)] = calls
+        value, error = original(n, terms, bits)
+        fine, fine_error = original(n, terms, 4 * bits)
+        assert abs((value << 3 * bits) - fine) <= (error << 3 * bits) + fine_error
+
     @pytest.mark.parametrize("n", [2, RADEMACHER_FROM, 5000])
     def test_scale_doubles_until_the_enclosure_settles(self, monkeypatch, n):
         # without guard bits the first scale leaves two integers in reach
@@ -844,7 +856,8 @@ class TestRademacher:
         calls = _sum_calls(monkeypatch)
         assert counting._rademacher_count(n) == _classical_row()[n]
         assert len(calls) > 1
-        assert calls == [calls[0] * 2**i for i in range(len(calls))]
+        scales = [bits for _, bits in calls]
+        assert scales == [scales[0] * 2**i for i in range(len(scales))]
 
 
 class TestOneValueReachesNoRow:
