@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import io
 import operator
+import re
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import count as _count, islice
@@ -281,13 +282,12 @@ def validate_kind(spec: IntegerSetSpec, kind: str) -> IntegerSetSpec:
 # ---------------------------------------------------------------------------
 # Parser
 
-_ASCII_DIGITS = frozenset("0123456789")
+# [0-9] is the ASCII digits only; \d and str.isdigit() take every script's
+_DIGITS = re.compile("[0-9]*")
 
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
-    end = pos
-    while end < len(text) and text[end] in _ASCII_DIGITS:
-        end += 1
+    end = _DIGITS.match(text, pos).end()
     if end == pos:
         raise SpecSyntaxError("expected an integer", pos)
     try:
@@ -344,10 +344,7 @@ def _load_anchor_file(path: str) -> Finite:
     anchors = []
     last = 0
     with lines:  # closing frees the text before the anchors become a tuple
-        for line in lines:
-            text = line.strip()
-            if not text:
-                continue
+        for text in filter(None, map(str.strip, lines)):
             try:
                 anchor = parse_natural(text)
             except ValueError as exc:
@@ -411,13 +408,10 @@ def parse_set_spec(text: str, kind: str) -> IntegerSetSpec:
 # Sparse-set construction
 
 def step_function_value(table: list[tuple[int, int]], x: int) -> int | None:
-    """Value of the tabulated step function at x, or None left of the table."""
-    val = None
-    for threshold, value in table:
-        if threshold > x:
-            break
-        val = value
-    return val
+    """Value of the tabulated step function at x, or None left of the
+    table; the thresholds are strictly increasing (validate_step_table)."""
+    i = bisect_right(table, x, key=operator.itemgetter(0))
+    return table[i - 1][1] if i else None
 
 
 def validate_step_table(table: list[tuple[int, int]]) -> None:
@@ -442,21 +436,26 @@ def construct_sparse_set(
     For the resulting set S the counting function A(n) = |S inter [1, n]|
     then satisfies A(n) + 1 <= epsilon(n) for every n >= a_1 inside the
     tabulated range, because epsilon is nondecreasing.
+
+    One pass over the table builds them: at each entry (threshold, value)
+    anchors are added while A + 2 <= value, each at max(a_{i-1} + 1,
+    threshold).  The pass leaves an entry only once its value is below
+    the next target A + 2, and the values are nondecreasing, so every
+    earlier entry is below it too: the first entry that reaches a target
+    is the one the pass is on.  The table asks for its last value - 1
+    anchors, and one that asks for more than an anchors file at the read
+    cap holds, MAX_FILE_BYTES // 8 = 2^21, is refused before any is built.
     """
     validate_step_table(epsilon)
+    wanted, most = epsilon[-1][1] - 1, MAX_FILE_BYTES // 8
+    if wanted > most:
+        raise InvalidSetError(f"epsilon table asks for {wanted} anchors; at most {most}")
     anchors: list[int] = []
     prev = 0
-    while True:
-        target = len(anchors) + 2
-        hit = None
-        for threshold, value in epsilon:
-            if value >= target:
-                hit = threshold
-                break
-        if hit is None:
-            break
-        anchors.append(max(prev + 1, hit))
-        prev = anchors[-1]
+    for threshold, value in epsilon:
+        while len(anchors) + 2 <= value:
+            prev = max(prev + 1, threshold)
+            anchors.append(prev)
     if not anchors:
         raise InvalidSetError("epsilon table never reaches 2; no anchors exist")
     return Finite(tuple(anchors), source=source)

@@ -8,13 +8,15 @@ and certification escalates past it by itself.  Suites collect failures
 instead of raising; every failure carries the inputs needed to reproduce
 it.
 
-A case is recorded through SuiteResult.check(ok, failure): it counts the
-case and, only when ok is false, calls failure() for the (inputs,
-expected, got) of the record it keeps.  A passing case renders no text.
-Cases known to pass together are counted in bulk, and only the others go
-through check: slow-growth's odd n outside the support of its thin table,
-and sparse-construction's n on an interval where its step functions are
-constant and the comparison holds (see _pieces).
+run_suite makes each suite's SuiteResult, named by its key in SUITES,
+passes it to the suite function and times the call; a suite function
+only fills it in.  A case is recorded through SuiteResult.check(ok,
+failure): it counts the case and, only when ok is false, calls failure()
+for the (inputs, expected, got) of the record it keeps.  A passing case
+renders no text.  Cases known to pass together are counted in bulk, and
+only the others go through check: slow-growth's odd n outside the support
+of its thin table, and sparse-construction's n on an interval where its
+step functions are constant and the comparison holds (see _pieces).
 
 Every suite that checks a registry bound over a range of n (eq4,
 monotone-lb, harmonic-chain, padberg, eq10, refined, sqrt-lower,
@@ -183,25 +185,22 @@ def _scan(
 EQ4_LIMIT = 200
 
 
-def suite_product_ceiling() -> SuiteResult:
+def suite_product_ceiling(res: SuiteResult) -> None:
     """Every exact count stays at or below the truncated product of
     multiplicity counts; all corpus pairs, n <= 200."""
-    res = SuiteResult("eq4")
     for pair in CORPUS:
         table = count_table(EQ4_LIMIT, pair.parts, pair.mults)
         _scan(res, "product_upper", table, lambda n: _inputs(pair, n))
-    return res
 
 
 EQ5_N_LIMIT = 30
 EQ5_FIRST_TABLE = 64
 
 
-def suite_average_witness() -> SuiteResult:
+def suite_average_witness(res: SuiteResult) -> None:
     """Some r <= n^2 has p(r) at least product/(n^2+1); all corpus pairs,
     n <= 30.  Each pair's table starts at 64 entries and doubles, capped at
     n^2, only when the search runs off its end without a witness."""
-    res = SuiteResult("eq5")
     for pair in CORPUS:
         table = count_table(EQ5_FIRST_TABLE, pair.parts, pair.mults)
         for n in range(1, EQ5_N_LIMIT + 1):
@@ -214,16 +213,14 @@ def suite_average_witness() -> SuiteResult:
             except LookupError as exc:
                 ok, missing = False, str(exc)
             res.check(ok, lambda: (_inputs(pair, n), f"witness r <= {n * n}", missing))
-    return res
 
 
 MONOTONE_LIMIT = 200
 
 
-def suite_monotone_floor() -> SuiteResult:
+def suite_monotone_floor(res: SuiteResult) -> None:
     """For corpus pairs whose table is nondecreasing on [0, 200], the
     averaged square-root product floor holds at every n in [1, 200]."""
-    res = SuiteResult("monotone-lb")
     applicable = []
     for pair in CORPUS:
         table = count_table(MONOTONE_LIMIT, pair.parts, pair.mults)
@@ -232,16 +229,14 @@ def suite_monotone_floor() -> SuiteResult:
         applicable.append(pair.label)
         _scan(res, "monotone_lower", table, lambda n: _inputs(pair, n))
     res.extras["nondecreasing_pairs"] = ",".join(applicable)
-    return res
 
 
 SCHUR_CHECKS = "123@2000 within 1%, 357@5000 ratio in [0.9,1.1], deviation shrinks over 500/1000/2000"
 
 
-def suite_polynomial_ratio() -> SuiteResult:
+def suite_polynomial_ratio(res: SuiteResult) -> None:
     """Finite coprime part sets grow like n^(k-1)/((k-1)! prod a): exact
     ratio checks at fixed n, all in rational arithmetic."""
-    res = SuiteResult("schur")
     s123 = Finite((1, 2, 3))
     t123 = count_table(2000, s123)
     deviations = []
@@ -268,16 +263,14 @@ def suite_polynomial_ratio() -> SuiteResult:
         "ratio in [9/10, 11/10]",
         res.extras["ratio_357_at_5000"],
     ))
-    return res
 
 
 HRR_RANGE = (200, 500)
 
 
-def suite_exponential_ratio() -> SuiteResult:
+def suite_exponential_ratio(res: SuiteResult) -> None:
     """Classical counts sit in [0.9, 1.0] of the exponential leading term
     on [200, 500], with the ratio strictly increasing at 200/300/500."""
-    res = SuiteResult("hrr")
     table = count_table(HRR_RANGE[1], ALL_PARTS)
     probes = {}
     with mp.workdps(bounds.DEFAULT_DIGITS):
@@ -295,18 +288,16 @@ def suite_exponential_ratio() -> SuiteResult:
             "ratio strictly increasing",
             ",".join(_nstr(probes[n]) for n in (200, 300, 500)),
         ))
-    return res
 
 
 DEBRUIJN_LIMIT = 2**12
 DEBRUIJN_RATIO_POINT = 2**16
 
 
-def suite_binary_log_ceiling() -> SuiteResult:
+def suite_binary_log_ceiling(res: SuiteResult) -> None:
     """Binary-partition counts respect the log ceiling log(2n+1)*log2(2n)
     up to n = 2^12; the log-count over the leading term at n = 2^16 lies
     in the documented loose band [0.3, 1.5]."""
-    res = SuiteResult("debruijn")
     table = count_table(2 * DEBRUIJN_LIMIT, Powers(2))
     _scan(
         res, "debruijn_upper", table, lambda n: {"parts": "pow:2", "mults": "nat", "n": n},
@@ -324,16 +315,14 @@ def suite_binary_log_ceiling() -> SuiteResult:
         "log p / leading term in [0.3, 1.5]",
         res.extras["log_ratio_at_pow16"],
     ))
-    return res
 
 
 CHAIN_LIMIT = 200
 
 
-def suite_part_count_chain() -> SuiteResult:
+def suite_part_count_chain(res: SuiteResult) -> None:
     """p_S(n) <= n^A(n) e^(H_n) for every corpus part set with unrestricted
     multiplicities, n <= 200; comparisons divide out the exact n^A(n)."""
-    res = SuiteResult("harmonic-chain")
     for pair in CORPUS:
         if pair.mults != NAT_MULTS:
             continue
@@ -342,16 +331,14 @@ def suite_part_count_chain() -> SuiteResult:
             res, "harmonic_chain", table, lambda n: _inputs(pair, n),
             expected="p / n^A(n) <= e^(H_n)",
         )
-    return res
 
 
 PADBERG_LIMIT = 500
 
 
-def suite_cumulative_floor() -> SuiteResult:
+def suite_cumulative_floor(res: SuiteResult) -> None:
     """Cumulative counts of finite coprime corpus sets dominate
     (n+1)^k/(k! prod a) up to n = 500, with equality throughout for {1}."""
-    res = SuiteResult("padberg")
     for pair in CORPUS:
         if finite_coprime_parts(pair.parts, pair.mults) is None:
             continue
@@ -364,17 +351,15 @@ def suite_cumulative_floor() -> SuiteResult:
                 res.check(cumulative[n] == floor, lambda: (
                     _inputs(pair, n), f"equality {floor}", str(cumulative[n]),
                 ))
-    return res
 
 
 EQ10_LIMIT = 2000
 EQ10_ASSERT_FROM = 10
 
 
-def suite_record_floor() -> SuiteResult:
+def suite_record_floor(res: SuiteResult) -> None:
     """(n+1)^(k-1)/(k! prod a) holds at the record indices of each finite
     coprime corpus table; asserted on [10, 2000], onset reported."""
-    res = SuiteResult("eq10")
     onsets = []
     for pair in CORPUS:
         if finite_coprime_parts(pair.parts, pair.mults) is None:
@@ -384,7 +369,6 @@ def suite_record_floor() -> SuiteResult:
             _scan(res, "eq10", table, lambda n: _inputs(pair, n), EQ10_ASSERT_FROM)
         )
     res.onsets["eq10"] = max(onsets)
-    return res
 
 
 REFINED_LIMIT = 2000
@@ -392,12 +376,11 @@ REFINED_ASSERT_FROM = 10
 REFINED_TRANSCENDENTAL_FROM = 100
 
 
-def suite_prefix_extension_floor() -> SuiteResult:
+def suite_prefix_extension_floor(res: SuiteResult) -> None:
     """(n+1)^(j-1)/(j! a_1..a_j) with j the least index where j a_j >= n,
     for unrestricted parts: asserted on [10, 2000].  The specialization
     e^(2 sqrt n)/(2 pi n^2) is asserted on [100, 2000].  Onsets and the
     ratio band between the two forms are reported."""
-    res = SuiteResult("refined")
     table = count_table(REFINED_LIMIT, ALL_PARTS)
     inputs = lambda n: {"parts": "all", "n": n}
     res.onsets["refined"] = _scan(res, "refined", table, inputs, REFINED_ASSERT_FROM)
@@ -425,23 +408,20 @@ def suite_prefix_extension_floor() -> SuiteResult:
                 / bounds.classical_refined_term(mp, n)
                 for n, ratio in zip(ns, screen) if abs(ratio - edge) <= 1e-9 * edge
             ))
-    return res
 
 
 SQRT_LIMIT = 2000
 SQRT_ASSERT_FROM = 100
 
 
-def suite_sqrt_floor() -> SuiteResult:
+def suite_sqrt_floor(res: SuiteResult) -> None:
     """e^(sqrt n)/n lower-bounds the classical count; asserted on
     [100, 2000] with the empirical onset reported."""
-    res = SuiteResult("sqrt-lower")
     table = count_table(SQRT_LIMIT, ALL_PARTS)
     res.onsets["sqrt_lower"] = _scan(
         res, "sqrt_lower", table, lambda n: {"parts": "all", "n": n},
         SQRT_ASSERT_FROM, expected=">= e^(sqrt n)/n",
     )
-    return res
 
 
 SLOW_GROWTH_LIMIT = 2**20
@@ -449,12 +429,11 @@ SLOW_GROWTH_FROM = 16
 SLOW_GROWTH_SLACK = 4
 
 
-def suite_slow_growth() -> SuiteResult:
+def suite_slow_growth(res: SuiteResult) -> None:
     """The doubly exponential pair stays below 4 (lg n)(lg lg n)^(lg lg n)
     on [16, 2^20] and vanishes at every odd n.  The ceiling is checked at
     the running-maximum indices of p, which suffices because the closed
     form increases on the range; the minimal sufficient slack is reported."""
-    res = SuiteResult("slow-growth")
     parts = DoublyExponential(2)
     mults = WithZero(DoublyExponential(2))
     # a thin pair: count_support gives the ~1400 nonzero entries of the
@@ -496,7 +475,6 @@ def suite_slow_growth() -> SuiteResult:
     res.extras["max_count"] = str(best)
     res.extras["min_sufficient_slack"] = _nstr(slack)
     res.extras["record_indices"] = ",".join(str(n) for n in records)
-    return res
 
 
 CRITERION_MAX_ELEMENT = 12
@@ -537,7 +515,7 @@ def _last_flat(vals) -> int:
     return next((n for n in range(CRITERION_LIMIT, 0, -1) if vals[n] <= vals[n - 1]), 0)
 
 
-def suite_increase_criterion() -> SuiteResult:
+def suite_increase_criterion(res: SuiteResult) -> None:
     """The coprime-(k-1)-subset criterion agrees with observed behavior for
     every coprime set with elements <= 12 and k <= 4: eventually strictly
     increasing means the last non-increase sits before 2000 - 200.
@@ -546,7 +524,6 @@ def suite_increase_criterion() -> SuiteResult:
     (1800, 2000], one pass of 200 comparisons.  The backward scan for the
     last non-increase runs only where it is printed: in a failure text and
     in the (3, 4, 5) window."""
-    res = SuiteResult("monotonicity-criterion")
     tail = CRITERION_LIMIT - CRITERION_TAIL
     observed = []
     descent = None
@@ -579,7 +556,6 @@ def suite_increase_criterion() -> SuiteResult:
                 f"W={last_flat + 1}, strictly increasing on "
                 f"[{last_flat + 1}, {CRITERION_LIMIT}]"
             )
-    return res
 
 
 def _pieces(lo: int, hi: int, cuts) -> list[range]:
@@ -590,7 +566,7 @@ def _pieces(lo: int, hi: int, cuts) -> list[range]:
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def suite_sparse_construction() -> SuiteResult:
+def suite_sparse_construction(res: SuiteResult) -> None:
     """Anchors built from the tabulated floor(lg lg x) satisfy
     A(n)+1 <= eps(n) on [a_1, 2^16], and the resulting part set keeps
     p(n) <= n^eps(n) there (checked directly in integer arithmetic).
@@ -599,7 +575,6 @@ def suite_sparse_construction() -> SuiteResult:
     runs once per interval between them (_pieces), one case per n: A(n)+1
     <= eps(n) is one comparison, and p(n) <= n^eps(n) one C-level pass.
     Only an interval that fails records its n one at a time."""
-    res = SuiteResult("sparse-construction")
     eps_table = BUILTIN_EPSILON_TABLE
     sset = construct_sparse_set(eps_table)
     res.extras["anchors"] = ",".join(str(a) for a in sset.elements)
@@ -626,7 +601,6 @@ def suite_sparse_construction() -> SuiteResult:
             res.check(ok, lambda: (
                 {"parts": str(sset), "mults": "nat", "n": n}, f"<= n^{eps}", str(values[n]),
             ))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +683,14 @@ SUITES: dict[str, tuple] = {
 
 
 def run_suite(name: str) -> SuiteResult:
+    """The SUITES entry name run on a fresh SuiteResult(name), timed."""
     try:
         fn = SUITES[name][0]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}") from None
+    result = SuiteResult(name)
     start = time.perf_counter()
-    result = fn()
+    fn(result)
     result.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return result
 

@@ -73,6 +73,12 @@ CHECKS = [
     # within 200 MB (about 160 MB now; 239 MB while Finite sorted a copy of
     # the checked anchors)
     (20, "count --parts sparse:@anchors.txt --n 5", 0, ("==", "0\n"), 200),
+    # sparse builds its anchors in one pass over the epsilon table, where a
+    # search of the table per anchor took minutes on the 2^16 lines (i, i+1);
+    # a table asking for more than 2^21 anchors is refused before any is
+    # built, where 1 1000000000 filled memory
+    (20, "sparse steps.txt", 0, ("in", "\n65536\n"), 64),
+    (20, "sparse huge-steps.txt", 2, None, 32),
     # count computes one value without the row p(0..n): at MAX_N,
     # finite:3,4,5 by Sylvester's quasi-polynomial, dexp:2 with zero|dexp:2
     # on its sparse support, pow:2 by Mahler's sum in binomial moments,
@@ -103,11 +109,15 @@ CHECKS = [
      ("in", "log-log slope over upper half: 1.0070\n"), 100),
 ]
 
-# the files CHECKS reads, written in check_all's directory
+# the files CHECKS reads, one line per item, written once in check_all's
+# directory.  Ranges and maps keep them lazy: every launcher imports this
+# module, and its high-water mark is where its child's peak starts
 FILES = {
     "anchors.txt": range(10**6, 10**6 + 2**21),
     "upto-max-n.txt": range(1, 2**21 + 1),
     "from-2.txt": range(2, 2**20 + 2),
+    "steps.txt": map("{} {}".format, range(1, 2**16 + 1), range(2, 2**16 + 2)),
+    "huge-steps.txt": ["1 1000000000"],
 }
 
 
@@ -115,9 +125,9 @@ def check_all():
     """Run CHECKS with the `partlab` on PATH, one line each; the number that failed."""
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, elements in FILES.items():
+        for name, lines in FILES.items():
             with open(os.path.join(tmp, name), "w") as f:
-                f.writelines(f"{a}\n" for a in elements)
+                f.writelines(f"{line}\n" for line in lines)
         for timeout, args, code, want, limit_mb in CHECKS:
             got = run(["timeout", str(timeout), "partlab", *args.split()], cwd=tmp)
             out_ok = want is None or (got["out"] == want[1] if want[0] == "==" else want[1] in got["out"])

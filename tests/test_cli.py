@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from partlab import cli, counting, setspec, suites
 from partlab.bounds import BOUND_IDS
 from partlab.cli import MAX_N, main
-from partlab.suites import SuiteResult
 import peak
 from test_counting import _dense
 
@@ -402,13 +401,11 @@ class TestVerify:
 
     def test_human_failures_truncated(self, capsys, monkeypatch):
         # a planted suite with more failures than the human report lists
-        def planted():
-            res = SuiteResult("planted")
+        def planted(res):
             res.onsets["x"], res.extras["k"] = 5, "v"
             for n in range(23):
                 res.check(False, lambda: ({"label": "p", "n": n}, f"<= {n}", str(n + 1)))
             res.check(True, lambda: ({"n": 23}, "", ""))
-            return res
 
         monkeypatch.setitem(suites.SUITES, "planted", (planted, "planted", "none"))
         code, out, _ = run(capsys, "verify", "--suite", "planted")
@@ -955,9 +952,17 @@ def _argv(draw):
         argv += ["--format", pick(["table", "csv", "json"], ["xml"])]
     if draw(st.booleans()):
         argv += ["--out", pick(["WRITABLE"], ["MISSING_DIR", "DIRECTORY"])]
+    def values(k):
+        """1..k, the last now and then asking for more than 2^21 anchors."""
+        last = draw(st.integers(2**21 + 2, 10**12)) if odd_one_out() else k
+        return [*range(1, k), last]
+
+    thresholds = ascending()
     files = {
         "ANCHORS": "".join(f"{slot(a)}\n" for a in ascending()),
-        "EPS": "".join(f"{slot(t)} {slot(v)}\n" for v, t in enumerate(ascending(), 1)),
+        "EPS": "".join(
+            f"{slot(t)} {slot(v)}\n" for t, v in zip(thresholds, values(len(thresholds)))
+        ),
     }
     return argv, files
 
@@ -986,6 +991,7 @@ def contract_paths(tmp_path_factory):
 @given(case=_argv())
 @example(case=(["count", "--parts", "sparse:@OVER_CAP", "--n", "5"], {}))
 @example(case=(["sparse", "OVER_CAP"], {}))
+@example(case=(["sparse", "EPS"], {"EPS": "1 1000000000\n"}))
 @example(case=(["analyze", "--parts", "finite:1000000000,1000000001"], {}))
 def test_cli_contract_on_generated_argv(contract_paths, case):
     argv, files = case

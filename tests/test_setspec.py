@@ -3,12 +3,14 @@
 import copy
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partlab import setspec
 from partlab.corpus import CORPUS, CORPUS_BY_LABEL
 from partlab.setspec import (
     ALL_PARTS,
@@ -381,7 +383,78 @@ class TestDoublyExponentialCounting:
             assert spec.count_leq(x) == expected, x
 
 
+def _anchors_by_search(epsilon):
+    """Each anchor from its own search of the table from the first entry:
+    the threshold of the first entry whose value reaches the target A + 2,
+    or the anchor before it plus 1."""
+    validate_step_table(epsilon)
+    anchors = []
+    prev = 0
+    while True:
+        target = len(anchors) + 2
+        hit = next((t for t, v in epsilon if v >= target), None)
+        if hit is None:
+            break
+        prev = max(prev + 1, hit)
+        anchors.append(prev)
+    if not anchors:
+        raise InvalidSetError("epsilon table never reaches 2; no anchors exist")
+    return tuple(anchors)
+
+
+def _value_by_scan(table, x):
+    """The value of the last entry whose threshold is at most x."""
+    return ([None] + [v for t, v in table if t <= x])[-1]
+
+
+def _outcome(build, table):
+    try:
+        return build(table)
+    except InvalidSetError as exc:
+        return str(exc)
+
+
+# Step tables as lists of (threshold, value): valid ones, with strictly
+# increasing positive thresholds and nondecreasing values, which reach 2
+# or not; and any pairs, which mostly fail validation
+_PAIRS = st.tuples(st.integers(0, 200), st.integers(0, 30))
+_VALID_TABLES = st.lists(_PAIRS, min_size=1, max_size=12).map(
+    lambda pairs: list(zip(sorted({t + 1 for t, _ in pairs}), sorted(v for _, v in pairs)))
+)
+_STEP_TABLES = _VALID_TABLES | st.lists(_PAIRS, max_size=12)
+
+
 class TestSparseConstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(_STEP_TABLES)
+    def test_one_pass_matches_a_search_per_anchor(self, table):
+        assert _outcome(lambda t: construct_sparse_set(t).elements, table) == _outcome(
+            _anchors_by_search, table
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VALID_TABLES)
+    def test_step_value_matches_a_scan(self, table):
+        for x in {-2, *(t + d for t, _ in table for d in (-1, 0, 1)), table[-1][0] + 9}:
+            assert step_function_value(table, x) == _value_by_scan(table, x), x
+
+    def test_anchor_count_is_refused_before_any_anchor(self, monkeypatch):
+        # 2^21 anchors, as many as an anchors file at the read cap holds, are
+        # built; one more is refused without a set, in a small fraction of
+        # that time
+        most = setspec.MAX_FILE_BYTES // 8
+        assert most == 2**21
+        start = time.perf_counter()
+        assert len(construct_sparse_set([(5, 2), (9, most + 1)]).elements) == most
+        built_s = time.perf_counter() - start
+        monkeypatch.setattr(setspec, "Finite", lambda *a, **k: pytest.fail("a set was made"))
+        for table in ([(5, 2), (9, most + 2)], [(1, 10**9)]):
+            refusal = f"epsilon table asks for {table[-1][1] - 1} anchors; at most {most}"
+            start = time.perf_counter()
+            with pytest.raises(InvalidSetError, match=f"^{refusal}$"):
+                construct_sparse_set(table)
+            assert time.perf_counter() - start < built_s / 100
+
     def test_identity_epsilon(self):
         # anchor i is the first x with epsilon(x) >= i + 1, so the identity
         # table over 1..8 yields one anchor per target 2..8
