@@ -73,8 +73,9 @@ def _build_parser() -> _Parser:
         return n
 
     def common(
-        p, parts=False, mults=False, n=False, upto=False, formats=("table", "csv", "json")
+        p, func, parts=False, mults=False, n=False, upto=False, formats=("table", "csv", "json")
     ):
+        p.set_defaults(func=func)
         if parts:
             p.add_argument("--parts", required=True, help="part-set spec")
         if mults:
@@ -87,27 +88,28 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("count", help="exact p(n; parts, mults)")
-    common(p, parts=True, mults=True, n=True)
+    common(p, cmd_count, parts=True, mults=True, n=True)
 
     p = sub.add_parser("table", help="p(0..upto) with optional bound columns")
-    common(p, parts=True, mults=True, upto=True)
+    common(p, cmd_table, parts=True, mults=True, upto=True)
     p.add_argument(
         "--bounds",
         help="comma-separated bound ids; an unknown id's error lists them all",
     )
 
     p = sub.add_parser("analyze", help="gcd, coprime prefix, representability")
-    common(p, parts=True)
+    common(p, cmd_analyze, parts=True)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, formats=("table", "json"))
+    common(p, cmd_verify, formats=("table", "json"))
     p.add_argument("--suite", help="suite name, or 'all' (default)")
     p.add_argument("--list", action="store_true", help="list suites and parameters")
 
     p = sub.add_parser("explore", help="zero pattern and growth summary")
-    common(p, parts=True, mults=True, upto=True)
+    common(p, cmd_explore, parts=True, mults=True, upto=True)
 
     p = sub.add_parser("sparse", help="build a sparse anchors file from a step table")
+    p.set_defaults(func=cmd_sparse)
     p.add_argument("epsilon_file", help="lines 'threshold value', ascending")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", help="anchors file to write (default stdout)")
@@ -479,21 +481,11 @@ def cmd_sparse(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "count": cmd_count,
-    "table": cmd_table,
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
-    "explore": cmd_explore,
-    "sparse": cmd_sparse,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (UsageError, SpecSyntaxError) as exc:
         print(f"partlab: error: {exc}", file=sys.stderr)
         return 1

@@ -38,7 +38,7 @@ import operator
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import count as _count, islice
+from itertools import count as _count, islice, pairwise
 
 
 class SetSpecError(ValueError):
@@ -60,15 +60,18 @@ class InvalidSetError(SetSpecError):
 class IntegerSetSpec:
     """Common interface of all set variants.
 
-    Instances are immutable; every operation is pure.  _key() gives
-    equality, hashing and the Kind(fields) repr.
+    Instances are immutable; every operation is pure.  A spec's fields are
+    its __slots__, which are also its __init__ parameters: their values
+    give equality, hashing and the Kind(fields) repr through _key(), and
+    copy and pickle through __reduce__.  Finite overrides _key() to leave
+    its source out of equality.
     """
 
     __slots__ = ()
 
     def _key(self) -> tuple:
-        """The class and the fields equality compares."""
-        raise NotImplementedError
+        """The class and the fields equality compares: the slots' values."""
+        return (type(self), *map(self.__getattribute__, self.__slots__))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -90,8 +93,8 @@ class IntegerSetSpec:
 
     def __reduce__(self):
         # copy and pickle rebuild a spec through __init__, whose parameters
-        # are its __slots__
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # are its __slots__; the base _key reads them all, Finite's source too
+        return type(self), IntegerSetSpec._key(self)[1:]
 
     def iter_elements(self) -> Iterator[int]:
         """Yield the elements in strictly increasing order (possibly forever)."""
@@ -170,9 +173,6 @@ class ArithmeticProgression(IntegerSetSpec):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "step", step)
 
-    def _key(self):
-        return (type(self), self.first, self.step)
-
     def iter_elements(self):
         return _count(self.first, self.step)
 
@@ -195,9 +195,6 @@ class Powers(IntegerSetSpec):
             raise InvalidSetError("power base must be at least 2")
         object.__setattr__(self, "base", base)
 
-    def _key(self):
-        return (type(self), self.base)
-
     def iter_elements(self):
         v = 1
         while True:
@@ -218,9 +215,6 @@ class DoublyExponential(IntegerSetSpec):
             raise InvalidSetError("power base must be at least 2")
         object.__setattr__(self, "base", base)
 
-    def _key(self):
-        return (type(self), self.base)
-
     def iter_elements(self):
         v = self.base
         while True:
@@ -240,9 +234,6 @@ class WithZero(IntegerSetSpec):
         if inner.contains_zero():
             raise InvalidSetError("inner set of zero| already contains 0")
         object.__setattr__(self, "inner", inner)
-
-    def _key(self):
-        return (type(self), self.inner)
 
     def iter_elements(self):
         yield 0
@@ -359,41 +350,40 @@ def _load_anchor_file(path: str) -> Finite:
 
 
 def _parse(text: str, pos: int) -> tuple[IntegerSetSpec, int]:
-    rest = text[pos:]
-    if rest.startswith("zero|"):
+    if text.startswith("zero|", pos):
         # a nested zero| holds 0 already; rejected here, without recursing
         if text.startswith("zero|", pos + 5):
             raise InvalidSetError("inner set of zero| already contains 0")
         inner, end = _parse(text, pos + 5)
         return WithZero(inner), end
-    if rest.startswith("all-from:"):
+    if text.startswith("all-from:", pos):
         start, end = _parse_int(text, pos + 9)
         return ArithmeticProgression(start, 1), end
-    if rest.startswith("all"):
+    if text.startswith("all", pos):
         return ALL_PARTS, pos + 3
-    if rest.startswith("nat"):
+    if text.startswith("nat", pos):
         return NAT_MULTS, pos + 3
-    if rest.startswith("finite:"):
+    if text.startswith("finite:", pos):
         values, end = _parse_int_list(text, pos + 7)
         return Finite(tuple(values)), end
-    if rest.startswith("ap:"):
+    if text.startswith("ap:", pos):
         first, end = _parse_int(text, pos + 3)
         if end >= len(text) or text[end] != ",":
             raise SpecSyntaxError("ap: needs 'first,step'", end)
         step, end = _parse_int(text, end + 1)
         return ArithmeticProgression(first, step), end
-    if rest.startswith("pow:"):
+    if text.startswith("pow:", pos):
         base, end = _parse_int(text, pos + 4)
         return Powers(base), end
-    if rest.startswith("dexp:"):
+    if text.startswith("dexp:", pos):
         base, end = _parse_int(text, pos + 5)
         return DoublyExponential(base), end
-    if rest.startswith("sparse:@"):
+    if text.startswith("sparse:@", pos):
         path = text[pos + 8 :]
         if not path:
             raise SpecSyntaxError("sparse:@ needs a file path", pos + 8)
         return _load_anchor_file(path), len(text)
-    raise SpecSyntaxError(f"unrecognized set form {rest!r}", pos)
+    raise SpecSyntaxError(f"unrecognized set form {text[pos:]!r}", pos)
 
 
 def parse_set_spec(text: str, kind: str) -> IntegerSetSpec:
@@ -417,13 +407,11 @@ def step_function_value(table: list[tuple[int, int]], x: int) -> int | None:
 def validate_step_table(table: list[tuple[int, int]]) -> None:
     if not table:
         raise InvalidSetError("epsilon table is empty")
-    thresholds = [t for t, _ in table]
-    values = [v for _, v in table]
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+    if any(b <= a for (a, _), (b, _) in pairwise(table)):
         raise InvalidSetError("epsilon thresholds must be strictly increasing")
-    if thresholds[0] < 1:
+    if table[0][0] < 1:
         raise InvalidSetError("epsilon thresholds must be positive")
-    if any(b < a for a, b in zip(values, values[1:])):
+    if any(b < a for (_, a), (_, b) in pairwise(table)):
         raise InvalidSetError("epsilon values must be nondecreasing")
 
 

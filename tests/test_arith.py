@@ -263,6 +263,24 @@ _scales = st.integers(0, 512)
 _divisors = st.one_of(st.integers(1, 1 << 520), _scales.map(lambda q: 1 << q))
 
 
+@st.composite
+def _quotient_corners(draw):
+    """Arguments (a, ea, b, eb, q) of quotient, a >= 0, whose value's floor
+    and both error terms, ea 2^q / d and a eb 2^q / (b d) for d = b - eb,
+    have fractional parts near 1 together, where flooring the two error
+    terms apart falls short: they are built from chosen remainders, a 2^q = -t (mod b d)
+    and ea 2^q = -s (mod d), for small s and t.  2^q is inverted mod b d,
+    so q is 0 when b d is even."""
+    b = draw(st.integers(2, 1 << 64))
+    eb = draw(st.integers(1, b - 1))
+    d = b - eb
+    q = draw(_scales) if b * d % 2 else 0
+    s, t = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = -t * pow(2, -q, b * d) % (b * d) + b * d * draw(st.integers(0, 1 << 64))
+    ea = -s * pow(2, -q, d) % d + d * draw(st.integers(0, 1 << 64))
+    return a, ea, b, eb, q
+
+
 def _within(pair, exact):
     """The fixed-point pair (X, e) errs from exact by at most e."""
     value, error = pair
@@ -300,6 +318,13 @@ class TestFixedPoint:
         # the error's two terms has a fraction above 0.9, and so has the
         # value's floor, so they must be floored as one sum
         assert _within(quotient(27, 5, 28, 17, 1), Fraction(32 * 2, 11))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_quotient_corners())
+    def test_quotient_at_generated_corners(self, args):
+        # the true values at the corner a + ea, b - eb, farthest above the value
+        a, ea, b, eb, q = args
+        assert _within(quotient(a, ea, b, eb, q), Fraction((a + ea) << q, b - eb))
 
     @settings(max_examples=60, deadline=None)
     @given(_scales.filter(bool))

@@ -859,6 +859,25 @@ class TestRademacher:
         scales = [bits for _, bits in calls]
         assert scales == [scales[0] * 2**i for i in range(len(scales))]
 
+    def test_first_scale_errors_are_pinned(self, monkeypatch):
+        # at the real guard bits each term's error stays below the 2^8 units
+        # that the last rescale floors to its constant 2, so a term's error
+        # bound can lose a part without any result changing; without guard
+        # bits the first scale's bounds over n = 2..399 show such a loss
+        monkeypatch.setattr(counting, "_GUARD_BITS", 0)
+        original, errors = counting._rademacher_sum, {}
+
+        def spy(n, terms, bits):
+            value, error = original(n, terms, bits)
+            errors.setdefault(n, error)
+            return value, error
+
+        monkeypatch.setattr(counting, "_rademacher_sum", spy)
+        for n in range(2, 400):
+            assert counting._rademacher_count(n) == _classical_row()[n]
+        digest = hashlib.sha256(repr(list(errors.values())).encode()).hexdigest()
+        assert digest[:16] == "7437b06df6cfc032"
+
 
 class TestOneValueReachesNoRow:
     # the count-sweep pairs at their large sizes: the value comes from a row
